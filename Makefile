@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci vet fmt build test race claims bench benchbuild allocbudget chaos streamequiv servequiv servequiv-update cacheequiv serve-smoke fuzzsmoke golden cover
+.PHONY: ci vet fmt build test procsmatrix race claims allocbudget chaos streamequiv servequiv servequiv-update cacheequiv scanequiv serve-smoke fuzzsmoke golden cover
 
 ## ci: the full gate — what a PR must pass.
-ci: fmt vet build benchbuild allocbudget race claims chaos streamequiv servequiv cacheequiv serve-smoke fuzzsmoke cover
+ci: fmt vet build allocbudget procsmatrix race claims chaos streamequiv servequiv cacheequiv scanequiv serve-smoke fuzzsmoke cover
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +20,17 @@ build:
 test:
 	$(GO) test ./...
 
+## procsmatrix: the internal packages at one, two and eight procs,
+## uncached. Shard counts, worker pools and decode widths auto-size
+## from GOMAXPROCS, so a test that only passes at the core count of the
+## machine it was written on fails here instead of on the next machine
+## — and -count=1 keeps a stale test cache from hiding it.
+procsmatrix:
+	@set -e; for n in 1 2 8; do \
+		echo "GOMAXPROCS=$$n go test ./internal/..."; \
+		GOMAXPROCS=$$n $(GO) test -count=1 ./internal/...; \
+	done
+
 ## race: full suite under the race detector, with test order shuffled
 ## so inter-test state dependence fails loudly rather than by luck.
 race:
@@ -33,17 +44,14 @@ cover:
 claims:
 	$(GO) test -run=TestClaim ./internal/core
 
-## benchbuild: compile the benchmark harness without running it.
-benchbuild:
-	$(GO) test -c -o /dev/null .
-
-## allocbudget: fail if Figure 3's allocs/op regress more than 10%
-## over the checked-in budget (alloc_budget.txt). allocs/op is
+## allocbudget: fail if Figure 3's allocs/op (BenchmarkFig3MonthlyTrend
+## in internal/core) regress more than 10% over the checked-in budget
+## (alloc_budget.txt). allocs/op is
 ## deterministic enough to gate on (±0.01% run to run); ns/op is not.
 ## After a deliberate allocation change, re-measure and commit the new
 ## budget alongside the change.
 allocbudget:
-	@got=$$($(GO) test -run '^$$' -bench '^BenchmarkFig3MonthlyTrend$$' -benchmem -benchtime=2x . \
+	@got=$$($(GO) test -run '^$$' -bench '^BenchmarkFig3MonthlyTrend$$' -benchmem -benchtime=2x ./internal/core \
 		| awk '/^BenchmarkFig3MonthlyTrend/ {for (i=2; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}'); \
 	budget=$$(cat alloc_budget.txt); \
 	if [ -z "$$got" ]; then echo "allocbudget: benchmark produced no allocs/op"; exit 1; fi; \
@@ -82,11 +90,20 @@ servequiv-update:
 ## (WriteDay, live-ingest checkpoint/seal, admin compact) invalidates
 ## against a fresh batch pipeline, the ETag/If-None-Match round trip
 ## holds, and a mid-stream damaged day terminates a streamed CSV with
-## the error trailer. Plus the four serve-contract regressions
-## (queue-wait deadline, failed-day tallies, metrics format, healthz
-## day-count caching).
+## the error trailer. Plus the three serve-contract regressions
+## (queue-wait deadline, metrics format, healthz day-count caching).
 cacheequiv:
-	$(GO) test ./internal/serve -run '^TestResponseCache|^TestETag|^TestStreaming|^TestAdmin|^TestDeadlineIncludesQueueWait$$|^TestScanSummaryExcludesFailedDay$$|^TestMetricsFormatStrict$$|^TestHealthzCachedDayCount$$' -count=1
+	$(GO) test ./internal/serve -run '^TestResponseCache|^TestETag|^TestStreaming|^TestAdmin|^TestDeadlineIncludesQueueWait$$|^TestMetricsFormatStrict$$|^TestHealthzCachedDayCount$$' -count=1
+
+## scanequiv: the scan-equivalence gate — over one mixed v1/v3 lake
+## with a truncated day and a missing day, /v1/scan's summary, buffered
+## CSV and streamed CSV and the edgequery command (at decode widths 1
+## and 4) return the same tallies, the same rows in the same order and
+## the same failed days; a damaged day never leaks its prefix into
+## totals and fails every record export; bad command lines exit 2. Plus
+## the engine's own error-table tests.
+scanequiv:
+	$(GO) test ./cmd/edgequery ./internal/scan -count=1
 
 ## serve-smoke: boot a real edgeserve process on a free port, probe
 ## every endpoint class with edgeload -smoke (200s, a 400, a 404, the
@@ -133,35 +150,3 @@ fuzzsmoke:
 golden:
 	$(GO) test ./internal/core -run '^TestGoldenFigures$$' -update-golden -count=1
 	@echo "regenerated internal/core/testdata/golden"
-
-## bench: one benchmark per table/figure, 5 runs each, plus the served
-## SLO curves — edgeload sweeping concurrency against a live edgeserve
-## twice: once cold (response cache disabled) and once cached (cache on,
-## ETag revalidation) — with a machine-readable summary in BENCH.json
-## alongside the raw text (the sweeps land in its serve_slo field as
-## {cold, cached}).
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ -count=5 . | tee BENCH.txt
-	@scale=$$(grep '^BenchmarkPipelineScale' BENCH.txt || true); \
-	{ echo ""; echo "== scaling curve (population sweep, records/sec) =="; \
-	  echo "$$scale"; } >> BENCH.txt
-	@set -e; tmp=$$(mktemp -d); trap 'kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
-	$(GO) build -o $$tmp/edgeserve ./cmd/edgeserve; \
-	$(GO) build -o $$tmp/edgeload ./cmd/edgeload; \
-	$$tmp/edgeserve -addr 127.0.0.1:0 -addr-file $$tmp/addr-cold -scale small -stride 240 \
-		-cache -1 2>/dev/null & pid=$$!; \
-	for i in $$(seq 100); do [ -f $$tmp/addr-cold ] && break; sleep 0.1; done; \
-	[ -f $$tmp/addr-cold ] || { echo "bench: edgeserve (cold) never bound"; exit 1; }; \
-	$$tmp/edgeload -addr "http://$$(cat $$tmp/addr-cold)" -c 1,2,4,8,16 -n 200 -json $$tmp/slo-cold.json 2>$$tmp/table-cold; \
-	kill $$pid; wait $$pid 2>/dev/null || true; \
-	$$tmp/edgeserve -addr 127.0.0.1:0 -addr-file $$tmp/addr-hot -scale small -stride 240 2>/dev/null & pid=$$!; \
-	for i in $$(seq 100); do [ -f $$tmp/addr-hot ] && break; sleep 0.1; done; \
-	[ -f $$tmp/addr-hot ] || { echo "bench: edgeserve (cached) never bound"; exit 1; }; \
-	$$tmp/edgeload -addr "http://$$(cat $$tmp/addr-hot)" -c 1,2,4,8,16 -n 200 -etag -json $$tmp/slo-cached.json 2>$$tmp/table-cached; \
-	kill $$pid; wait $$pid 2>/dev/null || true; \
-	{ echo ""; echo "== served SLO curve, cold cache (edgeload, p50/p99 vs concurrency) =="; \
-	  cat $$tmp/table-cold; \
-	  echo ""; echo "== served SLO curve, response cache + ETags (edgeload -etag) =="; \
-	  cat $$tmp/table-cached; } >> BENCH.txt; \
-	$(GO) run ./cmd/benchjson -slo $$tmp/slo-cold.json -slo-cached $$tmp/slo-cached.json < BENCH.txt > BENCH.json
-	@echo "wrote BENCH.txt and BENCH.json"

@@ -23,29 +23,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/flowrec"
 	"repro/internal/ingest"
-	"repro/internal/metrics"
 	"repro/internal/retry"
 	"repro/internal/simnet"
 )
 
 func main() {
+	sf := cli.Register(flag.CommandLine, "edged")
 	var (
-		seed      = flag.Uint64("seed", 1, "world seed")
 		out       = flag.String("out", "", "lake directory (required); sealed days land here")
 		aggDir    = flag.String("agg", "", "checkpoint/aggregate cache directory (default <out>/.agg)")
 		walDir    = flag.String("wal", "", "write-ahead log directory (default <out>/.wal)")
 		from      = flag.String("from", "", "first day (YYYY-MM-DD, default span start)")
 		to        = flag.String("to", "", "last day (YYYY-MM-DD, default span end)")
-		stride    = flag.Int("stride", 1, "ingest every Nth day of the range")
 		adsl      = flag.Int("adsl", 0, "ADSL subscriber count (0 = default)")
 		ftth      = flag.Int("ftth", 0, "FTTH subscriber count (0 = default)")
 		ckEvery   = flag.Int("checkpoint-every", 4096, "checkpoint a day after this many new records")
@@ -55,74 +52,56 @@ func main() {
 		compactTo = flag.String("compact", "v3", "background-compact sealed days to this format (v1, v2, v3; empty disables)")
 		pace      = flag.Int("pace", 0, "throttle to this many records/second (0 = full speed)")
 		retries   = flag.Int("retries", 3, "attempts for transient checkpoint/seal failures")
-		stats     = flag.Bool("stats", false, "print the metrics table on exit")
 		verbose   = flag.Bool("v", false, "log seals, recoveries and degradations to stderr")
-		faults    = flag.String("faults", "", `fault-injection spec, e.g. "checkpoint:p=0.1,transient;seal:p=0.05,transient" (see README)`)
 	)
 	flag.Parse()
 	if *out == "" {
-		fmt.Fprintln(os.Stderr, "edged: -out is required")
-		os.Exit(2)
+		sf.Fatal(cli.Usagef("-out is required"))
 	}
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSig()
-	if *stats {
-		defer func() {
-			fmt.Println("\n== ingest metrics ==")
-			metrics.WriteText(os.Stdout)
-		}()
-	}
+	ctx, stop := sf.Start()
+	defer stop()
 
-	parse := func(s string, def time.Time) time.Time {
-		if s == "" {
-			return def
-		}
-		t, err := time.Parse("2006-01-02", s)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "edged: bad date %q: %v\n", s, err)
-			os.Exit(2)
-		}
-		return t.UTC()
+	start, end, err := cli.Span(*from, *to, simnet.SpanStart, simnet.SpanEnd)
+	if err != nil {
+		sf.Fatal(err)
 	}
-	days := core.RangeDays(parse(*from, simnet.SpanStart), parse(*to, simnet.SpanEnd), *stride)
+	days := core.RangeDays(start, end, sf.Stride)
 	if *aggDir == "" {
 		*aggDir = filepath.Join(*out, ".agg")
 	}
 	if *walDir == "" {
 		*walDir = filepath.Join(*out, flowrec.WALDirName)
 	}
+	shared, err := sf.Config()
+	if err != nil {
+		sf.Fatal(err)
+	}
 
 	// Days seal in the row format (cheap sequential write off the WAL);
 	// the background compactor rewrites them columnar.
 	store, err := flowrec.OpenStoreFormat(*out, flowrec.FormatV1)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edged: %v\n", err)
-		os.Exit(1)
+		sf.Fatal(err)
+	}
+	var storage core.Storage = core.NewDiskStorage(store, *aggDir)
+	if shared.Faults != nil {
+		storage = faultinject.Wrap(storage, shared.Faults)
 	}
 	cfg := ingest.Config{
-		Storage:         core.NewDiskStorage(store, *aggDir),
+		Storage:         storage,
+		Faults:          shared.Faults,
 		WALDir:          *walDir,
 		CheckpointEvery: *ckEvery,
 		Grace:           *grace,
 		SealEmptyDays:   *sealEmpty,
-		Retry:           retry.Policy{Attempts: *retries, Base: 50 * time.Millisecond, Max: 2 * time.Second, Seed: *seed},
+		Retry:           retry.Policy{Attempts: *retries, Base: 50 * time.Millisecond, Max: 2 * time.Second, Seed: sf.Seed},
 	}
 	if *compactTo != "" {
 		cf, err := flowrec.ParseFormat(*compactTo)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "edged: %v\n", err)
-			os.Exit(2)
+			sf.Fatal(cli.Usagef("%v", err))
 		}
 		cfg.Compactor, cfg.CompactFormat = store, cf
-	}
-	if *faults != "" {
-		plan, err := faultinject.Parse(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "edged: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Faults = plan
-		cfg.Storage = faultinject.Wrap(core.NewDiskStorage(store, *aggDir), plan)
 	}
 	logf := func(string, ...interface{}) {}
 	if *verbose {
@@ -134,15 +113,14 @@ func main() {
 
 	in, err := ingest.Open(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edged: %v\n", err)
-		os.Exit(1)
+		sf.Fatal(err)
 	}
 	if in.Resume() > 0 {
 		logf("edged: recovered; resuming stream at seq %d over %d open day(s)", in.Resume(), len(in.OpenDays()))
 	}
 
 	scale := simnet.Scale{ADSL: *adsl, FTTH: *ftth}
-	w := simnet.NewWorld(*seed, scale)
+	w := simnet.NewWorld(sf.Seed, scale)
 	src := w.Stream(days)
 	src.Seek(in.Resume())
 
@@ -195,5 +173,7 @@ func main() {
 		exit = 1
 	}
 	logf("edged: %d record(s) ingested, watermark %s", n, in.Watermark().Format(time.RFC3339))
-	os.Exit(exit)
+	if exit != 0 {
+		os.Exit(exit)
+	}
 }

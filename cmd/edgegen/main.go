@@ -14,92 +14,54 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/flowrec"
-	"repro/internal/metrics"
-	"repro/internal/prof"
+	"repro/internal/scan"
 	"repro/internal/simnet"
 )
 
 func main() {
+	sf := cli.Register(flag.CommandLine, "edgegen")
 	var (
-		seed       = flag.Uint64("seed", 1, "world seed")
-		out        = flag.String("out", "", "store directory (required)")
-		from       = flag.String("from", "", "first day (YYYY-MM-DD, default span start)")
-		to         = flag.String("to", "", "last day (YYYY-MM-DD, default span end)")
-		stride     = flag.Int("stride", 1, "generate every Nth day")
-		adsl       = flag.Int("adsl", 0, "ADSL subscriber count (0 = default)")
-		ftth       = flag.Int("ftth", 0, "FTTH subscriber count (0 = default)")
-		csv        = flag.String("csv", "", "also dump the first generated day as CSV to this file")
-		format     = flag.String("format", "v1", "day-file format: v1 (row codec), v2 (columnar) or v3 (columnar, per-block compression); readers auto-detect")
-		compact    = flag.Bool("compact", false, "skip generation; recompact the existing store's days into -format (parallel, atomic per day)")
-		memlimit   = flag.String("memlimit", "", `stage-one memory budget for the -agg prewarm, e.g. "512M" (0 = unbounded; over budget, aggregation spills partials to disk)`)
-		aggDir     = flag.String("agg", "", "after generating, prewarm a per-day aggregate cache in this directory")
-		rollupDir  = flag.String("rollup", "", "after generating, prewarm week/month/year rollups in this directory")
-		sketch     = flag.Bool("sketch", false, "carry mergeable sketches in the prewarmed aggregates and rollups")
-		shards     = flag.Int("shards", 0, "per-day shard aggregators for the -agg prewarm (0 = auto, 1 = serial fold)")
-		stats      = flag.Bool("stats", false, "print the pipeline metrics table after the run")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		faults     = flag.String("faults", "", `fault-injection spec, e.g. "writeday:p=0.1,torn" (see README)`)
+		out     = flag.String("out", "", "store directory (required)")
+		from    = flag.String("from", "", "first day (YYYY-MM-DD, default span start)")
+		to      = flag.String("to", "", "last day (YYYY-MM-DD, default span end)")
+		adsl    = flag.Int("adsl", 0, "ADSL subscriber count (0 = default)")
+		ftth    = flag.Int("ftth", 0, "FTTH subscriber count (0 = default)")
+		csv     = flag.String("csv", "", "also dump the first generated day as CSV to this file")
+		format  = flag.String("format", "v1", "day-file format: v1 (row codec), v2 (columnar) or v3 (columnar, per-block compression); readers auto-detect")
+		compact = flag.Bool("compact", false, "skip generation; recompact the existing store's days into -format (parallel, atomic per day)")
+		aggDir  = flag.String("agg", "", "after generating, prewarm a per-day aggregate cache in this directory")
 	)
 	flag.Parse()
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSig()
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgegen: %v\n", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "edgegen: %v\n", err)
-		}
-	}()
-	if *stats {
-		defer func() {
-			fmt.Println("\n== pipeline metrics ==")
-			metrics.WriteText(os.Stdout)
-		}()
-	}
+	ctx, stop := sf.Start()
+	defer stop()
 	if *out == "" {
-		fmt.Fprintln(os.Stderr, "edgegen: -out is required")
-		os.Exit(2)
+		sf.Fatal(cli.Usagef("-out is required"))
 	}
-	parse := func(s string, def time.Time) time.Time {
-		if s == "" {
-			return def
-		}
-		t, err := time.Parse("2006-01-02", s)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "edgegen: bad date %q: %v\n", s, err)
-			os.Exit(2)
-		}
-		return t.UTC()
+	start, end, err := cli.Span(*from, *to, simnet.SpanStart, simnet.SpanEnd)
+	if err != nil {
+		sf.Fatal(err)
 	}
-	start := parse(*from, simnet.SpanStart)
-	end := parse(*to, simnet.SpanEnd)
-	days := core.RangeDays(start, end, *stride)
+	days := core.RangeDays(start, end, sf.Stride)
 
-	sf, err := flowrec.ParseFormat(*format)
+	sfmt, err := flowrec.ParseFormat(*format)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgegen: %v\n", err)
-		os.Exit(2)
+		sf.Fatal(cli.Usagef("%v", err))
 	}
-	membudget, err := core.ParseMemLimit(*memlimit)
+	// warm is the prewarm pipeline's configuration: what the shared
+	// flags describe, over the store this run writes.
+	warm, err := sf.Config()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgegen: %v\n", err)
-		os.Exit(2)
+		sf.Fatal(err)
 	}
-	store, err := flowrec.OpenStoreFormat(*out, sf)
+	store, err := flowrec.OpenStoreFormat(*out, sfmt)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgegen: %v\n", err)
-		os.Exit(1)
+		sf.Fatal(err)
 	}
 
 	if *compact {
@@ -107,8 +69,7 @@ func main() {
 		// requested format in place and exit. No generation, no prewarm.
 		have, err := store.Days()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "edgegen: %v\n", err)
-			os.Exit(1)
+			sf.Fatal(err)
 		}
 		var pick []time.Time
 		for _, d := range have {
@@ -117,99 +78,84 @@ func main() {
 			}
 		}
 		t0 := time.Now()
-		nd, nr, err := store.CompactStore(pick, sf, 0)
+		nd, nr, err := store.CompactStore(pick, sfmt, 0)
 		fmt.Printf("compacted %d days (%d records) in %s to %s in %v\n",
-			nd, nr, *out, sf, time.Since(t0).Round(time.Millisecond))
+			nd, nr, *out, sfmt, time.Since(t0).Round(time.Millisecond))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "edgegen: compact: %v\n", err)
-			os.Exit(1)
+			sf.Fatal(fmt.Errorf("compact: %w", err))
 		}
 		return
 	}
-	cfg := core.Config{Seed: *seed, Scale: simnet.Scale{ADSL: *adsl, FTTH: *ftth}}
+	warm.Scale = simnet.Scale{ADSL: *adsl, FTTH: *ftth}
 	// The write side carries the cache directories so regenerating a day
 	// drops its stale aggregate and the stale rollup windows covering it
 	// — the prewarm below would otherwise accept them (a cached agg has
 	// no freshness signal, and a stale rollup's manifest still matches).
-	var dst core.Storage = core.NewDiskStorage(store, *aggDir).WithRollupDir(*rollupDir)
-	if *faults != "" {
-		plan, perr := faultinject.Parse(*faults)
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "edgegen: %v\n", perr)
-			os.Exit(2)
-		}
-		cfg.Faults = plan // emission-side faults (outage, drop)
-		dst = faultinject.Wrap(dst, plan)
+	var dst core.Storage = core.NewDiskStorage(store, *aggDir).WithRollupDir(warm.RollupDir)
+	if warm.Faults != nil {
+		dst = faultinject.Wrap(dst, warm.Faults)
 	}
-	p := core.New(cfg)
+	// The generation pipeline carries the world and the emission-side
+	// faults (outage, drop) and no store wiring.
+	p := core.New(core.Config{Seed: warm.Seed, Scale: warm.Scale, Faults: warm.Faults})
 
 	t0 := time.Now()
 	n, err := p.GenerateStore(ctx, dst, days)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgegen: %v\n", err)
-		os.Exit(1)
+		sf.Fatal(err)
 	}
 	fmt.Printf("wrote %d flow records across %d days to %s in %v\n",
 		n, len(days), *out, time.Since(t0).Round(time.Millisecond))
 
 	if *csv != "" && len(days) > 0 {
-		if err := dumpCSV(p, store, days[0], *csv); err != nil {
-			fmt.Fprintf(os.Stderr, "edgegen: csv: %v\n", err)
-			os.Exit(1)
+		// The dump is the scan engine's unfiltered export of one day.
+		f, err := os.Create(*csv)
+		if err == nil {
+			_, err = scan.Run(ctx, store, p.Cls, scan.Query{Days: days[:1], CSV: f})
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			sf.Fatal(fmt.Errorf("csv: %w", err))
 		}
 		fmt.Printf("CSV dump of %s written to %s\n", days[0].Format("2006-01-02"), *csv)
 	}
 
 	// Prewarm: run stage one over the freshly written lake so the first
 	// edgereport against it starts from cached aggregates (sharded runs
-	// cache mergeable partials). The generation pipeline carries no
-	// store wiring, so a second pipeline reads what the first wrote.
-	if *aggDir != "" || *rollupDir != "" {
-		t1 := time.Now()
-		warmCfg := cfg
-		warmCfg.Store = store
-		warmCfg.AggCacheDir = *aggDir
-		warmCfg.RollupDir = *rollupDir
-		warmCfg.Sketch = *sketch
-		warmCfg.ShardsPerDay = *shards
-		warmCfg.MemBudget = membudget
-		warmCfg.Faults = nil // chaos is a generation-side concern; the prewarm reads clean
-		warm := core.New(warmCfg)
-		if *aggDir != "" {
-			aggs, err := warm.Aggregate(ctx, days)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "edgegen: agg prewarm: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("prewarmed %d day aggregates into %s in %v\n",
-				len(aggs), *aggDir, time.Since(t1).Round(time.Millisecond))
-		}
-		if *rollupDir != "" {
-			t2 := time.Now()
-			nw, err := warm.BuildRollups(ctx, days)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "edgegen: rollup prewarm: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("prewarmed %d rollup windows into %s in %v\n",
-				nw, *rollupDir, time.Since(t2).Round(time.Millisecond))
+	// cache mergeable partials). A second pipeline reads what the first
+	// wrote.
+	if *aggDir != "" || warm.RollupDir != "" {
+		warm.Store = store
+		warm.AggCacheDir = *aggDir
+		warm.Faults = nil // chaos is a generation-side concern; the prewarm reads clean
+		if err := prewarm(ctx, core.New(warm), days, *aggDir, warm.RollupDir); err != nil {
+			sf.Fatal(err)
 		}
 	}
 }
 
-func dumpCSV(p *core.Pipeline, store *flowrec.Store, day time.Time, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// prewarm fills the aggregate cache and the rollup tier, whichever
+// were asked for, from the days just written.
+func prewarm(ctx context.Context, p *core.Pipeline, days []time.Time, aggDir, rollupDir string) error {
+	if aggDir != "" {
+		t0 := time.Now()
+		aggs, err := p.Aggregate(ctx, days)
+		if err != nil {
+			return fmt.Errorf("agg prewarm: %w", err)
+		}
+		fmt.Printf("prewarmed %d day aggregates into %s in %v\n",
+			len(aggs), aggDir, time.Since(t0).Round(time.Millisecond))
 	}
-	defer f.Close()
-	w, err := flowrec.NewCSVWriter(f)
-	if err != nil {
-		return err
+	if rollupDir != "" {
+		t0 := time.Now()
+		nw, err := p.BuildRollups(ctx, days)
+		if err != nil {
+			return fmt.Errorf("rollup prewarm: %w", err)
+		}
+		fmt.Printf("prewarmed %d rollup windows into %s in %v\n",
+			nw, rollupDir, time.Since(t0).Round(time.Millisecond))
 	}
-	err = store.ReadDay(day, func(r *flowrec.Record) error { return w.Write(r) })
-	if err != nil {
-		return err
-	}
-	return w.Flush()
+	return nil
 }

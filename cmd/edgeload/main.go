@@ -26,20 +26,22 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/cli"
+	"repro/internal/stats"
 )
 
 func main() {
+	sf := cli.Register(flag.CommandLine, "edgeload")
 	var (
 		addr    = flag.String("addr", "", "edgeserve base URL, e.g. http://127.0.0.1:8080 (required)")
 		levels  = flag.String("c", "1,2,4,8", "comma-separated concurrency levels to sweep")
 		n       = flag.Int("n", 100, "requests per concurrency level")
-		seed    = flag.Uint64("seed", 1, "rotates the deterministic query sequence's starting offset")
 		mix     = flag.String("mix", "figures", "workload mix: figures, scan, or mixed")
 		scanArg = flag.String("scan-query", "from=2014-04-01&to=2014-04-07", "query string for scan requests in the mix")
 		timeout = flag.Duration("timeout", 60*time.Second, "per-request client timeout")
@@ -50,8 +52,7 @@ func main() {
 	)
 	flag.Parse()
 	if *addr == "" {
-		fmt.Fprintln(os.Stderr, "edgeload: -addr is required")
-		os.Exit(2)
+		sf.Fatal(cli.Usagef("-addr is required"))
 	}
 	base := strings.TrimSuffix(*addr, "/")
 	client := &http.Client{Timeout: *timeout}
@@ -63,7 +64,7 @@ func main() {
 	queries := queryMix(*mix, *scanArg)
 	var results []LevelResult
 	for _, lvl := range parseLevels(*levels) {
-		res := runLevel(client, base, queries, lvl, *n, *seed, *etag)
+		res := runLevel(client, base, queries, lvl, *n, sf.Seed, *etag)
 		results = append(results, res)
 		fmt.Fprintf(os.Stderr, "c=%-3d n=%-5d ok=%-5d 304=%-4d shed=%-4d err=%-3d p50=%.1fms p90=%.1fms p99=%.1fms rps=%.1f\n",
 			res.Concurrency, res.Requests, res.OK, res.NotModified, res.Shed, res.Errors,
@@ -74,7 +75,7 @@ func main() {
 		if *jsonOut != "-" {
 			f, err := os.Create(*jsonOut)
 			if err != nil {
-				fatal(err)
+				sf.Fatal(err)
 			}
 			defer f.Close()
 			out = f
@@ -82,7 +83,7 @@ func main() {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			fatal(err)
+			sf.Fatal(err)
 		}
 	}
 }
@@ -135,7 +136,7 @@ func queryMix(mix, scanQuery string) []string {
 // URL, like browser tabs sharing an HTTP cache.
 func runLevel(client *http.Client, base string, queries []string, lvl, n int, seed uint64, etag bool) LevelResult {
 	res := LevelResult{Concurrency: lvl, Requests: n}
-	latencies := make([]float64, 0, n)
+	var latencies stats.ECDF // answered requests, ms
 	var mu sync.Mutex
 	etags := make(map[string]string)
 	var next atomic.Int64
@@ -158,7 +159,7 @@ func runLevel(client *http.Client, base string, queries []string, lvl, n int, se
 					mu.Unlock()
 				}
 				rt0 := time.Now()
-				status, gotTag, err := get(client, base+q, inm)
+				status, gotTag, err := do(client, http.MethodGet, base+q, "", inm)
 				ms := float64(time.Since(rt0).Microseconds()) / 1000
 				mu.Lock()
 				switch {
@@ -166,13 +167,13 @@ func runLevel(client *http.Client, base string, queries []string, lvl, n int, se
 					res.Errors++
 				case status == http.StatusOK:
 					res.OK++
-					latencies = append(latencies, ms)
+					latencies.Add(ms)
 					if etag && gotTag != "" {
 						etags[q] = gotTag
 					}
 				case status == http.StatusNotModified:
 					res.NotModified++
-					latencies = append(latencies, ms)
+					latencies.Add(ms)
 				case status == http.StatusTooManyRequests:
 					res.Shed++
 				default:
@@ -188,59 +189,17 @@ func runLevel(client *http.Client, base string, queries []string, lvl, n int, se
 	if res.WallMs > 0 {
 		res.RPS = float64(res.OK+res.NotModified) / wall.Seconds()
 	}
-	sort.Float64s(latencies)
-	res.P50Ms = percentile(latencies, 0.50)
-	res.P90Ms = percentile(latencies, 0.90)
-	res.P99Ms = percentile(latencies, 0.99)
-	var sum float64
-	for _, v := range latencies {
-		sum += v
-	}
-	if len(latencies) > 0 {
-		res.MeanMs = sum / float64(len(latencies))
-	}
+	res.P50Ms = latencies.Quantile(0.50)
+	res.P90Ms = latencies.Quantile(0.90)
+	res.P99Ms = latencies.Quantile(0.99)
+	res.MeanMs = latencies.Mean()
 	return res
 }
 
-// get issues one GET (with optional If-None-Match) and fully drains
-// the body (keep-alive reuse keeps the load shape about connections
-// honest). Returns the status and the response ETag.
-func get(client *http.Client, url, inm string) (int, string, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return 0, "", err
-	}
-	if inm != "" {
-		req.Header.Set("If-None-Match", inm)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, resp.Header.Get("ETag"), nil
-}
-
-// percentile reads an exact order statistic from sorted values
-// (nearest-rank), 0 when empty.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
-// smokeDo issues one method+path probe with optional bearer token and
-// If-None-Match, draining the body.
-func smokeDo(client *http.Client, method, url, token, inm string) (int, string, error) {
+// do issues one request with optional bearer token and If-None-Match
+// and fully drains the body (keep-alive reuse keeps the load shape
+// about connections honest). Returns the status and the response ETag.
+func do(client *http.Client, method, url, token, inm string) (int, string, error) {
 	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
 		return 0, "", err
@@ -298,7 +257,7 @@ func runSmoke(client *http.Client, base, token string) int {
 	}
 	failed := 0
 	for _, c := range checks {
-		status, _, err := smokeDo(client, c.method, base+c.path, c.token, "")
+		status, _, err := do(client, c.method, base+c.path, c.token, "")
 		switch {
 		case err != nil:
 			fmt.Fprintf(os.Stderr, "edgeload: smoke %s %s: %v\n", c.method, c.path, err)
@@ -311,7 +270,7 @@ func runSmoke(client *http.Client, base, token string) int {
 	// The conditional round trip: 200 with an ETag, then 304 on
 	// If-None-Match with that tag.
 	const figure = "/v1/figures/fig3"
-	status, tag, err := smokeDo(client, http.MethodGet, base+figure, "", "")
+	status, tag, err := do(client, http.MethodGet, base+figure, "", "")
 	switch {
 	case err != nil || status != http.StatusOK:
 		fmt.Fprintf(os.Stderr, "edgeload: smoke etag fetch %s: status %d err %v\n", figure, status, err)
@@ -320,7 +279,7 @@ func runSmoke(client *http.Client, base, token string) int {
 		fmt.Fprintf(os.Stderr, "edgeload: smoke %s: no ETag on 200\n", figure)
 		failed++
 	default:
-		status, _, err = smokeDo(client, http.MethodGet, base+figure, "", tag)
+		status, _, err = do(client, http.MethodGet, base+figure, "", tag)
 		if err != nil || status != http.StatusNotModified {
 			fmt.Fprintf(os.Stderr, "edgeload: smoke If-None-Match %s: got %d err %v, want 304\n", figure, status, err)
 			failed++
@@ -344,9 +303,4 @@ func parseLevels(s string) []int {
 		out = append(out, v)
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "edgeload: %v\n", err)
-	os.Exit(1)
 }

@@ -25,82 +25,56 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/flowrec"
-	"repro/internal/metrics"
 	"repro/internal/pcap"
 	"repro/internal/probe"
-	"repro/internal/prof"
 	"repro/internal/retry"
 	"repro/internal/simnet"
 )
 
 func main() {
+	sf := cli.Register(flag.CommandLine, "edgeprobe")
 	var (
-		seed       = flag.Uint64("seed", 1, "world seed")
-		out        = flag.String("out", "", "store directory (required)")
-		from       = flag.String("from", "", "first day (YYYY-MM-DD)")
-		to         = flag.String("to", "", "last day (YYYY-MM-DD)")
-		adsl       = flag.Int("adsl", 12, "ADSL subscriber count")
-		ftth       = flag.Int("ftth", 6, "FTTH subscriber count")
-		capKiB     = flag.Int("flowcap", 96, "materialised payload cap per flow direction (KiB)")
-		format     = flag.String("format", "v1", "day-file format: v1 (row codec), v2 (columnar) or v3 (columnar, per-block compression); readers auto-detect")
-		shards     = flag.Int("shards", 1, "parallel probe workers per day (flow-hash packet fan-out); record order in the store varies with the count, record content does not")
-		pcapIn     = flag.String("pcap-in", "", "replay packets from this pcap file instead of simulating")
-		pcapOut    = flag.String("pcap-out", "", "also dump the simulated packet stream to this pcap file")
-		rollupDir  = flag.String("rollup", "", "after the capture, prewarm week/month/year rollups over the store into this directory")
-		sketch     = flag.Bool("sketch", false, "carry mergeable sketches in the prewarmed rollups")
-		stats      = flag.Bool("stats", false, "print the pipeline metrics table after the run")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		faults     = flag.String("faults", "", `fault-injection spec for the output store, e.g. "writeday:p=0.1,transient" (see README)`)
+		out     = flag.String("out", "", "store directory (required)")
+		from    = flag.String("from", "", "first day (YYYY-MM-DD)")
+		to      = flag.String("to", "", "last day (YYYY-MM-DD)")
+		adsl    = flag.Int("adsl", 12, "ADSL subscriber count")
+		ftth    = flag.Int("ftth", 6, "FTTH subscriber count")
+		capKiB  = flag.Int("flowcap", 96, "materialised payload cap per flow direction (KiB)")
+		format  = flag.String("format", "v1", "day-file format: v1 (row codec), v2 (columnar) or v3 (columnar, per-block compression); readers auto-detect")
+		pcapIn  = flag.String("pcap-in", "", "replay packets from this pcap file instead of simulating")
+		pcapOut = flag.String("pcap-out", "", "also dump the simulated packet stream to this pcap file")
 	)
 	flag.Parse()
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgeprobe: %v\n", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "edgeprobe: %v\n", err)
-		}
-	}()
-	if *stats {
-		defer func() {
-			fmt.Println("\n== pipeline metrics ==")
-			metrics.WriteText(os.Stdout)
-		}()
-	}
+	ctx, stop := sf.Start()
+	defer stop()
 	if *out == "" {
-		fmt.Fprintln(os.Stderr, "edgeprobe: -out is required")
-		os.Exit(2)
+		sf.Fatal(cli.Usagef("-out is required"))
 	}
-	parse := func(s string, def time.Time) time.Time {
-		if s == "" {
-			return def
-		}
-		t, err := time.Parse("2006-01-02", s)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "edgeprobe: bad date %q: %v\n", s, err)
-			os.Exit(2)
-		}
-		return t.UTC()
+	start, end, err := cli.Span(*from, *to, simnet.SpanStart, time.Time{})
+	if err != nil {
+		sf.Fatal(err)
 	}
-	start := parse(*from, simnet.SpanStart)
-	end := parse(*to, start)
+	// Of the shared configuration the probe path uses the fault plan
+	// (output-store chaos) and the rollup prewarm settings; -shards here
+	// counts probe workers, not shard aggregators.
+	shared, err := sf.Config()
+	if err != nil {
+		sf.Fatal(err)
+	}
+	plan := shared.Faults
 
-	world := simnet.NewWorld(*seed, simnet.Scale{ADSL: *adsl, FTTH: *ftth})
-	sf, err := flowrec.ParseFormat(*format)
+	world := simnet.NewWorld(sf.Seed, simnet.Scale{ADSL: *adsl, FTTH: *ftth})
+	sfmt, err := flowrec.ParseFormat(*format)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgeprobe: %v\n", err)
-		os.Exit(2)
+		sf.Fatal(cli.Usagef("%v", err))
 	}
-	store, err := flowrec.OpenStoreFormat(*out, sf)
+	store, err := flowrec.OpenStoreFormat(*out, sfmt)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgeprobe: %v\n", err)
-		os.Exit(1)
+		sf.Fatal(err)
 	}
 	// The probe writes through the storage interface so the chaos
 	// layer can exercise the capture->store path; a torn or transient
@@ -108,25 +82,18 @@ func main() {
 	// rewrite truncates the partial file).
 	// Carrying the rollup directory on the write side drops stale
 	// windows covering any day this capture rewrites.
-	var dst core.Storage = core.NewDiskStorage(store, "").WithRollupDir(*rollupDir)
-	var plan *faultinject.Plan
-	if *faults != "" {
-		var perr error
-		if plan, perr = faultinject.Parse(*faults); perr != nil {
-			fmt.Fprintf(os.Stderr, "edgeprobe: %v\n", perr)
-			os.Exit(2)
-		}
+	var dst core.Storage = core.NewDiskStorage(store, "").WithRollupDir(sf.Rollup)
+	if plan != nil {
 		dst = faultinject.Wrap(dst, plan)
 	}
-	pol := retry.Policy{Attempts: 3, Base: 25 * time.Millisecond, Max: 500 * time.Millisecond, Seed: *seed}
+	pol := retry.Policy{Attempts: 3, Base: 25 * time.Millisecond, Max: 500 * time.Millisecond, Seed: sf.Seed}
 
 	if *pcapIn != "" {
 		if err := replayPcap(world, store, *pcapIn); err != nil {
-			fmt.Fprintf(os.Stderr, "edgeprobe: %v\n", err)
-			os.Exit(1)
+			sf.Fatal(err)
 		}
-		if *rollupDir != "" {
-			prewarmRollups(store, *rollupDir, *sketch)
+		if err := prewarmRollups(ctx, store, sf.Rollup, sf.Sketch); err != nil {
+			sf.Fatal(err)
 		}
 		return
 	}
@@ -141,7 +108,7 @@ func main() {
 			continue
 		}
 		var dayStats probe.Stats
-		err := pol.Do(context.Background(), uint64(day.Unix()), func() error {
+		err := pol.Do(ctx, uint64(day.Unix()), func() error {
 			_, werr := dst.WriteDay(day, func(write func(*flowrec.Record) error) error {
 				// With -shards > 1 records arrive concurrently from the
 				// shard workers, but the day writer is single-lane: the
@@ -165,11 +132,11 @@ func main() {
 				}
 				var feed func(probe.Packet)
 				var finish func()
-				if *shards > 1 {
+				if sf.Shards > 1 {
 					// Flow-hash packet fan-out across independent probes,
 					// the deployment's DPDK-queue layout. Safe here: the
 					// simulator hands every packet its own buffer.
-					sp := probe.NewSharded(*shards, cfg)
+					sp := probe.NewSharded(sf.Shards, cfg)
 					feed = sp.Feed
 					finish = func() { sp.Close(); dayStats = sp.Stats() }
 				} else {
@@ -181,19 +148,16 @@ func main() {
 				if *pcapOut != "" {
 					f, err := os.Create(*pcapOut)
 					if err != nil {
-						fmt.Fprintf(os.Stderr, "edgeprobe: %v\n", err)
-						os.Exit(1)
+						sf.Fatal(err)
 					}
 					defer f.Close()
 					if pw, err = pcap.NewWriter(f, 0); err != nil {
-						fmt.Fprintf(os.Stderr, "edgeprobe: %v\n", err)
-						os.Exit(1)
+						sf.Fatal(err)
 					}
 					inner := feed
 					feed = func(p probe.Packet) {
 						if err := pw.WritePacket(p.TS, p.Data); err != nil {
-							fmt.Fprintf(os.Stderr, "edgeprobe: pcap: %v\n", err)
-							os.Exit(1)
+							sf.Fatal(fmt.Errorf("pcap: %w", err))
 						}
 						inner(p)
 					}
@@ -203,8 +167,7 @@ func main() {
 				finish()
 				if pw != nil {
 					if err := pw.Flush(); err != nil {
-						fmt.Fprintf(os.Stderr, "edgeprobe: pcap: %v\n", err)
-						os.Exit(1)
+						sf.Fatal(fmt.Errorf("pcap: %w", err))
 					}
 				}
 				return recErr
@@ -212,8 +175,7 @@ func main() {
 			return werr
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "edgeprobe: %s: %v\n", day.Format("2006-01-02"), err)
-			os.Exit(1)
+			sf.Fatal(fmt.Errorf("%s: %w", day.Format("2006-01-02"), err))
 		}
 		totalFlows += dayStats.FlowsExported
 		totalPkts += dayStats.Packets
@@ -221,31 +183,33 @@ func main() {
 	}
 	fmt.Printf("probe path done: %d packets -> %d flows in %v\n",
 		totalPkts, totalFlows, time.Since(t0).Round(time.Millisecond))
-	if *rollupDir != "" {
-		prewarmRollups(store, *rollupDir, *sketch)
+	if err := prewarmRollups(ctx, store, sf.Rollup, sf.Sketch); err != nil {
+		sf.Fatal(err)
 	}
 }
 
 // prewarmRollups folds every day in the freshly written store into
-// week/month/year rollup files, so the first analysis run against the
-// capture answers from the tier instead of re-folding day aggregates.
-// The probe pipeline carries no analytics wiring of its own; a second,
-// read-side pipeline does the folding.
-func prewarmRollups(store *flowrec.Store, dir string, sketch bool) {
+// week/month/year rollup files under dir ("" = no prewarm), so the
+// first analysis run against the capture answers from the tier instead
+// of re-folding day aggregates. The probe pipeline carries no analytics
+// wiring of its own; a second, read-side pipeline does the folding.
+func prewarmRollups(ctx context.Context, store *flowrec.Store, dir string, sketch bool) error {
+	if dir == "" {
+		return nil
+	}
 	t0 := time.Now()
-	days, err := core.NewDiskStorage(store, "").Days()
+	days, err := store.Days()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgeprobe: rollup prewarm: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("rollup prewarm: %w", err)
 	}
 	p := core.New(core.Config{Store: store, RollupDir: dir, Sketch: sketch})
-	nw, err := p.BuildRollups(context.Background(), days)
+	nw, err := p.BuildRollups(ctx, days)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgeprobe: rollup prewarm: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("rollup prewarm: %w", err)
 	}
 	fmt.Printf("prewarmed %d rollup windows into %s in %v\n",
 		nw, dir, time.Since(t0).Round(time.Millisecond))
+	return nil
 }
 
 // replayPcap feeds a capture file through the probe and stores the

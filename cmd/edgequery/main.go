@@ -1,7 +1,11 @@
 // Command edgequery runs ad-hoc queries over an on-disk flow store —
-// the "specific queries on historical collections" of section 2.2.
-// It filters by day range, service, protocol and subscriber, and
-// prints matching records as CSV or a per-service summary.
+// the "specific queries on historical collections" of section 2.2. It
+// is a thin front-end over the scan engine /v1/scan also uses: it
+// filters by day range, service, protocol, subscriber, access
+// technology and server port, and prints matching records as CSV or a
+// per-service summary. Days absent from the lake are probe outages and
+// are skipped; a damaged day is never folded into the totals and makes
+// the run exit 1 naming it (a CSV export stops at the damaged day).
 //
 // Usage:
 //
@@ -12,425 +16,153 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/analytics"
 	"repro/internal/classify"
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/faultinject"
-	"repro/internal/flowrec"
-	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/retry"
+	"repro/internal/scan"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command, returning the exit status: 0 on success,
+// 1 on a failed or damaged read, 2 on a bad command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("edgequery", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sf := cli.Register(fs, "edgequery")
 	var (
-		storeDir = flag.String("store", "", "flow store directory (required)")
-		from     = flag.String("from", "", "first day YYYY-MM-DD (required)")
-		to       = flag.String("to", "", "last day (default: same as -from)")
-		service  = flag.String("service", "", "only flows of this service (e.g. Netflix)")
-		proto    = flag.String("proto", "", "only flows with this protocol label (e.g. QUIC, FB-ZERO)")
-		subID    = flag.Int64("sub", -1, "only this subscription id")
-		tech     = flag.String("tech", "", "only this access technology (adsl or ftth); pushed down into the scan")
-		srvPort  = flag.String("srvport", "", "only this server port or inclusive range lo-hi (e.g. 443 or 6881-6999); pushed down into the scan")
-		rules    = flag.String("rules", "", "classification rules file (default: built-in list)")
-		csvOut   = flag.String("csv", "", "write matching records as CSV to this file ('-' = stdout)")
-		summary  = flag.Bool("summary", false, "print per-service volume summary")
-		rollup   = flag.String("rollup", "", "answer from week/month/year rollups in this directory (built on demand) instead of scanning records; prints one row per window")
-		sketch   = flag.Bool("sketch", false, "with -rollup: carry mergeable sketches and print per-window distinct-client estimates and top services")
-		shards   = flag.Int("shards", 1, "parallel scan shards per day; CSV output forces 1 (record order must be preserved)")
-		stats    = flag.Bool("stats", false, "print the pipeline metrics table after the run")
-		faults   = flag.String("faults", "", `fault-injection spec, e.g. "readday:p=0.2,transient" (see README)`)
+		from    = fs.String("from", "", "first day YYYY-MM-DD (required)")
+		to      = fs.String("to", "", "last day (default: same as -from)")
+		service = fs.String("service", "", "only flows of this service (e.g. Netflix)")
+		proto   = fs.String("proto", "", "only flows with this protocol label (e.g. QUIC, FB-ZERO)")
+		subID   = fs.Int64("sub", -1, "only this subscription id")
+		tech    = fs.String("tech", "", "only this access technology (adsl or ftth); pushed down into the scan")
+		srvPort = fs.String("srvport", "", "only this server port or inclusive range lo-hi (e.g. 443 or 6881-6999); pushed down into the scan")
+		csvOut  = fs.String("csv", "", "write matching records as CSV to this file ('-' = stdout)")
+		summary = fs.Bool("summary", false, "print per-service volume summary")
 	)
-	flag.Parse()
-	if *stats {
-		defer func() {
-			fmt.Println("\n== pipeline metrics ==")
-			metrics.WriteText(os.Stdout)
-		}()
-	}
-	if *storeDir == "" || *from == "" {
-		fmt.Fprintln(os.Stderr, "edgequery: -store and -from are required")
-		os.Exit(2)
-	}
-	start, err := time.Parse("2006-01-02", *from)
-	if err != nil {
-		fatal(err)
-	}
-	end := start
-	if *to != "" {
-		if end, err = time.Parse("2006-01-02", *to); err != nil {
-			fatal(err)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
+		return 2
 	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "edgequery: %v\n", err)
+		return cli.ExitCode(err)
+	}
+	ctx, stop := sf.Start()
+	defer stop()
 
-	cls := classify.Default()
-	if *rules != "" {
-		f, err := os.Open(*rules)
-		if err != nil {
-			fatal(err)
-		}
-		parsed, err := classify.ParseRules(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		if cls, err = classify.New(parsed); err != nil {
-			fatal(err)
-		}
+	if sf.Store == "" || *from == "" {
+		return fail(cli.Usagef("-store and -from are required"))
 	}
-
-	store, err := flowrec.OpenStore(*storeDir)
+	start, end, err := cli.Span(*from, *to, time.Time{}, time.Time{})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	q := scan.Query{Days: core.RangeDays(start, end, 1)}
+	if *service != "" {
+		q.Filter.Services = []classify.Service{classify.Service(*service)}
+	}
+	q.Filter.Proto = *proto
+	q.Filter.HasSub, q.Filter.SubID = *subID >= 0, uint32(max(*subID, 0))
+	if err := errors.Join(q.Filter.SetTech(*tech), q.Filter.SetSrvPort(*srvPort)); err != nil {
+		return fail(cli.Usagef("%v", err))
+	}
+	f := q.Filter
+	filtered := len(f.Services) > 0 || f.Proto != "" || f.HasSub || f.Tech != "" || f.HasSrvPort
+
+	cfg, err := sf.Config()
+	if err != nil {
+		return fail(err)
+	}
+	// -shards here is the scan's block-decode width; the shard
+	// aggregators behind -rollup stay auto-sized.
+	q.Workers, cfg.ShardsPerDay = cfg.ShardsPerDay, 0
+	p := core.New(cfg)
 
 	// -rollup answers from the tier instead of scanning records: the
 	// pipeline folds per-day aggregates into calendar windows (loaded
 	// from the rollup directory when current, built and persisted when
-	// not) and the query prints one row per window. Days outside any
-	// whole calendar window stay on the day tier and are reported so
-	// the window totals are never mistaken for full-range totals.
-	if *rollup != "" {
-		cfg := core.Config{Store: store, RollupDir: *rollup, Sketch: *sketch, Classifier: cls}
-		if *faults != "" {
-			plan, perr := faultinject.Parse(*faults)
-			if perr != nil {
-				fatal(perr)
-			}
-			cfg.Faults = plan
+	// not) and the query prints one row per window. Windows hold whole
+	// days of every record, so a record filter cannot apply to them.
+	if sf.Rollup != "" {
+		if filtered {
+			return fail(cli.Usagef("-rollup prints whole-window totals; it cannot be combined with -service, -proto, -sub, -tech or -srvport"))
 		}
-		if err := rollupQuery(core.New(cfg), start.UTC(), end.UTC(), *sketch); err != nil {
-			fatal(err)
+		if err := rollupQuery(ctx, stdout, stderr, p, q.Days, sf.Sketch); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
-	var src core.Storage = core.NewDiskStorage(store, "")
-	if *faults != "" {
-		plan, perr := faultinject.Parse(*faults)
-		if perr != nil {
-			fatal(perr)
-		}
-		src = faultinject.Wrap(src, plan)
-	}
-	pol := retry.Policy{Attempts: 3, Base: 25 * time.Millisecond, Max: 500 * time.Millisecond, Seed: 1}
-
-	var cw *flowrec.CSVWriter
-	if *csvOut != "" {
-		out := os.Stdout
-		if *csvOut != "-" {
-			f, err := os.Create(*csvOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			out = f
-		}
-		if cw, err = flowrec.NewCSVWriter(out); err != nil {
-			fatal(err)
-		}
-	}
-
-	// -tech and -srvport compile into a predicate the store evaluates
-	// during the scan: a v2 (columnar) store skips whole blocks whose
-	// min/max stats cannot match, a v1 store filters after decode —
-	// either way only matching records reach this process's tallies.
-	pred, err := buildPred(*tech, *srvPort)
-	if err != nil {
-		fatal(err)
-	}
-
-	match := func(svc classify.Service, r *flowrec.Record) bool {
-		if *service != "" && svc != classify.Service(*service) {
-			return false
-		}
-		if *proto != "" && r.Web.String() != *proto {
-			return false
-		}
-		if *subID >= 0 && r.SubID != uint32(*subID) {
-			return false
-		}
-		return true
-	}
-	// CSV rows must come out in store order, so the parallel scan only
-	// serves the summary path.
-	scanShards := *shards
-	if cw != nil || scanShards < 1 {
-		scanShards = 1
-	}
-
-	bySvc := make(map[classify.Service]*sum)
-	var matched, scanned uint64
-
-	for _, day := range core.RangeDays(start.UTC(), end.UTC(), 1) {
-		// Each attempt accumulates into day-local state, merged only on
-		// success, so a transient fault retried mid-file cannot double
-		// count records or emit duplicate CSV rows.
-		var dayScanned, dayMatched uint64
-		dayBySvc := make(map[classify.Service]*sum)
-		var dayRecs []*flowrec.Record
-		err := pol.Do(context.Background(), uint64(day.Unix()), func() error {
-			dayScanned, dayMatched = 0, 0
-			dayBySvc = make(map[classify.Service]*sum)
-			dayRecs = dayRecs[:0]
-			if scanShards > 1 {
-				return scanSharded(src, cls, day, scanShards, pred, match, &dayScanned, &dayMatched, dayBySvc)
-			}
-			// The summary only reads the tally columns; CSV output needs
-			// every field, so it scans full-width (Cols zero = all).
-			sc := flowrec.ColScan{Pred: pred}
-			if cw == nil {
-				sc.Cols = summaryCols
-			}
-			return src.ReadDayCols(day, sc, func(r *flowrec.Record) error {
-				dayScanned++
-				svc := analytics.ServiceOf(cls, r)
-				if !match(svc, r) {
-					return nil
-				}
-				dayMatched++
-				if cw != nil {
-					c := *r // the decoder reuses its record buffer
-					dayRecs = append(dayRecs, &c)
-				}
-				s := dayBySvc[svc]
-				if s == nil {
-					s = &sum{}
-					dayBySvc[svc] = s
-				}
-				s.flows++
-				s.down += r.BytesDown
-				s.up += r.BytesUp
-				return nil
-			})
-		})
+	if *csvOut == "-" {
+		q.CSV = stdout
+	} else if *csvOut != "" {
+		f, err := os.Create(*csvOut)
 		if err != nil {
-			// Missing days are probe outages: mention and move on.
-			fmt.Fprintf(os.Stderr, "edgequery: %s: %v\n", day.Format("2006-01-02"), err)
-			continue
+			return fail(err)
 		}
-		scanned += dayScanned
-		matched += dayMatched
-		for svc, ds := range dayBySvc {
-			s := bySvc[svc]
-			if s == nil {
-				s = &sum{}
-				bySvc[svc] = s
-			}
-			s.flows += ds.flows
-			s.down += ds.down
-			s.up += ds.up
-		}
-		for _, r := range dayRecs {
-			if err := cw.Write(r); err != nil {
-				fatal(err)
-			}
-		}
+		defer f.Close()
+		q.CSV = f
 	}
-	if cw != nil {
-		if err := cw.Flush(); err != nil {
-			fatal(err)
+	res, err := scan.Run(ctx, p.Storage(), p.Cls, q)
+	if err != nil {
+		if n := len(res.FailedDays); n > 0 {
+			err = fmt.Errorf("%s: %w", res.FailedDays[n-1], err)
 		}
+		return fail(err)
 	}
 
-	fmt.Fprintf(os.Stderr, "scanned %d records, matched %d\n", scanned, matched)
+	fmt.Fprintf(stderr, "scanned %d records, matched %d\n", res.Scanned, res.Matched)
+	if gaps := len(q.Days) - res.ScannedDays - len(res.FailedDays); gaps > 0 {
+		fmt.Fprintf(stderr, "%d of %d day(s) absent from the lake (probe outages)\n", gaps, len(q.Days))
+	}
 	if *summary {
-		type row struct {
-			svc classify.Service
-			s   *sum
-		}
-		var rows []row
-		for svc, s := range bySvc {
-			rows = append(rows, row{svc, s})
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].s.down > rows[j].s.down })
 		var cells [][]string
-		for _, r := range rows {
-			name := string(r.svc)
-			if name == "" {
-				name = "(unclassified)"
-			}
+		for _, r := range res.Services {
 			cells = append(cells, []string{
-				name,
-				fmt.Sprint(r.s.flows),
-				report.MB(float64(r.s.down)),
-				report.MB(float64(r.s.up)),
+				r.Service, fmt.Sprint(r.Flows),
+				report.MB(float64(r.DownBytes)), report.MB(float64(r.UpBytes)),
 			})
 		}
-		if err := report.Table(os.Stdout, []string{"service", "flows", "down MB", "up MB"}, cells); err != nil {
-			fatal(err)
+		if err := report.Table(stdout, []string{"service", "flows", "down MB", "up MB"}, cells); err != nil {
+			return fail(err)
 		}
 	}
+	if n := len(res.FailedDays); n > 0 {
+		return fail(fmt.Errorf("%d damaged day(s) left out of the totals: %s", n, strings.Join(res.FailedDays, " ")))
+	}
+	return 0
 }
 
-// sum is a per-service volume tally.
-type sum struct {
-	flows    uint64
-	down, up uint64
-}
-
-// summaryCols is the projection the summary path needs: service
-// classification (Web, ServerName), the filter fields (SubID), shard
-// routing (Client) and the tallied volumes. The predicate's own
-// columns are added by the reader automatically.
-var summaryCols = flowrec.Cols(
-	flowrec.ColClient, flowrec.ColWeb, flowrec.ColServerName,
-	flowrec.ColSubID, flowrec.ColBytesDown, flowrec.ColBytesUp,
-)
-
-// buildPred compiles the -tech and -srvport flags into a pushdown
-// predicate, nil when neither is set.
-func buildPred(tech, srvPort string) (*flowrec.Pred, error) {
-	var p flowrec.Pred
-	switch tech {
-	case "":
-	case "adsl":
-		p.HasTech, p.Tech = true, flowrec.TechADSL
-	case "ftth":
-		p.HasTech, p.Tech = true, flowrec.TechFTTH
-	default:
-		return nil, fmt.Errorf("bad -tech %q (want adsl or ftth)", tech)
-	}
-	if srvPort != "" {
-		var lo, hi uint16
-		if n, _ := fmt.Sscanf(srvPort, "%d-%d", &lo, &hi); n == 2 {
-		} else if n, _ := fmt.Sscanf(srvPort, "%d", &lo); n == 1 {
-			hi = lo
-		} else {
-			return nil, fmt.Errorf("bad -srvport %q (want port or lo-hi)", srvPort)
-		}
-		if hi < lo {
-			return nil, fmt.Errorf("bad -srvport %q: empty range", srvPort)
-		}
-		p.HasSrvPort, p.SrvPortLo, p.SrvPortHi = true, lo, hi
-	}
-	if !p.HasTech && !p.HasSrvPort {
-		return nil, nil
-	}
-	return &p, nil
-}
-
-// scanSharded fans one day's records out over k shard workers (hash of
-// the anonymized client address, like the stage-one shard aggregators)
-// and merges the per-shard summaries. Tallies are order-independent,
-// so the result matches the serial scan exactly for any k.
-func scanSharded(src core.Storage, cls *classify.Classifier, day time.Time, k int,
-	pred *flowrec.Pred, match func(classify.Service, *flowrec.Record) bool,
-	scanned, matched *uint64, bySvc map[classify.Service]*sum) error {
-	type state struct {
-		scanned, matched uint64
-		bySvc            map[classify.Service]*sum
-	}
-	states := make([]*state, k)
-	chans := make([]chan []flowrec.Record, k)
-	var wg sync.WaitGroup
-	for i := range states {
-		states[i] = &state{bySvc: make(map[classify.Service]*sum)}
-		chans[i] = make(chan []flowrec.Record, 4)
-		wg.Add(1)
-		go func(st *state, in <-chan []flowrec.Record) {
-			defer wg.Done()
-			for batch := range in {
-				for j := range batch {
-					r := &batch[j]
-					st.scanned++
-					svc := analytics.ServiceOf(cls, r)
-					if !match(svc, r) {
-						continue
-					}
-					st.matched++
-					s := st.bySvc[svc]
-					if s == nil {
-						s = &sum{}
-						st.bySvc[svc] = s
-					}
-					s.flows++
-					s.down += r.BytesDown
-					s.up += r.BytesUp
-				}
-			}
-		}(states[i], chans[i])
-	}
-	const batchLen = 512
-	bufs := make([][]flowrec.Record, k)
-	flush := func(i int) {
-		if len(bufs[i]) == 0 {
-			return
-		}
-		chans[i] <- bufs[i]
-		bufs[i] = nil
-	}
-	// The sharded path is summary-only, so it scans the summary
-	// projection; a v2 store also reuses k as its block-decode width.
-	err := src.ReadDayCols(day, flowrec.ColScan{Cols: summaryCols, Pred: pred, Workers: k}, func(r *flowrec.Record) error {
-		i := r.Shard(k)
-		if bufs[i] == nil {
-			bufs[i] = make([]flowrec.Record, 0, batchLen)
-		}
-		bufs[i] = append(bufs[i], *r) // the decoder reuses its record buffer
-		if len(bufs[i]) == batchLen {
-			flush(i)
-		}
-		return nil
-	})
-	// Always drain and join, even on a read error.
-	for i := range chans {
-		flush(i)
-		close(chans[i])
-	}
-	wg.Wait()
-	if err != nil {
-		return err
-	}
-	for _, st := range states {
-		*scanned += st.scanned
-		*matched += st.matched
-		for svc, s := range st.bySvc {
-			d := bySvc[svc]
-			if d == nil {
-				d = &sum{}
-				bySvc[svc] = d
-			}
-			d.flows += s.flows
-			d.down += s.down
-			d.up += s.up
-		}
-	}
-	return nil
-}
-
-// rollupQuery prints the rollup-tier answer for [start, end]: one row
-// per calendar window (grain, start, source days, totals), and in
-// sketch mode the window's estimated distinct clients and top services
-// by downloaded bytes. Edge days outside any whole calendar window are
+// rollupQuery prints the rollup-tier answer for days: one row per
+// calendar window (grain, start, source days, totals), and in sketch
+// mode the window's estimated distinct clients and top services by
+// downloaded bytes. Edge days outside any whole calendar window are
 // counted on stderr rather than silently folded away.
-func rollupQuery(p *core.Pipeline, start, end time.Time, sketch bool) error {
-	days := core.RangeDays(start, end, 1)
-	rolls, err := p.Rollups(context.Background(), days)
+func rollupQuery(ctx context.Context, stdout, stderr io.Writer, p *core.Pipeline, days []time.Time, sketch bool) error {
+	rolls, err := p.Rollups(ctx, days)
 	if err != nil {
 		return err
 	}
-	covered := make(map[string]bool)
+	covered := 0
 	var cells [][]string
 	for _, r := range rolls {
-		for _, d := range r.Requested {
-			covered[d.Format("2006-01-02")] = true
-		}
+		covered += len(r.Requested)
 		row := []string{
-			string(r.Grain),
-			r.Start.Format("2006-01-02"),
-			fmt.Sprint(len(r.SourceDays)),
-			fmt.Sprint(r.Agg.Flows),
-			report.MB(float64(r.Agg.TotalDown)),
-			report.MB(float64(r.Agg.TotalUp)),
+			string(r.Grain), report.Day(r.Start), fmt.Sprint(len(r.SourceDays)), fmt.Sprint(r.Agg.Flows),
+			report.MB(float64(r.Agg.TotalDown)), report.MB(float64(r.Agg.TotalUp)),
 		}
 		if sketch {
 			clients, topSvc := "-", "-"
@@ -453,22 +185,11 @@ func rollupQuery(p *core.Pipeline, start, end time.Time, sketch bool) error {
 	if sketch {
 		headers = append(headers, "est clients", "top services")
 	}
-	if err := report.Table(os.Stdout, headers, cells); err != nil {
+	if err := report.Table(stdout, headers, cells); err != nil {
 		return err
 	}
-	var leftover int
-	for _, d := range days {
-		if !covered[d.Format("2006-01-02")] {
-			leftover++
-		}
-	}
-	if leftover > 0 {
-		fmt.Fprintf(os.Stderr, "%d edge day(s) outside whole calendar windows stayed on the day tier and are not in the table\n", leftover)
+	if leftover := len(days) - covered; leftover > 0 {
+		fmt.Fprintf(stderr, "%d edge day(s) outside whole calendar windows stayed on the day tier and are not in the table\n", leftover)
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "edgequery: %v\n", err)
-	os.Exit(1)
 }

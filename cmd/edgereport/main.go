@@ -15,64 +15,22 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"repro/internal/classify"
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/faultinject"
-	"repro/internal/flowrec"
-	"repro/internal/metrics"
-	"repro/internal/prof"
-	"repro/internal/simnet"
 )
 
 func main() {
-	var (
-		seed       = flag.Uint64("seed", 1, "world seed (same seed, same dataset)")
-		stride     = flag.Int("stride", 7, "day sampling stride for full-span experiments")
-		scale      = flag.String("scale", "default", "population scale: small, default, large")
-		workers    = flag.Int("workers", 0, "parallel aggregation workers (0 = NumCPU)")
-		shards     = flag.Int("shards", 0, "per-day shard aggregators; results are byte-identical for any value (0 = auto, 1 = serial fold)")
-		store      = flag.String("store", "", "read records from this flow store instead of simulating (v1/v2/v3 day files auto-detected, experiments decode only the columns they declare)")
-		rules      = flag.String("rules", "", "classification rules file (default: built-in list)")
-		aggDir     = flag.String("aggcache", "", "persist per-day aggregates to this directory across runs")
-		rollupDir  = flag.String("rollup", "", "persist week/month/year rollups to this directory; long-span experiments answer from the coarsest tier that fits")
-		sketch     = flag.Bool("sketch", false, "carry mergeable sketches (HLL clients/server IPs, SpaceSaving services/domains, t-digest RTT) in aggregates and rollups")
-		export     = flag.String("export", "", "write the figure data tables (CSV) to this directory and exit")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		stats      = flag.Bool("stats", false, "print the pipeline metrics table after the run")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		faults     = flag.String("faults", "", `fault-injection spec, e.g. "readday:p=0.01,transient" (see README)`)
-		degrade    = flag.Bool("degrade", true, "report failed days and continue instead of aborting the run")
-		dayTimeout = flag.Duration("day-timeout", 0, "deadline per aggregated day, all retries included (0 = none)")
-		memlimit   = flag.String("memlimit", "", `stage-one memory budget, e.g. "512M" (0 = unbounded; over budget, aggregation spills partials to disk and external-merges them)`)
-	)
+	sf := cli.Register(flag.CommandLine, "edgereport")
+	export := flag.String("export", "", "write the figure data tables (CSV) to this directory and exit")
+	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := sf.Start()
 	defer stop()
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgereport: %v\n", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "edgereport: %v\n", err)
-		}
-	}()
-	if *stats {
-		defer func() {
-			fmt.Println("\n== pipeline metrics ==")
-			metrics.WriteText(os.Stdout)
-		}()
-	}
 
 	if *list {
 		for _, e := range core.AllExperiments() {
@@ -80,69 +38,15 @@ func main() {
 		}
 		return
 	}
-
-	membudget, err := core.ParseMemLimit(*memlimit)
+	cfg, err := sf.Config()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgereport: %v\n", err)
-		os.Exit(2)
-	}
-	cfg := core.Config{
-		Seed: *seed, Stride: *stride, Workers: *workers, ShardsPerDay: *shards,
-		AggCacheDir: *aggDir, RollupDir: *rollupDir, Sketch: *sketch,
-		Degrade: *degrade, DayTimeout: *dayTimeout, MemBudget: membudget,
-	}
-	if *faults != "" {
-		plan, perr := faultinject.Parse(*faults)
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "edgereport: %v\n", perr)
-			os.Exit(2)
-		}
-		cfg.Faults = plan
-	}
-	switch *scale {
-	case "small":
-		cfg.Scale = simnet.Scale{ADSL: 60, FTTH: 30}
-	case "default":
-		cfg.Scale = simnet.Scale{}
-	case "large":
-		cfg.Scale = simnet.Scale{ADSL: 1000, FTTH: 500}
-	default:
-		fmt.Fprintf(os.Stderr, "edgereport: unknown scale %q\n", *scale)
-		os.Exit(2)
-	}
-	if *store != "" {
-		s, err := flowrec.OpenStore(*store)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "edgereport: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.Store = s
-	}
-	if *rules != "" {
-		f, err := os.Open(*rules)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "edgereport: %v\n", err)
-			os.Exit(1)
-		}
-		parsed, perr := classify.ParseRules(f)
-		f.Close()
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "edgereport: %v\n", perr)
-			os.Exit(1)
-		}
-		cls, cerr := classify.New(parsed)
-		if cerr != nil {
-			fmt.Fprintf(os.Stderr, "edgereport: %v\n", cerr)
-			os.Exit(1)
-		}
-		cfg.Classifier = cls
+		sf.Fatal(err)
 	}
 	p := core.New(cfg)
 
 	if *export != "" {
 		if err := p.ExportData(ctx, *export); err != nil {
-			fmt.Fprintf(os.Stderr, "edgereport: %v\n", err)
-			os.Exit(1)
+			sf.Fatal(err)
 		}
 		fmt.Printf("figure data tables written to %s\n", *export)
 		return
@@ -158,13 +62,11 @@ func main() {
 	for _, id := range ids {
 		e, ok := core.Lookup(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "edgereport: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
+			sf.Fatal(cli.Usagef("unknown experiment %q (try -list)", id))
 		}
 		t0 := time.Now()
 		if err := e.Run(ctx, p, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "edgereport: %s: %v\n", id, err)
-			os.Exit(1)
+			sf.Fatal(fmt.Errorf("%s: %w", id, err))
 		}
 		fmt.Printf("[%s done in %v]\n", id, time.Since(t0).Round(time.Millisecond))
 	}

@@ -27,21 +27,15 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"repro/internal/classify"
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/faultinject"
-	"repro/internal/flowrec"
-	"repro/internal/metrics"
-	"repro/internal/prof"
 	"repro/internal/serve"
-	"repro/internal/simnet"
 )
 
 func main() {
+	sf := cli.Register(flag.CommandLine, "edgeserve")
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts racing startup)")
@@ -51,90 +45,13 @@ func main() {
 		scanDays   = flag.Int("scan-max-days", serve.MaxScanDays, "largest /v1/scan day span")
 		cacheBytes = flag.Int64("cache", 0, "response-cache budget in bytes (0 = 64MiB default, negative disables)")
 		adminToken = flag.String("admin-token", "", "bearer token for POST /v1/admin endpoints (empty = admin disabled)")
-		seed       = flag.Uint64("seed", 1, "world seed for simulation-fed serving")
-		stride     = flag.Int("stride", 7, "default day sampling stride for full-span figures")
-		scale      = flag.String("scale", "default", "population scale: small, default, large")
-		workers    = flag.Int("workers", 0, "pipeline aggregation workers per query (0 = NumCPU)")
-		shards     = flag.Int("shards", 0, "per-day shard aggregators (0 = auto, 1 = serial fold)")
-		store      = flag.String("store", "", "serve this flow store (v1/v2/v3 day files auto-detected)")
-		rules      = flag.String("rules", "", "classification rules file (default: built-in list)")
-		aggDir     = flag.String("aggcache", "", "per-day aggregate cache directory (shared with edged for hot-day serving)")
-		rollupDir  = flag.String("rollup", "", "rollup directory; coarse queries answer from the coarsest tier that fits")
-		sketch     = flag.Bool("sketch", false, "carry mergeable sketches in aggregates and rollups")
-		degrade    = flag.Bool("degrade", true, "serve partial figures past damaged days instead of failing the query")
-		dayTimeout = flag.Duration("day-timeout", 0, "deadline per aggregated day inside a query (0 = none)")
-		memlimit   = flag.String("memlimit", "", `stage-one memory budget per query, e.g. "512M" (0 = unbounded)`)
-		faults     = flag.String("faults", "", `fault-injection spec, e.g. "readday:p=0.01,transient" (see README)`)
-		stats      = flag.Bool("stats", false, "print the metrics table on shutdown")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := sf.Start()
 	defer stop()
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	cfg, err := sf.Config()
 	if err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "edgeserve: %v\n", err)
-		}
-	}()
-	if *stats {
-		defer func() {
-			fmt.Println("\n== pipeline metrics ==")
-			metrics.WriteText(os.Stdout)
-		}()
-	}
-
-	membudget, err := core.ParseMemLimit(*memlimit)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := core.Config{
-		Seed: *seed, Stride: *stride, Workers: *workers, ShardsPerDay: *shards,
-		AggCacheDir: *aggDir, RollupDir: *rollupDir, Sketch: *sketch,
-		Degrade: *degrade, DayTimeout: *dayTimeout, MemBudget: membudget,
-	}
-	switch *scale {
-	case "small":
-		cfg.Scale = simnet.Scale{ADSL: 60, FTTH: 30}
-	case "default":
-		cfg.Scale = simnet.Scale{}
-	case "large":
-		cfg.Scale = simnet.Scale{ADSL: 1000, FTTH: 500}
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scale))
-	}
-	if *faults != "" {
-		plan, perr := faultinject.Parse(*faults)
-		if perr != nil {
-			fatal(perr)
-		}
-		cfg.Faults = plan
-	}
-	if *store != "" {
-		s, serr := flowrec.OpenStore(*store)
-		if serr != nil {
-			fatal(serr)
-		}
-		cfg.Store = s
-	}
-	if *rules != "" {
-		f, ferr := os.Open(*rules)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		parsed, perr := classify.ParseRules(f)
-		f.Close()
-		if perr != nil {
-			fatal(perr)
-		}
-		if cfg.Classifier, err = classify.New(parsed); err != nil {
-			fatal(err)
-		}
+		sf.Fatal(err)
 	}
 
 	srv := serve.New(core.New(cfg), serve.Options{
@@ -148,7 +65,7 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		sf.Fatal(err)
 	}
 	bound := ln.Addr().String()
 	if *addrFile != "" {
@@ -156,10 +73,10 @@ func main() {
 		// address.
 		tmp := *addrFile + ".tmp"
 		if err := os.WriteFile(tmp, []byte(bound), 0o644); err != nil {
-			fatal(err)
+			sf.Fatal(err)
 		}
 		if err := os.Rename(tmp, *addrFile); err != nil {
-			fatal(err)
+			sf.Fatal(err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "edgeserve: listening on %s\n", bound)
@@ -171,7 +88,7 @@ func main() {
 	select {
 	case err := <-done:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fatal(err)
+			sf.Fatal(err)
 		}
 	case <-ctx.Done():
 		// Graceful drain: in-flight queries get a grace window, new
@@ -183,9 +100,4 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "edgeserve: drained, bye")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "edgeserve: %v\n", err)
-	os.Exit(1)
 }

@@ -58,7 +58,7 @@ func TestAggCacheRoundTrip(t *testing.T) {
 func TestAggCacheIgnoresDamage(t *testing.T) {
 	dir := t.TempDir()
 	day := time.Date(2016, 4, 6, 0, 0, 0, 0, time.UTC)
-	p := New(Config{Seed: 99, Scale: simnet.Scale{ADSL: 8, FTTH: 4}, Workers: 2, AggCacheDir: dir})
+	p := New(Config{Seed: 99, Scale: simnet.Scale{ADSL: 8, FTTH: 4}, Workers: 2, ShardsPerDay: 1, AggCacheDir: dir})
 	first, err := p.Aggregate(context.Background(), []time.Time{day})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestAggCacheIgnoresDamage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p2 := New(Config{Seed: 99, Scale: simnet.Scale{ADSL: 8, FTTH: 4}, Workers: 2, AggCacheDir: dir})
+	p2 := New(Config{Seed: 99, Scale: simnet.Scale{ADSL: 8, FTTH: 4}, Workers: 2, ShardsPerDay: 1, AggCacheDir: dir})
 	second, err := p2.Aggregate(context.Background(), []time.Time{day})
 	if err != nil {
 		t.Fatal(err)

@@ -159,7 +159,7 @@ func TestSpillUnderChaos(t *testing.T) {
 func TestConcurrentCacheLoads(t *testing.T) {
 	dir := t.TempDir()
 	day := time.Date(2016, 4, 12, 0, 0, 0, 0, time.UTC)
-	cfg := Config{Seed: 5, Scale: simnet.Scale{ADSL: 10, FTTH: 5}, Workers: 2,
+	cfg := Config{Seed: 5, Scale: simnet.Scale{ADSL: 10, FTTH: 5}, Workers: 2, ShardsPerDay: 1,
 		AggCacheDir: dir, RollupDir: t.TempDir()}
 	p := New(cfg)
 	aggs, err := p.Aggregate(context.Background(), []time.Time{day})

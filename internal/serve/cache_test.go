@@ -7,9 +7,10 @@ package serve
 // generation and yields answers equal to a fresh batch pipeline's,
 // ETag/If-None-Match revalidation round-trips, and a mid-stream
 // damaged day terminates a streamed CSV with the error trailer. Plus
-// the serve-contract regressions: the deadline covers queue wait, a
-// failed day contributes nothing to scan tallies, /v1/metrics rejects
-// unknown formats, and healthz stops listing the lake per probe.
+// the serve-contract regressions: the deadline covers queue wait,
+// /v1/metrics rejects unknown formats, and healthz stops listing the
+// lake per probe. (That a failed day contributes nothing to scan
+// tallies is the scan-equivalence tier's, cmd/edgequery's tests.)
 
 import (
 	"bytes"
@@ -214,46 +215,6 @@ func TestDeadlineIncludesQueueWait(t *testing.T) {
 	}
 	close(fake.release)
 	<-aCh
-}
-
-// TestScanSummaryExcludesFailedDay: a day that fails mid-decode has
-// delivered an arbitrary prefix of its records; none of it may leak
-// into totals the summary reports as clean.
-func TestScanSummaryExcludesFailedDay(t *testing.T) {
-	lake := newMemLake()
-	d0 := fakeDay
-	d1 := fakeDay.AddDate(0, 0, 1)
-	d2 := fakeDay.AddDate(0, 0, 2)
-	lake.addDay(d0, 5, 100, 10)
-	lake.addDay(d1, 7, 1000, 100) // the poisoned middle day:
-	lake.failAfter[d1.Unix()] = 3 // 3 records decode, then corruption
-	lake.addDay(d2, 2, 100, 10)
-	_, ts := newEquivServer(t, core.Config{Storage: lake, Workers: 1}, Options{})
-
-	_, body := doReq(t, http.MethodGet,
-		ts.URL+"/v1/scan?from=2016-04-01&to=2016-04-03", nil)
-	var resp ScanResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatalf("scan response: %v: %s", err, body)
-	}
-	if resp.ScannedDays != 2 {
-		t.Errorf("ScannedDays = %d, want 2", resp.ScannedDays)
-	}
-	if len(resp.FailedDays) != 1 || resp.FailedDays[0] != "2016-04-02" {
-		t.Errorf("FailedDays = %v, want [2016-04-02]", resp.FailedDays)
-	}
-	// 5 + 2 records from the healthy days; the damaged day's partial
-	// prefix (3 records at 1000 bytes each) must not appear anywhere.
-	if resp.Scanned != 7 || resp.Matched != 7 {
-		t.Errorf("Scanned/Matched = %d/%d, want 7/7 (failed day's prefix leaked)",
-			resp.Scanned, resp.Matched)
-	}
-	if len(resp.Services) != 1 {
-		t.Fatalf("Services = %v, want one (unclassified) row", resp.Services)
-	}
-	if got := resp.Services[0]; got.Flows != 7 || got.DownBytes != 700 || got.UpBytes != 70 {
-		t.Errorf("service tally = %+v, want flows=7 down=700 up=70", got)
-	}
 }
 
 // TestMetricsFormatStrict: /v1/metrics now enforces the same strict

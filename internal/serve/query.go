@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/classify"
+	"repro/internal/scan"
 )
 
 // Query bounds. Every limit exists to keep one request from pinning
@@ -81,20 +82,14 @@ type Query struct {
 	From, To time.Time
 	// Stride thins an explicit From/To range (0 = endpoint default).
 	Stride int
-	// Services filters per-service figures and scans.
-	Services []classify.Service
-	// Tech is "", "adsl" or "ftth".
-	Tech string
-	// Proto filters scan records by web-protocol label (e.g. QUIC).
-	Proto string
+	// Filter carries service= (per-service figures and scans), tech=,
+	// proto= and srvport= — the record filters /v1/scan hands to the
+	// scan engine as they are.
+	scan.Filter
 	// Quantiles parameterises distribution figures; each in (0, 1].
 	Quantiles []float64
 	// Points is the fig4 smoothing resolution (0 = default).
 	Points int
-	// SrvPort is an inclusive server-port range pushed down into the
-	// scan; HasSrvPort gates it.
-	HasSrvPort           bool
-	SrvPortLo, SrvPortHi uint16
 	// Limit caps CSV scan records (0 = DefaultCSVRecords).
 	Limit int
 	// Format is "json" (default) or "csv".
@@ -178,11 +173,8 @@ func ParseQuery(values url.Values) (Query, error) {
 			}
 		}
 	}
-	switch s := values.Get("tech"); s {
-	case "", "adsl", "ftth":
-		q.Tech = s
-	default:
-		return q, badf("bad tech=%q (want adsl or ftth)", s)
+	if err := q.SetTech(values.Get("tech")); err != nil {
+		return q, badf("%v", err)
 	}
 	if s := values.Get("proto"); s != "" {
 		if len(s) > 32 || !printable(s) {
@@ -207,12 +199,8 @@ func ParseQuery(values url.Values) (Query, error) {
 			return q, badf("bad points=%q: %v", s, err)
 		}
 	}
-	if s := values.Get("srvport"); s != "" {
-		lo, hi, perr := parsePortRange(s)
-		if perr != nil {
-			return q, perr
-		}
-		q.HasSrvPort, q.SrvPortLo, q.SrvPortHi = true, lo, hi
+	if err := q.SetSrvPort(values.Get("srvport")); err != nil {
+		return q, badf("%v", err)
 	}
 	if s := values.Get("limit"); s != "" {
 		if q.Limit, err = parseInt(s, 1, MaxCSVRecords); err != nil {
@@ -262,26 +250,6 @@ func parseInt(s string, lo, hi int) (int, error) {
 		return 0, fmt.Errorf("want %d..%d", lo, hi)
 	}
 	return v, nil
-}
-
-// parsePortRange parses "443" or "6881-6999" — the edgequery -srvport
-// grammar, strictly (no whitespace, no signs).
-func parsePortRange(s string) (lo, hi uint16, err error) {
-	loS, hiS, ranged := strings.Cut(s, "-")
-	l, lerr := strconv.ParseUint(loS, 10, 16)
-	if lerr != nil {
-		return 0, 0, badf("bad srvport=%q (want port or lo-hi)", s)
-	}
-	h := l
-	if ranged {
-		if h, err = strconv.ParseUint(hiS, 10, 16); err != nil {
-			return 0, 0, badf("bad srvport=%q (want port or lo-hi)", s)
-		}
-	}
-	if h < l {
-		return 0, 0, badf("bad srvport=%q: empty range", s)
-	}
-	return uint16(l), uint16(h), nil
 }
 
 // printable rejects control characters and non-ASCII in identifier-ish

@@ -3,17 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
 	"net/http"
-	"sort"
 	"strconv"
-	"time"
 
-	"repro/internal/analytics"
-	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/flowrec"
 	"repro/internal/metrics"
+	"repro/internal/scan"
 )
 
 // /v1/scan: the edgequery workload as an endpoint. tech= and srvport=
@@ -26,41 +21,19 @@ import (
 
 var mScanRecords = metrics.GetCounter("serve.scan_records")
 
-// ScanSvcRow is one service's tally.
-type ScanSvcRow struct {
-	Service   string `json:"service"`
-	Flows     uint64 `json:"flows"`
-	DownBytes uint64 `json:"down_bytes"`
-	UpBytes   uint64 `json:"up_bytes"`
-}
-
-// ScanResponse is the JSON summary of a scan.
+// ScanResponse is the JSON summary of a scan: the requested range and
+// what the engine saw in it.
 type ScanResponse struct {
-	From        string `json:"from"`
-	To          string `json:"to"`
-	Days        int    `json:"days"`
-	ScannedDays int    `json:"scanned_days"`
-	// FailedDays lists days that errored after decode began (damaged
-	// files); days simply absent from the lake are outages and count
-	// in neither field.
-	FailedDays []string     `json:"failed_days,omitempty"`
-	Scanned    uint64       `json:"scanned_records"`
-	Matched    uint64       `json:"matched_records"`
-	Services   []ScanSvcRow `json:"services"`
+	From string `json:"from"`
+	To   string `json:"to"`
+	Days int    `json:"days"`
+	scan.Result
 }
 
-// scanCols is the summary-path projection: classification inputs,
-// filter fields and the tallied volumes. Predicate columns are added
-// by the reader itself.
-var scanCols = flowrec.Cols(
-	flowrec.ColClient, flowrec.ColWeb, flowrec.ColServerName,
-	flowrec.ColSubID, flowrec.ColBytesDown, flowrec.ColBytesUp,
-)
-
-// errStopScan aborts a CSV scan that reached its record limit.
-var errStopScan = errors.New("serve: scan record limit reached")
-
-// queryScan answers GET /v1/scan.
+// queryScan answers GET /v1/scan over the shared scan engine: one
+// Run per request, on the request goroutine — across-query parallelism
+// comes from the admission pool, and one bounded query must not fan out
+// into its own pool on a shared server.
 func (s *Server) queryScan(ctx context.Context, r *http.Request) (*result, error) {
 	q, err := ParseQuery(r.URL.Query())
 	if err != nil {
@@ -80,264 +53,68 @@ func (s *Server) queryScan(ctx context.Context, r *http.Request) (*result, error
 	if st == nil {
 		return nil, badf("this server has no lake to scan (figures are simulation-fed)")
 	}
-
-	pred, err := q.pred()
-	if err != nil {
-		return nil, err
+	sq := scan.Query{Days: days, Filter: q.Filter}
+	run := func(ctx context.Context, sq scan.Query) (scan.Result, error) {
+		res, err := scan.Run(ctx, st, s.p.Cls, sq)
+		mScanRecords.Add(res.Visited)
+		return res, err
 	}
-	match := func(svc classify.Service, rec *flowrec.Record) bool {
-		if len(q.Services) > 0 {
-			ok := false
-			for _, want := range q.Services {
-				if svc == want {
-					ok = true
-					break
-				}
+
+	switch {
+	case q.Stream:
+		// The uncapped CSV export: records go to the wire as they decode,
+		// flushed at every day boundary so a dashboard piping the stream
+		// sees steady progress instead of one burst at the end. The
+		// connection commits to 200 before the first record, so
+		// correctness travels in trailers: X-Scan-Complete: true only
+		// after every requested day streamed cleanly, X-Scan-Error with
+		// the failure otherwise — a mid-stream damaged day terminates the
+		// export (after the rows that decoded cleanly, so the client sees
+		// where it died) rather than presenting a truncated extract as
+		// complete.
+		// Streams are never cached: they are exports, not dashboard
+		// queries, and their bodies are exactly what the cache's
+		// entry-size bound exists to keep out.
+		return &result{contentType: "text/csv", stream: func(ctx context.Context, w http.ResponseWriter) error {
+			sq.CSV = w
+			if flusher, ok := w.(http.Flusher); ok {
+				sq.DayDone = flusher.Flush
 			}
-			if !ok {
-				return false
-			}
-		}
-		return q.Proto == "" || rec.Web.String() == q.Proto
-	}
-
-	if q.Stream {
-		return s.scanStream(st, days, pred, match)
-	}
-	if q.Format == "csv" {
-		return s.scanCSV(ctx, st, days, pred, match, q)
-	}
-	return s.scanSummary(ctx, st, days, pred, match, q)
-}
-
-// pred compiles the pushdown predicate, nil when no pushdown filter
-// is set.
-func (q Query) pred() (*flowrec.Pred, error) {
-	var p flowrec.Pred
-	switch q.Tech {
-	case "adsl":
-		p.HasTech, p.Tech = true, flowrec.TechADSL
-	case "ftth":
-		p.HasTech, p.Tech = true, flowrec.TechFTTH
-	}
-	if q.HasSrvPort {
-		p.HasSrvPort, p.SrvPortLo, p.SrvPortHi = true, q.SrvPortLo, q.SrvPortHi
-	}
-	if !p.HasTech && !p.HasSrvPort {
-		return nil, nil
-	}
-	return &p, nil
-}
-
-// scanSummary runs the per-service tally over the day range. Days
-// execute serially on the request goroutine — across-query
-// parallelism comes from the admission pool, and one bounded query
-// must not fan out into its own pool on a shared server. The context
-// is checked between records, so deadlines and client disconnects
-// abort mid-file with no partial response written.
-func (s *Server) scanSummary(ctx context.Context, st core.Storage, days []time.Time,
-	pred *flowrec.Pred, match func(classify.Service, *flowrec.Record) bool, q Query) (*result, error) {
-
-	resp := ScanResponse{
-		From: days[0].Format("2006-01-02"),
-		To:   days[len(days)-1].Format("2006-01-02"),
-		Days: len(days),
-	}
-	bySvc := make(map[classify.Service]*ScanSvcRow)
-	for _, day := range days {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Each day tallies into a staging area merged only on a clean
-		// read: a day that fails mid-decode has delivered an arbitrary
-		// prefix of its records, and folding that prefix into totals
-		// reported as clean would silently mix damaged data in. A
-		// failed day contributes its name to FailedDays and nothing
-		// else.
-		var dayScanned, dayMatched uint64
-		daySvc := make(map[classify.Service]ScanSvcRow)
-		err := st.ReadDayCols(day, flowrec.ColScan{Cols: scanCols, Pred: pred}, func(rec *flowrec.Record) error {
-			dayScanned++
-			mScanRecords.Inc()
-			if (resp.Scanned+dayScanned)%1024 == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-			}
-			svc := analytics.ServiceOf(s.p.Cls, rec)
-			if !match(svc, rec) {
-				return nil
-			}
-			dayMatched++
-			row := daySvc[svc]
-			row.Flows++
-			row.DownBytes += rec.BytesDown
-			row.UpBytes += rec.BytesUp
-			daySvc[svc] = row
-			return nil
-		})
-		switch {
-		case err == nil:
-			resp.ScannedDays++
-			resp.Scanned += dayScanned
-			resp.Matched += dayMatched
-			for svc, d := range daySvc {
-				row := bySvc[svc]
-				if row == nil {
-					name := string(svc)
-					if name == "" {
-						name = "(unclassified)"
-					}
-					row = &ScanSvcRow{Service: name}
-					bySvc[svc] = row
-				}
-				row.Flows += d.Flows
-				row.DownBytes += d.DownBytes
-				row.UpBytes += d.UpBytes
-			}
-		case errors.Is(err, flowrec.ErrNoDay):
-			// A lake gap is a probe outage, not a failure.
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			return nil, err
-		default:
-			resp.FailedDays = append(resp.FailedDays, day.Format("2006-01-02"))
-		}
-	}
-	for _, row := range bySvc {
-		resp.Services = append(resp.Services, *row)
-	}
-	sort.Slice(resp.Services, func(i, j int) bool {
-		if resp.Services[i].DownBytes != resp.Services[j].DownBytes {
-			return resp.Services[i].DownBytes > resp.Services[j].DownBytes
-		}
-		return resp.Services[i].Service < resp.Services[j].Service
-	})
-	return jsonResult(resp)
-}
-
-// scanCSV streams matching records into a buffered CSV body, capped
-// at q.Limit records. Record order is lake order (day by day, file
-// order within a day), so equal queries answer byte-identically. A
-// truncated response carries X-Scan-Truncated: true rather than an
-// in-band marker that would corrupt CSV parsers.
-func (s *Server) scanCSV(ctx context.Context, st core.Storage, days []time.Time,
-	pred *flowrec.Pred, match func(classify.Service, *flowrec.Record) bool, q Query) (*result, error) {
-
-	limit := q.Limit
-	if limit <= 0 {
-		limit = DefaultCSVRecords
-	}
-	var buf bytes.Buffer
-	cw, err := flowrec.NewCSVWriter(&buf)
-	if err != nil {
-		return nil, err
-	}
-	written := 0
-	truncated := false
-	var scanned uint64
-	for _, day := range days {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if truncated {
-			break
-		}
-		// CSV needs every field, so the scan is full-width; the
-		// predicate still prunes blocks on a columnar lake.
-		err := st.ReadDayCols(day, flowrec.ColScan{Pred: pred}, func(rec *flowrec.Record) error {
-			scanned++
-			mScanRecords.Inc()
-			if scanned%1024 == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-			}
-			if !match(analytics.ServiceOf(s.p.Cls, rec), rec) {
-				return nil
-			}
-			if written >= limit {
-				truncated = true
-				return errStopScan
-			}
-			written++
-			return cw.Write(rec)
-		})
-		switch {
-		case err == nil, errors.Is(err, errStopScan), errors.Is(err, flowrec.ErrNoDay):
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			return nil, err
-		default:
-			// A damaged day fails the CSV scan outright: unlike the
-			// summary, silently dropping rows from a record export
-			// would present an incomplete extract as complete.
-			return nil, err
-		}
-	}
-	if err := cw.Flush(); err != nil {
-		return nil, err
-	}
-	res := &result{contentType: "text/csv", body: buf.Bytes()}
-	if truncated {
-		res.header = http.Header{"X-Scan-Truncated": []string{"true"}}
-		res.header.Set("X-Scan-Limit", strconv.Itoa(limit))
-	}
-	return res, nil
-}
-
-// scanStream is the uncapped CSV export (stream=true): records go to
-// the wire as they decode, flushed at every day boundary so a
-// dashboard piping the stream sees steady progress instead of one
-// burst at the end. The connection commits to 200 before the first
-// record, so correctness travels in trailers: X-Scan-Complete: true
-// only after every requested day streamed cleanly, X-Scan-Error with
-// the failure otherwise — a mid-stream damaged day terminates the
-// export rather than presenting a truncated extract as complete.
-// Streams are never cached: they are exports, not dashboard queries,
-// and their bodies are exactly what the cache's entry-size bound
-// exists to keep out.
-func (s *Server) scanStream(st core.Storage, days []time.Time,
-	pred *flowrec.Pred, match func(classify.Service, *flowrec.Record) bool) (*result, error) {
-
-	stream := func(ctx context.Context, w http.ResponseWriter) error {
-		cw, err := flowrec.NewCSVWriter(w)
-		if err != nil {
+			_, err := run(ctx, sq)
 			return err
+		}}, nil
+
+	case q.Format == "csv":
+		// The buffered CSV export, capped at limit= records so one
+		// curious client cannot pull the whole lake through a single
+		// response. Record order is lake order, so equal queries answer
+		// byte-identically. A truncated response carries X-Scan-Truncated
+		// rather than an in-band marker that would corrupt CSV parsers.
+		var buf bytes.Buffer
+		sq.CSV = &buf
+		if sq.Limit = q.Limit; sq.Limit <= 0 {
+			sq.Limit = DefaultCSVRecords
 		}
-		flusher, _ := w.(http.Flusher)
-		var scanned uint64
-		for _, day := range days {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			err := st.ReadDayCols(day, flowrec.ColScan{Pred: pred}, func(rec *flowrec.Record) error {
-				scanned++
-				mScanRecords.Inc()
-				if scanned%1024 == 0 {
-					if cerr := ctx.Err(); cerr != nil {
-						return cerr
-					}
-				}
-				if !match(analytics.ServiceOf(s.p.Cls, rec), rec) {
-					return nil
-				}
-				return cw.Write(rec)
-			})
-			switch {
-			case err == nil, errors.Is(err, flowrec.ErrNoDay):
-			default:
-				// Push what decoded cleanly so the client sees where the
-				// stream died, then fail — the error lands in the trailer.
-				_ = cw.Flush()
-				return err
-			}
-			if err := cw.Flush(); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+		res, err := run(ctx, sq)
+		if err != nil {
+			return nil, err
 		}
-		return nil
+		out := &result{contentType: "text/csv", body: buf.Bytes()}
+		if res.Truncated {
+			out.header = http.Header{"X-Scan-Truncated": []string{"true"}}
+			out.header.Set("X-Scan-Limit", strconv.Itoa(sq.Limit))
+		}
+		return out, nil
 	}
-	return &result{contentType: "text/csv", stream: stream}, nil
+
+	res, err := run(ctx, sq)
+	if err != nil {
+		return nil, err
+	}
+	return jsonResult(ScanResponse{
+		From:   days[0].Format("2006-01-02"),
+		To:     days[len(days)-1].Format("2006-01-02"),
+		Days:   len(days),
+		Result: res,
+	})
 }
