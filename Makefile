@@ -66,10 +66,12 @@ chaos:
 ## streamequiv: the streamed≡batch gate — every experiment over a lake
 ## built by the live ingest loop (chaos faults + crash/restart on the
 ## way) must match the batch build byte for byte, plus the ingest
-## package's crash-recovery property suite.
+## package's crash-recovery property suite, three times over: its kills
+## and damage are seeded, so a run that differs from the last is a bug
+## in what a dead incarnation leaves behind, not in the dice.
 streamequiv:
-	$(GO) test -run '^TestStreamedEqualsBatchExperiments|^TestHotDay' ./internal/core
-	$(GO) test ./internal/ingest
+	$(GO) test -run '^TestStreamedEqualsBatchExperiments|^TestHotDay|^TestPartialFrames|^TestOrphanTemps' ./internal/core
+	$(GO) test -count=3 ./internal/ingest
 
 ## servequiv: the serve-equivalence gate — every /v1/figures response
 ## must match the golden HTTP corpus byte for byte, equal the batch
@@ -127,6 +129,7 @@ serve-smoke:
 FUZZTIME ?= 10s
 FUZZ_TARGETS := \
 	internal/flowrec:FuzzDecodeRecord \
+	internal/core:FuzzLoadPartialsFrames \
 	internal/wire:FuzzParsePacket \
 	internal/dpi:FuzzTLSClientHello \
 	internal/dpi:FuzzDNSDecode \

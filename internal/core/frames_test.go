@@ -1,0 +1,242 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/analytics"
+	"repro/internal/flowrec"
+	"repro/internal/simnet"
+)
+
+// The framed partial file's contract: whatever happens to its tail —
+// an append killed at any byte, a flipped bit anywhere — a reader gets
+// the frames before the damage and nothing else, which is a snapshot
+// the writer really took. (internal/ingest's crash suite holds the
+// other half: recovery over such a prefix loses and repeats nothing.)
+
+var framesDay = time.Date(2016, 4, 12, 0, 0, 0, 0, time.UTC)
+
+// chunkPartials folds a small day in n consecutive chunks, one partial
+// each — the shape of a base and the deltas behind it.
+func chunkPartials(t testing.TB, n int) []*analytics.Partial {
+	t.Helper()
+	var recs []flowrec.Record
+	simnet.NewWorld(5, simnet.Scale{ADSL: 2, FTTH: 1}).EmitDay(framesDay, func(r *flowrec.Record) {
+		recs = append(recs, *r)
+	})
+	if len(recs) < n {
+		t.Fatalf("the day has %d records, need %d", len(recs), n)
+	}
+	parts := make([]*analytics.Partial, n)
+	for i := range parts {
+		agg := analytics.NewAggregator(framesDay, nil)
+		for j := i * len(recs) / n; j < (i+1)*len(recs)/n; j++ {
+			agg.Add(&recs[j])
+		}
+		parts[i] = agg.Partial()
+	}
+	return parts
+}
+
+// framedFile writes parts as [base][delta]… through the storage and
+// returns the file's bytes and each frame's end offset.
+func framedFile(t testing.TB, stor *DiskStorage, parts []*analytics.Partial) ([]byte, []int) {
+	t.Helper()
+	if err := stor.SavePartials(framesDay, parts[:1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range parts[1:] {
+		if err := stor.AppendPartial(framesDay, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(partialCachePath(stor.aggDir, framesDay))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int
+	scanFrames(data, func(off int, payload []byte) bool {
+		ends = append(ends, off+frameHeaderLen+len(payload))
+		return true
+	})
+	if len(ends) != len(parts) || ends[len(ends)-1] != len(data) {
+		t.Fatalf("wrote %d frames over %d bytes, the reader sees frame ends %v", len(parts), len(data), ends)
+	}
+	return data, ends
+}
+
+// rawFrame wraps payload in a well-formed frame header.
+func rawFrame(payload string) []byte {
+	h := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
+	copy(h, frameMagic)
+	binary.LittleEndian.PutUint32(h[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(h[8:12], frameSum(h[4:8], []byte(payload)))
+	return append(h, payload...)
+}
+
+// canonOf merges parts and returns the day's canonical bytes.
+func canonOf(t testing.TB, parts []*analytics.Partial) []byte {
+	t.Helper()
+	agg, err := analytics.MergePartials(framesDay, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := analytics.CanonicalBytes(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestPartialFramesTornTailAndBitFlip(t *testing.T) {
+	stor := NewDiskStorage(nil, t.TempDir())
+	parts := chunkPartials(t, 4)
+	data, ends := framedFile(t, stor, parts)
+	path := partialCachePath(stor.aggDir, framesDay)
+
+	load := func(b []byte) []*analytics.Partial {
+		t.Helper()
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := stor.LoadPartials(framesDay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	if got := load(data); !bytes.Equal(canonOf(t, got), canonOf(t, parts)) {
+		t.Fatal("the whole file does not read back as the partials written")
+	}
+	if base, total := stor.PartialsSize(framesDay); base != int64(ends[0]) || total != int64(len(data)) {
+		t.Fatalf("PartialsSize = (%d, %d), want (%d, %d)", base, total, ends[0], len(data))
+	}
+
+	// An append killed at any byte of the last frame: the frames before
+	// it, exactly.
+	prefix := canonOf(t, parts[:3])
+	for cut := ends[2]; cut < len(data); cut++ {
+		got := load(data[:cut])
+		if len(got) != 3 || !bytes.Equal(canonOf(t, got), prefix) {
+			t.Fatalf("file cut at byte %d of %d: read %d partials, want the 3 whole frames", cut, len(data), len(got))
+		}
+	}
+
+	// A flipped bit in a middle frame — header or payload — ends the
+	// list there, healthy frames behind it or not.
+	first := canonOf(t, parts[:1])
+	for _, at := range []int{ends[0], ends[0] + 5, ends[0] + 9, ends[0] + frameHeaderLen, (ends[0] + ends[1]) / 2, ends[1] - 1} {
+		bad := bytes.Clone(data)
+		bad[at] ^= 0x10
+		got := load(bad)
+		if len(got) != 1 || !bytes.Equal(canonOf(t, got), first) {
+			t.Fatalf("bit flipped at byte %d (frame 2 spans %d..%d): read %d partials, want the base alone", at, ends[0], ends[1], len(got))
+		}
+	}
+
+	// A frame that sums right but does not decode — another version's,
+	// another day's, not a gzip at all — ends the list the same way.
+	spliced := append(append(bytes.Clone(data[:ends[1]]), rawFrame("not a gzip")...), data[ends[1]:]...)
+	wellFormed := 0
+	scanFrames(spliced, func(int, []byte) bool { wellFormed++; return true })
+	if wellFormed != len(parts)+1 {
+		t.Fatalf("the spliced file holds %d well-formed frames, want %d", wellFormed, len(parts)+1)
+	}
+	if got := load(spliced); len(got) != 2 || !bytes.Equal(canonOf(t, got), canonOf(t, parts[:2])) {
+		t.Fatalf("undecodable third frame: read %d partials, want the 2 before it", len(got))
+	}
+
+	// Damage in the base reads as a miss, and nothing can be appended
+	// to a day that has no file.
+	bad := bytes.Clone(data)
+	bad[ends[0]/2] ^= 0x10
+	if got := load(bad); got != nil {
+		t.Fatalf("damaged base still read %d partials", len(got))
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := stor.AppendPartial(framesDay, parts[1]); err == nil {
+		t.Fatal("AppendPartial created a file with no base frame")
+	}
+}
+
+// FuzzLoadPartialsFrames sends arbitrary bytes through the frame
+// reader: it never panics, and every frame it yields lies whole inside
+// the input and passes its checksum.
+func FuzzLoadPartialsFrames(f *testing.F) {
+	// The reader never looks inside a payload, so the seeds carry a few
+	// bytes each: go's minimiser is quadratic in the input's length.
+	whole := append(append(rawFrame("base"), rawFrame("")...), rawFrame("delta")...)
+	f.Add(whole)
+	f.Add(whole[:len(whole)-3])
+	f.Add(whole[:frameHeaderLen+2])
+	f.Add([]byte(frameMagic + "\xff\xff\xff\xff\x00\x00\x00\x00"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		next := 0
+		scanFrames(b, func(off int, payload []byte) bool {
+			if off != next || off+frameHeaderLen+len(payload) > len(b) {
+				t.Fatalf("frame at %d (+%d) does not follow the one ending at %d in %d bytes", off, len(payload), next, len(b))
+			}
+			h := b[off : off+frameHeaderLen]
+			if string(h[:4]) != frameMagic || int(binary.LittleEndian.Uint32(h[4:8])) != len(payload) ||
+				frameSum(h[4:8], payload) != binary.LittleEndian.Uint32(h[8:12]) {
+				t.Fatalf("frame at %d fails its own header", off)
+			}
+			next = off + frameHeaderLen + len(payload)
+			return true
+		})
+	})
+}
+
+// TestOrphanTempsAreSwept: a save killed between CreateTemp and Rename
+// leaves a temp sibling no later save reuses. The day's writer removes
+// them — WriteDay with the rest of the day's derived state, the live
+// ingester through SweepTemps as it reopens a day — and nobody else's.
+func TestOrphanTempsAreSwept(t *testing.T) {
+	aggDir := t.TempDir()
+	store, err := flowrec.OpenStoreFormat(t.TempDir(), flowrec.FormatV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stor := NewDiskStorage(store, aggDir)
+	other := framesDay.AddDate(0, 0, 1)
+	var temps []string
+	for _, day := range []time.Time{framesDay, other} {
+		for _, path := range []string{aggCachePath(aggDir, day), partialCachePath(aggDir, day)} {
+			temps = append(temps, path+".tmp-123456")
+		}
+	}
+	for _, tmp := range temps {
+		if err := os.WriteFile(tmp, []byte("half a save"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exists := func(path string) bool { _, err := os.Stat(path); return err == nil }
+
+	if _, err := stor.WriteDay(framesDay, func(func(*flowrec.Record) error) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if exists(temps[0]) || exists(temps[1]) {
+		t.Error("WriteDay left the day's orphan temps behind")
+	}
+	if !exists(temps[2]) || !exists(temps[3]) {
+		t.Fatal("WriteDay swept another day's temps")
+	}
+	if err := stor.SweepTemps(other); err != nil {
+		t.Fatal(err)
+	}
+	if exists(temps[2]) || exists(temps[3]) {
+		t.Error("SweepTemps left the day's orphan temps behind")
+	}
+	if err := NewDiskStorage(nil, filepath.Join(aggDir, "absent")).SweepTemps(other); err != nil {
+		t.Errorf("SweepTemps over a cache dir not yet created: %v", err)
+	}
+}

@@ -151,6 +151,9 @@ func (f *cancelStorage) LoadAgg(time.Time) (*analytics.DayAgg, error)         { 
 func (f *cancelStorage) SaveAgg(*analytics.DayAgg) error                      { return nil }
 func (f *cancelStorage) LoadPartials(time.Time) ([]*analytics.Partial, error) { return nil, nil }
 func (f *cancelStorage) SavePartials(time.Time, []*analytics.Partial) error   { return nil }
+func (f *cancelStorage) AppendPartial(time.Time, *analytics.Partial) error    { return nil }
+func (f *cancelStorage) PartialsSize(time.Time) (int64, int64)                { return 0, 0 }
+func (f *cancelStorage) SweepTemps(time.Time) error                           { return nil }
 func (f *cancelStorage) LoadRollup(analytics.Grain, time.Time) (*analytics.Rollup, error) {
 	return nil, nil
 }

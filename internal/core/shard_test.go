@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"context"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -142,8 +141,7 @@ func TestPartialCacheRoundTrip(t *testing.T) {
 	}
 
 	// A damaged partial file must read as a miss, not poison the run.
-	bad := filepath.Join(dir, "parts-"+days[0].Format("20060102")+"-v1.gob.gz")
-	if err := os.WriteFile(bad, []byte("not gzip"), 0o644); err != nil {
+	if err := os.WriteFile(partialCachePath(dir, days[0]), []byte("not a frame"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	again := shardTestConfig(2)

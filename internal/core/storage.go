@@ -52,9 +52,24 @@ type Storage interface {
 	// on a miss. A sharded incremental re-run merges these instead of
 	// re-reading the day's records.
 	LoadPartials(day time.Time) ([]*analytics.Partial, error)
-	// SavePartials persists a day's shard partials; a no-op without a
-	// cache.
+	// SavePartials persists a day's shard partials, replacing whatever
+	// the day's file held; a no-op without a cache.
 	SavePartials(day time.Time, parts []*analytics.Partial) error
+	// AppendPartial adds p behind the partials SavePartials last wrote
+	// for day, so that LoadPartials returns it too — the live ingester's
+	// checkpoint, which costs the records folded since the previous one
+	// instead of the whole open day. It fails when the day has no file
+	// to append to. A no-op without a cache.
+	AppendPartial(day time.Time, p *analytics.Partial) error
+	// PartialsSize returns the stored bytes of what SavePartials last
+	// wrote for day and of everything stored for it since, appends
+	// included; both zero on a miss. A writer compares the two to decide
+	// when appending has stopped paying and it should save afresh.
+	PartialsSize(day time.Time) (base, total int64)
+	// SweepTemps removes the leftovers of day's aggregate and partial
+	// saves that died before they published. Only the day's one writer
+	// may call it: it would take a concurrent save's file from under it.
+	SweepTemps(day time.Time) error
 	// LoadRollup returns the persisted rollup for one window, (nil,
 	// nil) on a miss (including "no rollup tier configured"). Like the
 	// aggregate cache, anything short of a healthy, version-matched
@@ -164,7 +179,8 @@ func (d *DiskStorage) WriteDay(day time.Time, emit func(write func(*flowrec.Reco
 }
 
 // invalidateDerived drops the day's cached aggregate and shard
-// partials plus the rollups covering it.
+// partials — the whole framed file, base and deltas — with any temp
+// siblings a killed save left, plus the rollups covering it.
 func (d *DiskStorage) invalidateDerived(day time.Time) error {
 	var firstErr error
 	if d.aggDir != "" {
@@ -172,6 +188,9 @@ func (d *DiskStorage) invalidateDerived(day time.Time) error {
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) && firstErr == nil {
 				firstErr = err
 			}
+		}
+		if err := sweepTemps(d.aggDir, day); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if err := d.InvalidateRollups(day); err != nil && firstErr == nil {
@@ -223,7 +242,8 @@ func (d *DiskStorage) SaveAgg(agg *analytics.DayAgg) error {
 }
 
 // LoadPartials implements Storage. Like LoadAgg, anything short of a
-// healthy, version-matched file reads as a miss.
+// healthy, version-matched file reads as a miss; a file whose tail is
+// torn or damaged reads as the frames before the damage.
 func (d *DiskStorage) LoadPartials(day time.Time) ([]*analytics.Partial, error) {
 	if d.aggDir == "" {
 		return nil, nil
@@ -237,6 +257,30 @@ func (d *DiskStorage) SavePartials(day time.Time, parts []*analytics.Partial) er
 		return nil
 	}
 	return savePartials(d.aggDir, day, parts)
+}
+
+// AppendPartial implements Storage.
+func (d *DiskStorage) AppendPartial(day time.Time, p *analytics.Partial) error {
+	if d.aggDir == "" {
+		return nil
+	}
+	return appendPartial(d.aggDir, day, p)
+}
+
+// PartialsSize implements Storage.
+func (d *DiskStorage) PartialsSize(day time.Time) (base, total int64) {
+	if d.aggDir == "" {
+		return 0, 0
+	}
+	return partialsSize(d.aggDir, day)
+}
+
+// SweepTemps implements Storage.
+func (d *DiskStorage) SweepTemps(day time.Time) error {
+	if d.aggDir == "" {
+		return nil
+	}
+	return sweepTemps(d.aggDir, day)
 }
 
 // LoadRollup implements Storage: same miss-on-damage model as LoadAgg.

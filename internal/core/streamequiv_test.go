@@ -169,14 +169,18 @@ func TestStreamedEqualsBatchExperiments(t *testing.T) {
 
 // TestHotDayServesFromCheckpoints: a span whose last day is still
 // live must answer — the live day served from the ingest daemon's
-// checkpointed partials — and the answer must be byte-identical to
-// the same query after the day seals.
+// checkpoint file, a base frame and whatever deltas are outstanding
+// behind it — and the answer must be byte-identical to a fold of the
+// records absorbed so far, with three or more deltas outstanding and
+// again right after a rewrite folded them, and to the same query after
+// the day seals.
 func TestHotDayServesFromCheckpoints(t *testing.T) {
 	days := []time.Time{
 		simnet.SpanStart.AddDate(0, 0, 7),
 		simnet.SpanStart.AddDate(0, 0, 8),
 		simnet.SpanStart.AddDate(0, 0, 9),
 	}
+	last := days[len(days)-1]
 	dir := t.TempDir()
 	store, err := flowrec.OpenStoreFormat(filepath.Join(dir, "lake"), flowrec.FormatV1)
 	if err != nil {
@@ -184,32 +188,89 @@ func TestHotDayServesFromCheckpoints(t *testing.T) {
 	}
 	aggDir := filepath.Join(dir, "agg")
 	disk := NewDiskStorage(store, aggDir)
+	const every = 64 // deltas small enough for several to fit behind a base
 	in, err := ingest.Open(ingest.Config{
 		Storage:         disk,
 		WALDir:          filepath.Join(dir, "lake", flowrec.WALDirName),
-		CheckpointEvery: 512,
+		CheckpointEvery: every,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pcfg := Config{Seed: 7, Scale: simnet.Scale{ADSL: 8, FTTH: 4}, Workers: 4,
+		Store: store, AggCacheDir: aggDir}
+	ctx := context.Background()
+
+	// hotLast answers the span from a fresh pipeline and returns the
+	// live day's canonical bytes.
+	hotLast := func() []byte {
+		t.Helper()
+		aggs, err := New(pcfg).AggregateCols(ctx, []time.Time{last}, 0)
+		if err != nil || len(aggs) != 1 {
+			t.Fatalf("hot-day aggregate: %d days, err %v", len(aggs), err)
+		}
+		b, err := analytics.CanonicalBytes(aggs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	// Stream the span, keeping the live day's records on the side. Each
+	// time a checkpoint of the live day has just covered everything
+	// absorbed, look at its file: the first time three deltas stand
+	// behind the base, and the first time a rewrite has just folded
+	// deltas away, the hot answer must equal a fold of the side copy.
+	var absorbed []flowrec.Record
+	var frames int
+	var sawDeltas, sawRewrite bool
 	w := simnet.NewWorld(7, simnet.Scale{ADSL: 8, FTTH: 4})
 	src := w.Stream(days)
-	ctx := context.Background()
 	var sr simnet.StreamRecord
 	for src.Next(&sr) {
 		if err := in.Ingest(ctx, &sr.Rec, sr.At); err != nil {
 			t.Fatal(err)
 		}
+		if !sr.Rec.Day().Equal(last) {
+			continue
+		}
+		q := sr.Rec
+		q.Quantize()
+		if absorbed = append(absorbed, q); len(absorbed)%every != 0 {
+			continue
+		}
+		parts, err := disk.LoadPartials(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		was := frames
+		frames = len(parts)
+		deltas, rewritten := frames >= 4 && !sawDeltas, frames == 1 && was > 1 && !sawRewrite
+		if !deltas && !rewritten {
+			continue
+		}
+		sawDeltas, sawRewrite = sawDeltas || deltas, sawRewrite || rewritten
+		ref := analytics.NewAggregator(last, New(pcfg).Cls)
+		for i := range absorbed {
+			ref.Add(&absorbed[i])
+		}
+		want, err := analytics.CanonicalBytes(ref.Result())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(hotLast(), want) {
+			t.Errorf("hot answer over %d frame(s) after %d records differs from a fold of those records", frames, len(absorbed))
+		}
+	}
+	if !sawDeltas || !sawRewrite {
+		t.Fatalf("the live day never showed three outstanding deltas (%v) and a rewrite behind them (%v)", sawDeltas, sawRewrite)
 	}
 	in.CheckpointAll(ctx) // cover every absorbed record of the live day
 
-	last := days[len(days)-1]
 	if disk.HasDay(last) {
 		t.Fatal("the last day sealed prematurely; the test needs it live")
 	}
 
-	pcfg := Config{Seed: 7, Scale: simnet.Scale{ADSL: 8, FTTH: 4}, Workers: 4,
-		Store: store, AggCacheDir: aggDir}
 	hot0 := mHotDayServes.Load()
 	aggs, err := New(pcfg).AggregateCols(ctx, days, 0)
 	if err != nil {

@@ -181,6 +181,7 @@ type memStorage struct {
 	quarant  []time.Time
 	writeErr error
 	gen      uint64
+	appends  int
 }
 
 func newMemStorage() *memStorage {
@@ -254,6 +255,12 @@ func (m *memStorage) SaveAgg(a *analytics.DayAgg) error { m.aggs[a.Day] = a; ret
 func (m *memStorage) LoadPartials(time.Time) ([]*analytics.Partial, error) { return nil, nil }
 
 func (m *memStorage) SavePartials(time.Time, []*analytics.Partial) error { return nil }
+
+func (m *memStorage) AppendPartial(time.Time, *analytics.Partial) error { m.appends++; return nil }
+
+func (m *memStorage) PartialsSize(time.Time) (int64, int64) { return 0, 0 }
+
+func (m *memStorage) SweepTemps(time.Time) error { return nil }
 
 func (m *memStorage) LoadRollup(analytics.Grain, time.Time) (*analytics.Rollup, error) {
 	return nil, nil
@@ -370,6 +377,33 @@ func TestWrapperPassThrough(t *testing.T) {
 	}
 	if err := s.QuarantineDay(day(1)); err != nil || len(m.quarant) != 1 {
 		t.Fatalf("quarantine pass-through: err=%v moved=%d", err, len(m.quarant))
+	}
+}
+
+// TestWrapperAppendPartialUnderSaveAgg: a delta checkpoint is the same
+// failure domain as the base it extends — saveagg rules fail it before
+// a byte reaches the inner storage, and once they clear it lands.
+func TestWrapperAppendPartialUnderSaveAgg(t *testing.T) {
+	m := newMemStorage()
+	plan, err := Parse("saveagg:p=1,fails=2,transient")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Wrap(m, plan)
+	p := analytics.NewPartial(day(1))
+	for i := 0; i < 2; i++ {
+		if err := s.AppendPartial(day(1), p); err == nil || !retry.Transient(err) {
+			t.Fatalf("attempt %d: want a transient fault, got %v", i+1, err)
+		}
+	}
+	if m.appends != 0 {
+		t.Fatalf("%d faulted appends reached the inner storage", m.appends)
+	}
+	if err := s.AppendPartial(day(1), p); err != nil || m.appends != 1 {
+		t.Fatalf("cleared fault: err=%v appends=%d", err, m.appends)
+	}
+	if err := Wrap(m, nil).AppendPartial(day(1), p); err != nil || m.appends != 2 {
+		t.Fatalf("nil plan: err=%v appends=%d", err, m.appends)
 	}
 }
 

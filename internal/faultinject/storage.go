@@ -33,8 +33,13 @@ type Storage interface {
 	// LoadPartials and SavePartials access the shard-partial side of
 	// the aggregate cache (sharded stage-one runs persist unmerged
 	// shard partials; incremental re-runs merge them back).
+	// AppendPartial, PartialsSize and SweepTemps are the live
+	// ingester's delta-checkpoint surface (see core.Storage).
 	LoadPartials(day time.Time) ([]*analytics.Partial, error)
 	SavePartials(day time.Time, parts []*analytics.Partial) error
+	AppendPartial(day time.Time, p *analytics.Partial) error
+	PartialsSize(day time.Time) (base, total int64)
+	SweepTemps(day time.Time) error
 	// LoadRollup, SaveRollup and InvalidateRollups access the
 	// multi-resolution rollup tier (see core.Storage).
 	LoadRollup(g analytics.Grain, start time.Time) (*analytics.Rollup, error)
@@ -193,6 +198,27 @@ func (s *FaultyStorage) SavePartials(day time.Time, parts []*analytics.Partial) 
 	}
 	return s.inner.SavePartials(day, parts)
 }
+
+// AppendPartial injects cache-save faults under the saveagg rules, like
+// the SavePartials it extends. The fault fails the call before a byte
+// lands; a torn append is the crash suite's to stage.
+func (s *FaultyStorage) AppendPartial(day time.Time, p *analytics.Partial) error {
+	attempt := s.plan.next(OpSaveAgg, day)
+	if f := s.plan.fault(OpSaveAgg, day, attempt); f != nil {
+		return f
+	}
+	return s.inner.AppendPartial(day, p)
+}
+
+// PartialsSize passes through: it is a stat, and what it decides is
+// only when to rewrite.
+func (s *FaultyStorage) PartialsSize(day time.Time) (base, total int64) {
+	return s.inner.PartialsSize(day)
+}
+
+// SweepTemps passes through: like InvalidateRollups, it is clean-up on
+// the recovery path.
+func (s *FaultyStorage) SweepTemps(day time.Time) error { return s.inner.SweepTemps(day) }
 
 // LoadRollup injects cache-load faults keyed by the window start: a
 // rollup file is the same failure domain as the aggregate cache.

@@ -3,11 +3,14 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/analytics"
 	"repro/internal/faultinject"
 	"repro/internal/flowrec"
 	"repro/internal/retry"
@@ -19,7 +22,8 @@ import (
 // seal — restart it over the same WAL tree, seek the stream to its
 // resume cursor, and the finished lake must still be byte-identical
 // to the batch build. No record lost, none double-counted, no
-// leftover attempt state on disk.
+// leftover attempt state on disk — in the WAL tree or beside the
+// checkpoint files.
 
 // killPoints derives deterministic kill positions from a seed: the
 // same storm replays identically run after run.
@@ -80,6 +84,91 @@ func runUntil(t *testing.T, in *Ingester, w *simnet.World, days []time.Time, sto
 	}
 }
 
+// killed is what a killStorage panics with.
+type killed struct{}
+
+// killStorage passes everything through and dies — panics, which
+// runUntilKilled turns into an abandoned incarnation — right after its
+// n-th delta append (appends) or base rewrite (rewrites) has landed:
+// the process killed between that write and whatever the ingester
+// would have done next, the cursor first of all.
+type killStorage struct {
+	Storage
+	appends, rewrites int
+	day               time.Time // the day whose write it died behind
+}
+
+func (k *killStorage) AppendPartial(day time.Time, p *analytics.Partial) error {
+	err := k.Storage.AppendPartial(day, p)
+	k.countdown(&k.appends, day, err)
+	return err
+}
+
+func (k *killStorage) SavePartials(day time.Time, parts []*analytics.Partial) error {
+	err := k.Storage.SavePartials(day, parts)
+	k.countdown(&k.rewrites, day, err)
+	return err
+}
+
+func (k *killStorage) countdown(n *int, day time.Time, err error) {
+	if err != nil || *n == 0 {
+		return
+	}
+	if *n--; *n == 0 {
+		k.day = day
+		panic(killed{})
+	}
+}
+
+// runUntilKilled is runUntil for an incarnation whose storage may kill
+// it; it reports whether it did.
+func runUntilKilled(t *testing.T, in *Ingester, w *simnet.World, days []time.Time, stop uint64) (dead bool) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killed); !ok {
+				panic(r)
+			}
+			dead = true
+		}
+	}()
+	runUntil(t, in, w, days, stop)
+	return false
+}
+
+// aimedKills runs two incarnations over cfg that die at the two points
+// a delta checkpoint adds to the crash surface: behind the second
+// delta append, before the cursor that would have recorded it (the
+// checkpoint file then covers more than the cursor claims), and behind
+// a size-rule base rewrite's rename, before the next append (the file
+// is one frame again, the deltas it replaced gone).
+func aimedKills(t *testing.T, cfg Config, w *simnet.World, days []time.Time) {
+	t.Helper()
+	inner := cfg.Storage
+	// The second rewrite: the first is the one recovery ends with.
+	for _, ks := range []*killStorage{{appends: 2}, {rewrites: 2}} {
+		behindAppend := ks.appends > 0
+		ks.Storage = inner
+		cfg.Storage = ks
+		in, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !runUntilKilled(t, in, w, days, ^uint64(0)) {
+			t.Fatalf("the stream ended before the aimed kill (%+v) fired", ks)
+		}
+		parts, err := inner.LoadPartials(ks.day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if behindAppend && len(parts) < 2 {
+			t.Fatalf("killed behind a delta append, yet %s's checkpoint holds %d frames", ks.day.Format("2006-01-02"), len(parts))
+		} else if !behindAppend && len(parts) != 1 {
+			t.Fatalf("killed behind a base rewrite, yet %s's checkpoint holds %d frames", ks.day.Format("2006-01-02"), len(parts))
+		}
+	}
+}
+
 func TestCrashRecoveryStorm(t *testing.T) {
 	days := ingestDays(7, 4)
 	w := simnet.NewWorld(ingestSeed, ingestScale)
@@ -90,6 +179,7 @@ func TestCrashRecoveryStorm(t *testing.T) {
 
 	dups0, recov0 := mDupsDropped.Load(), mRecoveries.Load()
 
+	aimedKills(t, lake.config(), w, days)
 	for _, k := range kills {
 		in, err := Open(lake.config())
 		if err != nil {
@@ -103,15 +193,15 @@ func TestCrashRecoveryStorm(t *testing.T) {
 		// frames die with the incarnation; flushed ones survive.
 	}
 
-	// Plant a stale checkpoint temp — the debris of a SavePartials
-	// killed mid-write. Recovery must ignore it: only the exact final
-	// path is ever loaded.
-	aggDir := filepath.Join(filepath.Dir(lake.walDir), "..", "agg")
-	staleDay := days[0]
-	staleDir := filepath.Join(aggDir, staleDay.Format("2006"), staleDay.Format("01"))
-	os.MkdirAll(staleDir, 0o755)
-	stale := filepath.Join(staleDir,
-		"parts-"+staleDay.Format("20060102")+"-v2.gob.gz.tmp-666")
+	// Plant a stale checkpoint temp beside an open day's checkpoint —
+	// the debris of a base rewrite killed before its rename. Recovery
+	// must not load it (only the exact final path is ever read) and must
+	// not leave it: the day's one writer sweeps it as it reopens the day.
+	open, _ := filepath.Glob(filepath.Join(lake.aggDir, "parts-*"))
+	if len(open) == 0 {
+		t.Fatal("no open day has a checkpoint file to plant debris beside")
+	}
+	stale := open[0] + ".tmp-666"
 	if err := os.WriteFile(stale, []byte("torn checkpoint debris"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +209,9 @@ func TestCrashRecoveryStorm(t *testing.T) {
 	in, err := Open(lake.config())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("recovery left the stale checkpoint temp behind (stat: %v)", err)
 	}
 	runUntil(t, in, w, days, uint64(total)+1)
 	if err := in.SealAll(ctx); err != nil {
@@ -143,7 +236,8 @@ func TestCrashRecoveryStorm(t *testing.T) {
 	}
 
 	// Nothing leaked: the WAL tree holds no day dirs and no cursor
-	// temps, and the planted stale checkpoint temp was never promoted.
+	// temps, and the agg dir holds no checkpoint of a sealed day and no
+	// temp of anything.
 	ents, err := os.ReadDir(lake.walDir)
 	if err != nil {
 		t.Fatal(err)
@@ -156,13 +250,20 @@ func TestCrashRecoveryStorm(t *testing.T) {
 			t.Errorf("leaked cursor temp %s", e.Name())
 		}
 	}
-	if _, err := os.Stat(stale); err != nil {
-		// Sealing invalidates the day's derived caches; the stale temp
-		// may be swept with them. Either fate is fine — what matters is
-		// that it was never loaded, which the byte-equality above
-		// proves (its payload is not even a gzip).
-		if !os.IsNotExist(err) {
-			t.Fatal(err)
+	assertNoCheckpointDebris(t, lake.aggDir)
+}
+
+// assertNoCheckpointDebris fails if the agg dir of a fully sealed lake
+// still holds a checkpoint file or any save's temp sibling.
+func assertNoCheckpointDebris(t *testing.T, aggDir string) {
+	t.Helper()
+	ents, err := os.ReadDir(aggDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "parts-") || strings.Contains(e.Name(), ".tmp-") {
+			t.Errorf("leaked checkpoint state %s", e.Name())
 		}
 	}
 }
@@ -212,16 +313,20 @@ func TestCrashDuringCheckpointSealAndCompaction(t *testing.T) {
 
 	// Kill twice mid-stream — the first checkpoints of each
 	// incarnation fall inside the fault window, so these kills land
-	// after failed checkpoints: the crash-during-checkpoint case.
-	for _, k := range []int{total / 3, 2 * total / 3} {
+	// after failed checkpoints: the crash-during-checkpoint case. The
+	// two aimed kills go in between, through the same fault plan: a
+	// failed append or rewrite there means the next one is a rewrite.
+	for i, k := range []int{total / 3, 2 * total / 3} {
 		in, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if in.Resume() > uint64(k) {
-			continue
+		if in.Resume() <= uint64(k) {
+			runUntil(t, in, w, days, uint64(k))
 		}
-		runUntil(t, in, w, days, uint64(k))
+		if i == 0 {
+			aimedKills(t, cfg, w, days)
+		}
 	}
 
 	in, err := Open(cfg)
@@ -258,6 +363,8 @@ func TestCrashDuringCheckpointSealAndCompaction(t *testing.T) {
 			t.Errorf("day %s: faulted lake diverges from batch fold", day.Format("2006-01-02"))
 		}
 	}
+
+	assertNoCheckpointDebris(t, lake.aggDir)
 
 	// The day whose compaction failed is still a valid v1 day — and a
 	// later compaction pass fixes it up with no ingester involved.
@@ -312,5 +419,134 @@ func TestDamagedCursorFallsBackToFullReplay(t *testing.T) {
 		if !bytes.Equal(lakeCanon(t, lake.storage, day), batchCanon(t, w, day)) {
 			t.Errorf("day %s: lake after cursor damage diverges from batch fold", day.Format("2006-01-02"))
 		}
+	}
+}
+
+// TestRecoveryOverDamagedCheckpoint is the recovery half of the framed
+// file's property (core's TestPartialFramesTornTailAndBitFlip holds the
+// reader's half at every byte): whatever prefix of the checkpoint's
+// frames survives — the last append torn anywhere, a bit flipped in a
+// middle frame — LoadPartials returns exactly the whole frames before
+// the damage, and recovery over them plus the WAL finishes a lake
+// byte-identical to the batch build.
+func TestRecoveryOverDamagedCheckpoint(t *testing.T) {
+	days := ingestDays(7, 1)
+	w := simnet.NewWorld(ingestSeed, ingestScale)
+	want := batchCanon(t, w, days[0])
+	ctx := context.Background()
+
+	// Feed until the open day's checkpoint holds a base and three
+	// deltas, noting where each frame ends, then die.
+	pristine := t.TempDir()
+	lake := openTestLake(t, pristine)
+	config := func(l *testLake) Config {
+		cfg := l.config()
+		cfg.CheckpointEvery = 64 // deltas small enough for three to fit behind a base
+		return cfg
+	}
+	in, err := Open(config(lake))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int64
+	src := w.Stream(days)
+	var sr simnet.StreamRecord
+	for len(ends) < 4 && src.Next(&sr) {
+		if err := in.Ingest(ctx, &sr.Rec, sr.At); err != nil {
+			t.Fatal(err)
+		}
+		switch base, total := lake.storage.PartialsSize(days[0]); {
+		case total == base && total > 0:
+			ends = []int64{base} // a rewrite: one frame again
+		case len(ends) > 0 && total > ends[len(ends)-1]:
+			ends = append(ends, total)
+		}
+	}
+	if len(ends) < 4 {
+		t.Fatalf("the day ended with %d frames outstanding, the test needs 4", len(ends))
+	}
+	ckpt, _ := filepath.Glob(filepath.Join(lake.aggDir, "parts-*"))
+	if len(ckpt) != 1 {
+		t.Fatalf("expected one checkpoint file, found %v", ckpt)
+	}
+	name := filepath.Base(ckpt[0])
+
+	type damage struct {
+		what   string
+		frames int // whole frames a reader must still see
+		apply  func(b []byte) []byte
+	}
+	var cases []damage
+	last := ends[3] - ends[2]
+	for _, off := range []int64{0, 1, 4, 11, 12, last / 3, last / 2, last - 1} {
+		cut := ends[2] + off
+		cases = append(cases, damage{fmt.Sprintf("last frame cut at byte %d of %d", off, last), 3,
+			func(b []byte) []byte { return b[:cut] }})
+	}
+	for _, at := range []int64{ends[0] + 6, (ends[0] + ends[1]) / 2} {
+		cases = append(cases, damage{fmt.Sprintf("bit flipped at byte %d (second frame spans %d..%d)", at, ends[0], ends[1]), 1,
+			func(b []byte) []byte { b[at] ^= 0x04; return b }})
+	}
+
+	for _, c := range cases {
+		t.Run(c.what, func(t *testing.T) {
+			dir := t.TempDir()
+			copyTree(t, pristine, dir)
+			lake := openTestLake(t, dir)
+			path := filepath.Join(lake.aggDir, name)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, c.apply(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			parts, err := lake.storage.LoadPartials(days[0])
+			if err != nil || len(parts) != c.frames {
+				t.Fatalf("LoadPartials over the damaged file: %d frames (err %v), want %d", len(parts), err, c.frames)
+			}
+
+			in, err := Open(config(lake))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Recovery left one whole base behind: the damage is gone
+			// before anything is appended after it.
+			if base, total := lake.storage.PartialsSize(days[0]); base == 0 || base != total {
+				t.Errorf("after recovery the checkpoint is %d bytes behind a %d-byte base frame, want the base alone", total-base, base)
+			}
+			runUntil(t, in, w, days, ^uint64(0))
+			if err := in.SealAll(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := in.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(lakeCanon(t, lake.storage, days[0]), want) {
+				t.Error("lake recovered over the damaged checkpoint diverges from the batch fold")
+			}
+		})
+	}
+}
+
+// copyTree copies the directory tree under src into dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

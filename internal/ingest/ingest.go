@@ -5,9 +5,11 @@
 // today was still happening (sections 2.2–2.3). The Ingester is that
 // loop: records enter in export order, land in a per-day write-ahead
 // log, fold into a live analytics.Partial that is checkpointed
-// incrementally through the same parts-*.gob.gz snapshots the batch
-// pipeline's shard cache uses (so Pipeline serves hot days with zero
-// extra machinery), and seal into ordinary lake day files at rollover
+// incrementally through the same parts-* files the batch pipeline's
+// shard cache uses (so Pipeline serves hot days with zero extra
+// machinery) — each checkpoint appends only what was folded since the
+// last one, and the appended deltas are folded back into one base on
+// a size rule — and seal into ordinary lake day files at rollover
 // — after which background compaction rewrites them columnar. The
 // WAL/lake pair is an LSM: unsealed data lives only in the WAL, the
 // sealed lake is immutable, and the merge monoid guarantees the
@@ -16,11 +18,15 @@
 //
 // Crash contract: a record is durable once its WAL append has been
 // flushed (every checkpoint flushes first). Recovery replays each
-// open day's WAL over its last checkpoint — the checkpoint records
-// how many leading WAL frames it covers, replay folds the rest — and
-// the resume cursor plus per-day stream ordinals make re-delivered
-// records exact no-ops. No crash point loses or double-counts a
-// record; crash_test.go proves it by killing the loop everywhere.
+// open day's WAL over its last checkpoint — the checkpoint's whole
+// frames say how many leading WAL frames they cover (a torn or
+// damaged frame ends the list: an older snapshot, still a WAL
+// prefix), replay folds the rest — and the resume cursor plus per-day
+// stream ordinals make re-delivered records exact no-ops. No crash
+// point loses or double-counts a record; crash_test.go proves it by
+// killing the loop everywhere. "Durable" means handed to the kernel:
+// nothing here fsyncs, so the contract holds against the process
+// dying, not against the machine losing power.
 package ingest
 
 import (
@@ -56,6 +62,14 @@ var (
 	mSealFailures  = metrics.GetCounter("ingest.seal_failures")
 	mCompactions   = metrics.GetCounter("ingest.compactions")
 	mCompactErrors = metrics.GetCounter("ingest.compaction_failures")
+
+	// Write amplification and read fan-in of the checkpoint files:
+	// bytes written by checkpoints (delta frames and base rewrites
+	// alike), how many of them rewrote the base, and how many frames a
+	// hot-day reader must merge across the open days right now.
+	mCkptBytes    = metrics.GetCounter("ingest.checkpoint_bytes")
+	mBaseRewrites = metrics.GetCounter("ingest.base_rewrites")
+	mCkptFrames   = metrics.GetGauge("ingest.checkpoint_frames")
 )
 
 // Storage is the slice of the pipeline storage surface the daemon
@@ -67,7 +81,10 @@ type Storage interface {
 	WriteDay(day time.Time, emit func(write func(*flowrec.Record) error) error) (uint64, error)
 	HasDay(day time.Time) bool
 	SavePartials(day time.Time, parts []*analytics.Partial) error
+	AppendPartial(day time.Time, p *analytics.Partial) error
+	PartialsSize(day time.Time) (base, total int64)
 	LoadPartials(day time.Time) ([]*analytics.Partial, error)
+	SweepTemps(day time.Time) error
 }
 
 // Compactor rewrites a sealed day into another format in place;
@@ -162,6 +179,14 @@ type dayState struct {
 	base *analytics.Partial    // merged checkpointed partials, nil before the first
 	live uint64                // records in agg
 
+	// The checkpoint file as this incarnation left it: how many frames
+	// it holds (one base, then deltas), the base frame's bytes and the
+	// file's. frames is 0 until this incarnation has written the base
+	// itself, and again after a failed write — a file it did not write
+	// whole is never appended to.
+	frames              int
+	baseBytes, fileSize int64
+
 	count   uint64 // records absorbed (WAL frames), checkpointed or not
 	ordinal uint64 // day records seen in the stream, duplicates included
 	walHave uint64 // recovered frames a resumed stream re-delivers as dups
@@ -194,9 +219,11 @@ type Ingester struct {
 
 // Open builds an Ingester over cfg, recovering any state a previous
 // incarnation left in the WAL: for every unsealed WAL day it reloads
-// the last checkpoint, replays the uncovered WAL suffix into the live
-// aggregator, and computes the stream cursor to resume from
-// (Resume()). WAL days that already exist in the lake were sealed by
+// the last checkpoint (its base frame and every whole delta behind
+// it), replays the uncovered WAL suffix into the live aggregator,
+// rewrites the checkpoint as one base frame covering both, and
+// computes the stream cursor to resume from (Resume()). WAL days that
+// already exist in the lake were sealed by
 // a crashed incarnation after their WriteDay committed; their
 // segments are discarded.
 func Open(cfg Config) (*Ingester, error) {
@@ -263,6 +290,14 @@ func Open(cfg Config) (*Ingester, error) {
 		in.days[day.Unix()] = st
 		recovered = true
 	}
+	// Recovered days go back to one base frame covering everything the
+	// WAL held: whatever tail the dead incarnation tore is gone before
+	// anything is appended behind it, and hot-day queries see the
+	// replayed records at once. (After the loop: the cursor a checkpoint
+	// writes names every open day.)
+	for _, st := range in.sortedDays() {
+		in.checkpointDay(context.TODO(), st, true)
+	}
 	// The watermark restarts at zero and rebuilds from the resumed
 	// stream. Guessing it from the WAL would be worse than useless: an
 	// overestimate seals a day whose torn-off tail is still pending
@@ -291,6 +326,12 @@ func Open(cfg Config) (*Ingester, error) {
 // recoverDay rebuilds one open day from checkpoint + WAL replay.
 func (in *Ingester) recoverDay(day time.Time, ordinalBase uint64) (*dayState, error) {
 	st := &dayState{day: day, agg: analytics.NewAggregator(day, in.cls), ordinal: ordinalBase}
+
+	// A base rewrite killed before its rename left a temp sibling, and
+	// this ingester is now the day's one writer.
+	if err := in.cfg.Storage.SweepTemps(day); err != nil {
+		in.cfg.Logf("ingest: sweeping %s checkpoint temps: %v", day.Format("2006-01-02"), err)
+	}
 
 	var covered uint64
 	if parts, err := in.cfg.Storage.LoadPartials(day); err == nil && len(parts) > 0 {
@@ -458,7 +499,7 @@ func (in *Ingester) Ingest(ctx context.Context, rec *flowrec.Record, at time.Tim
 	mRecords.Inc()
 
 	if st.live >= uint64(in.cfg.CheckpointEvery) {
-		in.checkpointDay(ctx, st)
+		in.checkpointDay(ctx, st, false)
 	}
 	return in.advance(ctx, at)
 }
@@ -572,18 +613,26 @@ func (in *Ingester) sealDay(ctx context.Context, st *dayState) error {
 	delete(in.days, day.Unix())
 	in.sealed[day.Unix()] = true
 	mOpenDays.Set(int64(len(in.days)))
+	in.updateFrames()
 	mSeals.Inc()
 	in.compact(day)
 	return nil
 }
 
 // checkpointDay folds the live aggregator into the day's base partial
-// and persists the snapshot. The fold happens first, so a failed save
+// and persists what it folded: appended to the day's checkpoint file
+// as a delta frame, so the cost is that of the records since the last
+// checkpoint, or — when this incarnation has no whole file of its own
+// yet, when the deltas appended since the last rewrite outweigh the
+// base frame, or when fold is set (recovery, Close) and deltas are
+// outstanding — as a rewrite of the file to one base frame. The rule
+// bounds a reader's fan-in at twice the base and needs no tuning: both
+// sizes come off the file. The fold happens first, so a failed write
 // degrades to "checkpoint is stale" — the base stays in memory, the
-// WAL stays authoritative, and the next checkpoint persists the
-// accumulated state.
-func (in *Ingester) checkpointDay(ctx context.Context, st *dayState) {
-	if st.live == 0 {
+// WAL stays authoritative, and the next checkpoint rewrites the file
+// whole rather than append behind what may be a torn frame.
+func (in *Ingester) checkpointDay(ctx context.Context, st *dayState, fold bool) {
+	if st.live == 0 && (!fold || st.base == nil || st.frames == 1) {
 		return
 	}
 	if st.wal != nil {
@@ -592,30 +641,45 @@ func (in *Ingester) checkpointDay(ctx context.Context, st *dayState) {
 			return // without a durable WAL prefix the snapshot may cover lost records
 		}
 	}
-	p := st.agg.Partial()
+	delta := st.agg.Partial()
 	st.agg = analytics.NewAggregator(st.day, in.cls)
 	st.live = 0
 	if st.base == nil {
 		st.base = analytics.NewPartial(st.day)
 	}
-	if err := st.base.Merge(p); err != nil {
+	if err := st.base.Merge(delta); err != nil {
 		in.cfg.Logf("ingest: checkpoint merge %s: %v", st.day.Format("2006-01-02"), err)
 		return
 	}
 	day := st.day
+	rewrite := fold || st.frames == 0 || st.fileSize-st.baseBytes > st.baseBytes
 	op := func() error {
 		if err := in.cfg.Faults.OpFault(faultinject.OpCheckpoint, day); err != nil {
 			return err
 		}
-		return in.cfg.Storage.SavePartials(day, []*analytics.Partial{st.base})
+		if rewrite {
+			return in.cfg.Storage.SavePartials(day, []*analytics.Partial{st.base})
+		}
+		return in.cfg.Storage.AppendPartial(day, delta)
 	}
 	if err := in.cfg.Retry.Do(ctx, uint64(day.Unix()), op); err != nil {
+		st.frames = 0
+		in.updateFrames()
 		mCkptFailures.Inc()
 		in.cfg.Logf("ingest: checkpoint %s failed (will retry with next batch): %v",
 			day.Format("2006-01-02"), err)
 		return
 	}
 	mCheckpoints.Inc()
+	if rewrite {
+		mBaseRewrites.Inc()
+		st.frames, st.fileSize = 0, 0
+	}
+	st.frames++
+	base, total := in.cfg.Storage.PartialsSize(day)
+	mCkptBytes.Add(uint64(max(total-st.fileSize, 0)))
+	st.baseBytes, st.fileSize = base, total
+	in.updateFrames()
 	// New partials are now visible to a hot-day reader sharing the agg
 	// cache: move the lake generation so its cached responses refetch.
 	in.bumpGeneration()
@@ -624,11 +688,21 @@ func (in *Ingester) checkpointDay(ctx context.Context, st *dayState) {
 	}
 }
 
+// updateFrames publishes the frames outstanding across the open days'
+// checkpoint files.
+func (in *Ingester) updateFrames() {
+	n := 0
+	for _, st := range in.days {
+		n += st.frames
+	}
+	mCkptFrames.Set(int64(n))
+}
+
 // CheckpointAll checkpoints every open day — the interval-based
-// trigger (edged calls it on a timer) and the graceful-shutdown path.
+// trigger (edged calls it on a timer).
 func (in *Ingester) CheckpointAll(ctx context.Context) {
 	for _, st := range in.sortedDays() {
-		in.checkpointDay(ctx, st)
+		in.checkpointDay(ctx, st, false)
 	}
 }
 
@@ -651,11 +725,14 @@ func (in *Ingester) SealAll(ctx context.Context) error {
 }
 
 // Close shuts the Ingester down gracefully without sealing: open days
-// are checkpointed, their WAL segments flushed and closed, the resume
-// cursor written, and the background compactor drained. A later Open
-// over the same WALDir continues exactly where this one stopped.
+// are checkpointed down to one base frame each, their WAL segments
+// flushed and closed, the resume cursor written, and the background
+// compactor drained. A later Open over the same WALDir continues
+// exactly where this one stopped.
 func (in *Ingester) Close(ctx context.Context) error {
-	in.CheckpointAll(ctx)
+	for _, st := range in.sortedDays() {
+		in.checkpointDay(ctx, st, true)
+	}
 	var firstErr error
 	for _, st := range in.days {
 		if st.wal != nil {

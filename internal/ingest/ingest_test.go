@@ -86,12 +86,18 @@ func lakeCanon(t *testing.T, storage *core.DiskStorage, day time.Time) []byte {
 type testLake struct {
 	store   *flowrec.Store
 	storage *core.DiskStorage
+	aggDir  string
 	walDir  string
 }
 
 func newTestLake(t *testing.T) *testLake {
 	t.Helper()
-	dir := t.TempDir()
+	return openTestLake(t, t.TempDir())
+}
+
+// openTestLake opens (or creates) the lake tree under dir.
+func openTestLake(t *testing.T, dir string) *testLake {
+	t.Helper()
 	store, err := flowrec.OpenStoreFormat(filepath.Join(dir, "lake"), flowrec.FormatV1)
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +105,7 @@ func newTestLake(t *testing.T) *testLake {
 	return &testLake{
 		store:   store,
 		storage: core.NewDiskStorage(store, filepath.Join(dir, "agg")),
+		aggDir:  filepath.Join(dir, "agg"),
 		walDir:  filepath.Join(dir, "lake", flowrec.WALDirName),
 	}
 }
@@ -126,6 +133,7 @@ func TestStreamedEqualsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckBefore, sealsBefore := mCheckpoints.Load(), mSeals.Load()
+	rwBefore, bytesBefore := mBaseRewrites.Load(), mCkptBytes.Load()
 
 	src := w.Stream(days)
 	var sr simnet.StreamRecord
@@ -146,8 +154,20 @@ func TestStreamedEqualsBatch(t *testing.T) {
 	if got := mSeals.Load() - sealsBefore; got != uint64(len(days)) {
 		t.Fatalf("sealed %d days, want %d", got, len(days))
 	}
-	if mCheckpoints.Load() == ckBefore {
+	cks, rws := mCheckpoints.Load()-ckBefore, mBaseRewrites.Load()-rwBefore
+	if cks == 0 {
 		t.Fatal("no incremental checkpoints happened at CheckpointEvery=256")
+	}
+	// Most checkpoints append a delta; the size rule folds them back
+	// often enough that a day never reads as a pile of them.
+	if rws < uint64(len(days)) || rws >= cks {
+		t.Errorf("%d of %d checkpoints rewrote the base; want at least one a day and deltas in between", rws, cks)
+	}
+	if mCkptBytes.Load() == bytesBefore {
+		t.Error("ingest.checkpoint_bytes did not move")
+	}
+	if n := mCkptFrames.Load(); n != 0 {
+		t.Errorf("ingest.checkpoint_frames reads %d with every day sealed", n)
 	}
 
 	for _, day := range days {

@@ -165,6 +165,9 @@ func (m *memLake) LoadAgg(time.Time) (*analytics.DayAgg, error)         { return
 func (m *memLake) SaveAgg(*analytics.DayAgg) error                      { return nil }
 func (m *memLake) LoadPartials(time.Time) ([]*analytics.Partial, error) { return nil, nil }
 func (m *memLake) SavePartials(time.Time, []*analytics.Partial) error   { return nil }
+func (m *memLake) AppendPartial(time.Time, *analytics.Partial) error    { return nil }
+func (m *memLake) PartialsSize(time.Time) (int64, int64)                { return 0, 0 }
+func (m *memLake) SweepTemps(time.Time) error                           { return nil }
 func (m *memLake) LoadRollup(analytics.Grain, time.Time) (*analytics.Rollup, error) {
 	return nil, nil
 }

@@ -105,6 +105,9 @@ func (f *fakeStorage) LoadPartials(time.Time) ([]*analytics.Partial, error) {
 	return nil, nil
 }
 func (f *fakeStorage) SavePartials(time.Time, []*analytics.Partial) error { return nil }
+func (f *fakeStorage) AppendPartial(time.Time, *analytics.Partial) error  { return nil }
+func (f *fakeStorage) PartialsSize(time.Time) (int64, int64)              { return 0, 0 }
+func (f *fakeStorage) SweepTemps(time.Time) error                         { return nil }
 func (f *fakeStorage) LoadRollup(analytics.Grain, time.Time) (*analytics.Rollup, error) {
 	return nil, nil
 }
