@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci vet fmt build test procsmatrix race claims allocbudget chaos streamequiv servequiv servequiv-update cacheequiv scanequiv serve-smoke fuzzsmoke golden cover
+.PHONY: ci vet fmt build test procsmatrix race claims allocbudget chaos streamequiv servequiv servequiv-update cacheequiv scanequiv serve-smoke examples fuzzsmoke golden cover loc
 
 ## ci: the full gate — what a PR must pass.
-ci: fmt vet build allocbudget procsmatrix race claims chaos streamequiv servequiv cacheequiv scanequiv serve-smoke fuzzsmoke cover
+ci: fmt vet build allocbudget procsmatrix race claims chaos streamequiv servequiv cacheequiv scanequiv serve-smoke examples fuzzsmoke cover
 
 vet:
 	$(GO) vet ./...
@@ -123,6 +123,16 @@ serve-smoke:
 	kill $$pid; wait $$pid 2>/dev/null || true; \
 	echo "serve-smoke ok"
 
+## examples: the example programs are documentation that compiles, so
+## they must also run — vet them, then run each to completion (all
+## four simulate in memory: offline, a few seconds, nothing written).
+examples:
+	$(GO) vet ./examples/...
+	@set -e; for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null; \
+	done
+
 ## fuzzsmoke: a short fuzz pass over every fuzz target. Each target
 ## gets -fuzztime seconds of mutation on top of its checked-in corpus;
 ## crashes fail the gate.
@@ -153,3 +163,11 @@ fuzzsmoke:
 golden:
 	$(GO) test ./internal/core -run '^TestGoldenFigures$$' -update-golden -count=1
 	@echo "regenerated internal/core/testdata/golden"
+
+## loc: the three size figures ROADMAP.md and CHANGES.md quote — lines
+## of non-test Go outside benchmark/, of non-test Go in benchmark/, and
+## of test Go — whole lines, comments and blanks included.
+loc:
+	@printf 'non-test Go outside benchmark/: %s\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@printf 'non-test Go in benchmark/:      %s\n' "$$(find ./benchmark -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'test Go:                        %s\n' "$$(find . -name '*_test.go' | xargs cat | wc -l)"

@@ -49,7 +49,7 @@ func main() {
 		ckIntv    = flag.Duration("checkpoint-interval", 30*time.Second, "also checkpoint all open days this often (wall clock; 0 disables)")
 		grace     = flag.Duration("grace", 8*time.Hour, "how long past midnight a day stays open for late flows (stream clock)")
 		sealEmpty = flag.Bool("seal-empty-days", false, "seal valid empty day files for silent calendar days (leave off with -stride > 1)")
-		compactTo = flag.String("compact", "v3", "background-compact sealed days to this format (v1, v2, v3; empty disables)")
+		compactTo = flag.String("compact", "v3", "background-compact sealed days to this format (v1, v3; empty disables)")
 		pace      = flag.Int("pace", 0, "throttle to this many records/second (0 = full speed)")
 		retries   = flag.Int("retries", 3, "attempts for transient checkpoint/seal failures")
 		verbose   = flag.Bool("v", false, "log seals, recoveries and degradations to stderr")

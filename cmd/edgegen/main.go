@@ -33,7 +33,7 @@ func main() {
 		adsl    = flag.Int("adsl", 0, "ADSL subscriber count (0 = default)")
 		ftth    = flag.Int("ftth", 0, "FTTH subscriber count (0 = default)")
 		csv     = flag.String("csv", "", "also dump the first generated day as CSV to this file")
-		format  = flag.String("format", "v1", "day-file format: v1 (row codec), v2 (columnar) or v3 (columnar, per-block compression); readers auto-detect")
+		format  = flag.String("format", "v1", "day-file format: v1 (row codec) or v3 (columnar, per-block compression); readers auto-detect")
 		compact = flag.Bool("compact", false, "skip generation; recompact the existing store's days into -format (parallel, atomic per day)")
 		aggDir  = flag.String("agg", "", "after generating, prewarm a per-day aggregate cache in this directory")
 	)

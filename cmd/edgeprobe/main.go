@@ -44,7 +44,7 @@ func main() {
 		adsl    = flag.Int("adsl", 12, "ADSL subscriber count")
 		ftth    = flag.Int("ftth", 6, "FTTH subscriber count")
 		capKiB  = flag.Int("flowcap", 96, "materialised payload cap per flow direction (KiB)")
-		format  = flag.String("format", "v1", "day-file format: v1 (row codec), v2 (columnar) or v3 (columnar, per-block compression); readers auto-detect")
+		format  = flag.String("format", "v1", "day-file format: v1 (row codec) or v3 (columnar, per-block compression); readers auto-detect")
 		pcapIn  = flag.String("pcap-in", "", "replay packets from this pcap file instead of simulating")
 		pcapOut = flag.String("pcap-out", "", "also dump the simulated packet stream to this pcap file")
 	)

@@ -206,7 +206,7 @@ func NewAggregator(day time.Time, cls *classify.Classifier) *Aggregator {
 // NewAggregatorCols starts an aggregation that only feeds the
 // accumulators whose input columns are inside cols (zero means all
 // columns). Gating is the column-pruning contract's other half: a
-// record decoded from a pruned v2 scan carries zero values in the
+// record decoded from a pruned v3 scan carries zero values in the
 // unrequested fields, and a v1 record carries real ones — gating off
 // the accumulators that would read them makes the two byte-identical.
 func NewAggregatorCols(day time.Time, cls *classify.Classifier, cols flowrec.ColumnSet) *Aggregator {
@@ -444,11 +444,17 @@ func (d *DayAgg) ObservedSubs() (adsl, ftth int) {
 }
 
 // Source supplies raw records for a day. Implementations: the on-disk
-// store, or a simulation world directly (wired in core).
+// store (StoreSource), or a simulation world directly (FuncSource,
+// wired in core).
 type Source interface {
-	// Records streams one day's records. A day with no data returns
-	// ErrNoData (probe outage); stage one skips it.
-	Records(day time.Time, fn func(*flowrec.Record)) error
+	// Records streams the records of one day that match sc.Pred, with
+	// at least the columns of sc.Cols populated (zero Cols means all of
+	// them); delivering more columns is fine — pruning is an
+	// optimisation, the aggregator's column gating is the correctness
+	// boundary. The read stops with ctx's error within a few thousand
+	// records of ctx being done. A day with no data returns ErrNoData
+	// (probe outage); stage one skips it.
+	Records(ctx context.Context, day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record)) error
 }
 
 // ErrNoData marks a missing day — the probe outages of section 2.3.
@@ -699,7 +705,7 @@ func runDay(ctx context.Context, src Source, day time.Time, cls *classify.Classi
 				}
 			}
 		}
-		if rerr := recordsCols(dctx, src, day, scanFor(cfg.Cols, 1), add); rerr != nil {
+		if rerr := src.Records(dctx, day, scanFor(cfg.Cols, 1), add); rerr != nil {
 			return rerr
 		}
 		if rerr := sp.firstErr(); rerr != nil {

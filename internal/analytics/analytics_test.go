@@ -304,19 +304,17 @@ func TestDailyVolumeDist(t *testing.T) {
 }
 
 // fakeSource serves canned records and outages.
-type fakeSource struct {
-	data map[time.Time][]*flowrec.Record
-}
-
-func (f fakeSource) Records(day time.Time, fn func(*flowrec.Record)) error {
-	recs, ok := f.data[day]
-	if !ok {
-		return ErrNoData
+func fakeSource(data map[time.Time][]*flowrec.Record) FuncSource {
+	return func(day time.Time, fn func(*flowrec.Record)) error {
+		recs, ok := data[day]
+		if !ok {
+			return ErrNoData
+		}
+		for _, r := range recs {
+			fn(r)
+		}
+		return nil
 	}
-	for _, r := range recs {
-		fn(r)
-	}
-	return nil
 }
 
 func TestRunParallelAndOutages(t *testing.T) {
@@ -324,9 +322,9 @@ func TestRunParallelAndOutages(t *testing.T) {
 	d2 := time.Date(2015, 1, 2, 0, 0, 0, 0, time.UTC)
 	d3 := time.Date(2015, 1, 3, 0, 0, 0, 0, time.UTC)
 	rec := mkRec(1, flowrec.TechADSL, "x.example", 1<<20, 1<<10)
-	src := fakeSource{data: map[time.Time][]*flowrec.Record{
+	src := fakeSource(map[time.Time][]*flowrec.Record{
 		d1: {rec}, d3: {rec, rec},
-	}}
+	})
 	aggs, err := Run(src, []time.Time{d3, d2, d1}, nil, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -342,14 +340,11 @@ func TestRunParallelAndOutages(t *testing.T) {
 	}
 }
 
-type errSource struct{}
-
-func (errSource) Records(time.Time, func(*flowrec.Record)) error {
-	return errors.New("disk on fire")
-}
-
 func TestRunPropagatesErrors(t *testing.T) {
-	_, err := Run(errSource{}, []time.Time{testDay}, nil, 2)
+	src := FuncSource(func(time.Time, func(*flowrec.Record)) error {
+		return errors.New("disk on fire")
+	})
+	_, err := Run(src, []time.Time{testDay}, nil, 2)
 	if err == nil {
 		t.Fatal("error swallowed")
 	}

@@ -3,12 +3,12 @@ package analytics
 import "repro/internal/flowrec"
 
 // Column requirements of stage one. Each experiment declares the
-// column set its aggregates actually consume; a columnar (v2) store
+// column set its aggregates actually consume; a columnar (v3) store
 // then decodes only those columns and never touches the rest. The
 // sets here are a correctness contract, not a hint: the aggregator
 // gates its accumulators on the same set (see NewAggregatorCols), so
 // a v1 store — which always decodes every field — produces
-// byte-identical aggregates to a pruned v2 scan. An under-declared
+// byte-identical aggregates to a pruned v3 scan. An under-declared
 // set therefore fails loudly (a missing accumulator) rather than
 // silently aggregating zeros.
 

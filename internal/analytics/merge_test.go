@@ -82,18 +82,18 @@ func genDayRecords(seed uint64, n int) []flowrec.Record {
 // sliceSource serves a fixed record slice as a day source, handing the
 // callback a reused buffer record exactly like the store decoder does
 // — any aliasing bug in the shard fan-out shows up as corruption.
-type sliceSource struct{ recs []flowrec.Record }
-
-func (s sliceSource) Records(day time.Time, fn func(*flowrec.Record)) error {
-	if len(s.recs) == 0 {
-		return ErrNoData
+func sliceSource(recs []flowrec.Record) FuncSource {
+	return func(day time.Time, fn func(*flowrec.Record)) error {
+		if len(recs) == 0 {
+			return ErrNoData
+		}
+		var buf flowrec.Record
+		for i := range recs {
+			buf = recs[i]
+			fn(&buf)
+		}
+		return nil
 	}
-	var buf flowrec.Record
-	for i := range s.recs {
-		buf = s.recs[i]
-		fn(&buf)
-	}
-	return nil
 }
 
 func canon(t *testing.T, agg *DayAgg) []byte {
@@ -121,7 +121,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 		recs := genDayRecords(seed, 4000)
 		want := canon(t, foldSerial(recs))
 		for _, k := range []int{1, 2, 3, 8} {
-			agg, err := shardDay(context.Background(), sliceSource{recs}, testDay, nil, k, nil, 0, false, nil)
+			agg, err := shardDay(context.Background(), sliceSource(recs), testDay, nil, k, nil, 0, false, nil)
 			if err != nil {
 				t.Fatalf("seed %d shards %d: %v", seed, k, err)
 			}
@@ -138,7 +138,7 @@ func TestShardedRunReport(t *testing.T) {
 	recs := genDayRecords(3, 3000)
 	want := canon(t, foldSerial(recs))
 	for _, k := range []int{0, 2, 5} {
-		aggs, dayErrs, err := RunReport(context.Background(), sliceSource{recs},
+		aggs, dayErrs, err := RunReport(context.Background(), sliceSource(recs),
 			[]time.Time{testDay}, nil, RunConfig{Workers: 2, ShardsPerDay: k})
 		if err != nil || len(dayErrs) > 0 {
 			t.Fatalf("shards %d: err=%v dayErrs=%v", k, err, dayErrs)
@@ -311,7 +311,7 @@ func TestInputOrderMetamorphic(t *testing.T) {
 			t.Errorf("shuffle seed %d changed the aggregate", seed)
 		}
 		// And the sharded path over the shuffle too.
-		agg, err := shardDay(context.Background(), sliceSource{shuffled}, testDay, nil, 3, nil, 0, false, nil)
+		agg, err := shardDay(context.Background(), sliceSource(shuffled), testDay, nil, 3, nil, 0, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

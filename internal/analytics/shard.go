@@ -67,7 +67,7 @@ const shardBatch = 512
 // unmerged partials first (the cache hook) — unless the run spilled,
 // in which case the in-memory partials are an incomplete set and the
 // hook is skipped. cols is the run's column contract: the source scan
-// projects to it, and the v2 store's block decode reuses the shard
+// projects to it, and the v3 store's block decode reuses the shard
 // workers' parallelism budget (the fan-out consumer is otherwise the
 // serial bottleneck). sp, when non-nil, bounds each shard worker's
 // live memory: a worker over its budget share spills its partial and
@@ -115,7 +115,7 @@ func shardDay(ctx context.Context, src Source, day time.Time, cls *classify.Clas
 		chans[k] <- bufs[k]
 		bufs[k] = nil
 	}
-	err := recordsCols(ctx, src, day, scanFor(cols, shards), func(r *flowrec.Record) {
+	err := src.Records(ctx, day, scanFor(cols, shards), func(r *flowrec.Record) {
 		k := r.Shard(shards)
 		counts[k]++
 		if bufs[k] == nil {

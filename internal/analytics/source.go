@@ -8,39 +8,27 @@ import (
 	"repro/internal/flowrec"
 )
 
-// DayReader is the read surface StoreSource needs: *flowrec.Store
-// satisfies it, and so does any storage wrapper (core.Storage, the
-// fault injector) — stage one does not care what sits below.
+// DayReader is the one read a day store offers: a column-projected,
+// predicate-filtered scan of one day's file. *flowrec.Store satisfies
+// it, and so does any storage wrapper (core.Storage, the fault
+// injector) — stage one and the scan engine do not care what sits
+// below.
 type DayReader interface {
-	ReadDay(day time.Time, fn func(*flowrec.Record) error) error
+	ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error
 }
 
-// StoreSource reads records from a day-partitioned store.
+// StoreSource reads records from a day-partitioned store, pushing the
+// scan all the way down.
 type StoreSource struct {
 	Store DayReader
 }
 
-// Records implements Source.
-func (s StoreSource) Records(day time.Time, fn func(*flowrec.Record)) error {
-	err := s.Store.ReadDay(day, func(r *flowrec.Record) error {
-		fn(r)
-		return nil
-	})
-	if errors.Is(err, flowrec.ErrNoDay) {
-		return ErrNoData
-	}
-	return err
-}
-
-// RecordsContext implements ContextSource: the read aborts between
-// record batches once ctx is done, so cancellation and per-day
-// deadlines interrupt a day mid-file instead of after it.
-func (s StoreSource) RecordsContext(ctx context.Context, day time.Time, fn func(*flowrec.Record)) error {
-	if ctx == nil || ctx.Done() == nil {
-		return s.Records(day, fn)
-	}
+// Records implements Source. The read aborts once ctx is done, so
+// cancellation and per-day deadlines interrupt a day mid-file instead
+// of after it.
+func (s StoreSource) Records(ctx context.Context, day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record)) error {
 	n := 0
-	err := s.Store.ReadDay(day, func(r *flowrec.Record) error {
+	err := s.Store.ReadDayCols(day, sc, func(r *flowrec.Record) error {
 		// Checking every record would put a branch on the hot decode
 		// loop; every 4096 keeps abort latency well under a
 		// millisecond at store read rates.
@@ -60,77 +48,34 @@ func (s StoreSource) RecordsContext(ctx context.Context, day time.Time, fn func(
 }
 
 // FuncSource adapts a generator function (e.g. a simulation world's
-// EmitDay) to the Source interface.
+// EmitDay) to the Source interface. A generator always emits full
+// records, so the projection is moot; the predicate is applied here.
 type FuncSource func(day time.Time, fn func(*flowrec.Record)) error
 
-// Records implements Source.
-func (f FuncSource) Records(day time.Time, fn func(*flowrec.Record)) error {
-	return f(day, fn)
-}
-
-// ContextSource is the optional cancellable extension of Source.
-// RunReport uses it when the source offers it; plain Sources are
-// cancelled at day granularity only.
-type ContextSource interface {
-	RecordsContext(ctx context.Context, day time.Time, fn func(*flowrec.Record)) error
-}
-
-// ColumnSource is the optional column-projection extension of Source:
-// a source that can decode just the requested columns (and push the
-// predicate down) implements it, and stage one routes scans through
-// it. Records delivered must match sc.Pred and populate at least
-// sc.Cols; delivering more columns is fine — pruning is an
-// optimisation, the aggregator's column gating is the correctness
-// boundary.
-type ColumnSource interface {
-	RecordsCols(ctx context.Context, day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record)) error
-}
-
-// colsDayReader is the projected-read surface a store may offer;
-// *flowrec.Store does, and so do core.Storage wrappers (including the
-// fault injector).
-type colsDayReader interface {
-	ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error
-}
-
-// RecordsCols implements ColumnSource. When the underlying store can
-// project columns, the scan is pushed all the way down; otherwise the
-// day is read in full and only the predicate is applied here, so
-// callers observe identical records either way.
-func (s StoreSource) RecordsCols(ctx context.Context, day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record)) error {
-	cr, ok := s.Store.(colsDayReader)
-	if !ok {
-		pred := sc.Pred
-		return s.RecordsContext(ctx, day, func(r *flowrec.Record) {
-			if pred.Match(r) {
-				fn(r)
-			}
-		})
-	}
+// Records implements Source. A generator cannot be stopped mid-day, so
+// once ctx is done (checked at the same cadence as StoreSource) the
+// rest of the day is dropped and ctx's error returned.
+func (f FuncSource) Records(ctx context.Context, day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record)) error {
 	n := 0
-	checkCtx := ctx != nil && ctx.Done() != nil
-	err := cr.ReadDayCols(day, sc, func(r *flowrec.Record) error {
-		if checkCtx && n&4095 == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
+	var cerr error
+	err := f(day, func(r *flowrec.Record) {
+		if cerr != nil {
+			return
+		}
+		if n&4095 == 0 {
+			if cerr = ctx.Err(); cerr != nil {
+				return
 			}
 		}
 		n++
-		fn(r)
-		return nil
+		if sc.Pred.Match(r) {
+			fn(r)
+		}
 	})
-	if errors.Is(err, flowrec.ErrNoDay) {
-		return ErrNoData
+	if cerr != nil {
+		return cerr
 	}
 	return err
-}
-
-// records reads one day through the most capable interface src offers.
-func records(ctx context.Context, src Source, day time.Time, fn func(*flowrec.Record)) error {
-	if cs, ok := src.(ContextSource); ok {
-		return cs.RecordsContext(ctx, day, fn)
-	}
-	return src.Records(day, fn)
 }
 
 // scanFor builds the ColScan for a run's column contract: zero cols
@@ -141,22 +86,4 @@ func scanFor(cols flowrec.ColumnSet, workers int) flowrec.ColScan {
 		return flowrec.ColScan{}
 	}
 	return flowrec.ColScan{Cols: NormalizeCols(cols), Workers: workers}
-}
-
-// recordsCols is records with a column projection: sources that
-// support projection get the scan pushed down; everything else falls
-// back to a full read with the predicate applied locally.
-func recordsCols(ctx context.Context, src Source, day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record)) error {
-	if sc.Cols == 0 && sc.Pred == nil {
-		return records(ctx, src, day, fn)
-	}
-	if cs, ok := src.(ColumnSource); ok {
-		return cs.RecordsCols(ctx, day, sc, fn)
-	}
-	pred := sc.Pred
-	return records(ctx, src, day, func(r *flowrec.Record) {
-		if pred.Match(r) {
-			fn(r)
-		}
-	})
 }

@@ -32,7 +32,7 @@ func TestSpillEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spills0, passes0 := mSpills.Load(), mSpillMergePass.Load()
-			aggs, dayErrs, err := RunReport(context.Background(), sliceSource{recs},
+			aggs, dayErrs, err := RunReport(context.Background(), sliceSource(recs),
 				[]time.Time{testDay}, nil, RunConfig{
 					ShardsPerDay: tc.shards,
 					MemBudget:    tc.budget,
@@ -62,14 +62,14 @@ func TestSpillEquivalence(t *testing.T) {
 // through gob like the shard-partial cache does.
 func TestSpillSketchEquivalence(t *testing.T) {
 	recs := genDayRecords(19, 4000)
-	base, dayErrs, err := RunReport(context.Background(), sliceSource{recs},
+	base, dayErrs, err := RunReport(context.Background(), sliceSource(recs),
 		[]time.Time{testDay}, nil, RunConfig{Sketch: true})
 	if err != nil || len(dayErrs) > 0 || len(base) != 1 {
 		t.Fatalf("baseline: err=%v dayErrs=%v n=%d", err, dayErrs, len(base))
 	}
 	want := canon(t, base[0])
 
-	spilled, dayErrs, err := RunReport(context.Background(), sliceSource{recs},
+	spilled, dayErrs, err := RunReport(context.Background(), sliceSource(recs),
 		[]time.Time{testDay}, nil, RunConfig{
 			Sketch: true, MemBudget: 8 << 10, SpillDir: t.TempDir(), SpillFanIn: 2,
 		})
@@ -87,7 +87,7 @@ func TestSpillSketchEquivalence(t *testing.T) {
 func TestSpillCleansUp(t *testing.T) {
 	dir := t.TempDir()
 	recs := genDayRecords(21, 4000)
-	_, dayErrs, err := RunReport(context.Background(), sliceSource{recs},
+	_, dayErrs, err := RunReport(context.Background(), sliceSource(recs),
 		[]time.Time{testDay}, nil, RunConfig{
 			MemBudget: 1, SpillDir: dir, ShardsPerDay: 2,
 		})
@@ -112,7 +112,7 @@ func TestSpillDirFailureIsDayError(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := genDayRecords(23, 500)
-	_, dayErrs, err := RunReport(context.Background(), sliceSource{recs},
+	_, dayErrs, err := RunReport(context.Background(), sliceSource(recs),
 		[]time.Time{testDay}, nil, RunConfig{MemBudget: 1, SpillDir: bad})
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ var surfaces = map[string][]spec{
 		{"scale", "default", "population scale: small, default, large"},
 		{"workers", 0, "parallel aggregation workers (0 = NumCPU)"},
 		{"shards", 0, "per-day shard aggregators; results are byte-identical for any value (0 = auto, 1 = serial fold)"},
-		{"store", "", "read records from this flow store instead of simulating (v1/v2/v3 day files auto-detected, experiments decode only the columns they declare)"},
+		{"store", "", "read records from this flow store instead of simulating (v1/v3 day files auto-detected, experiments decode only the columns they declare)"},
 		{"rules", "", "classification rules file (default: built-in list)"},
 		{"aggcache", "", "persist per-day aggregates to this directory across runs"},
 		{"rollup", "", "persist week/month/year rollups to this directory; long-span experiments answer from the coarsest tier that fits"},
@@ -81,7 +81,7 @@ var surfaces = map[string][]spec{
 		{"scale", "default", "population scale: small, default, large"},
 		{"workers", 0, "pipeline aggregation workers per query (0 = NumCPU)"},
 		{"shards", 0, "per-day shard aggregators (0 = auto, 1 = serial fold)"},
-		{"store", "", "serve this flow store (v1/v2/v3 day files auto-detected)"},
+		{"store", "", "serve this flow store (v1/v3 day files auto-detected)"},
 		{"rules", "", "classification rules file (default: built-in list)"},
 		{"aggcache", "", "per-day aggregate cache directory (shared with edged for hot-day serving)"},
 		{"rollup", "", "rollup directory; coarse queries answer from the coarsest tier that fits"},

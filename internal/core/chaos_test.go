@@ -48,7 +48,7 @@ func chaosDays(stride int) []time.Time {
 
 // buildChaosStore materialises the chaos day set once into dir, in the
 // given day-file format — the suite runs the full fault matrix against
-// both, since v2's block structure fails differently under damage.
+// both, since v3's block structure fails differently under damage.
 func buildChaosStore(t *testing.T, dir string, format flowrec.Format, days []time.Time) {
 	t.Helper()
 	store, err := flowrec.OpenStoreFormat(dir, format)
@@ -101,7 +101,7 @@ func chaosPolicy() retry.Policy {
 }
 
 func TestChaosSuite(t *testing.T) {
-	for _, format := range []flowrec.Format{flowrec.FormatV1, flowrec.FormatV2, flowrec.FormatV3} {
+	for _, format := range []flowrec.Format{flowrec.FormatV1, flowrec.FormatV3} {
 		t.Run(format.String(), func(t *testing.T) {
 			chaosSuite(t, format)
 		})
@@ -199,9 +199,8 @@ func chaosSuite(t *testing.T, format flowrec.Format) {
 func TestChaosQuarantineClearsOnRerun(t *testing.T) {
 	days := MonthDays(2016, time.April)
 	dir := t.TempDir()
-	// v2 here: quarantine-on-corruption must work for columnar days too
-	// (the suite above covers v1).
-	buildChaosStore(t, dir, flowrec.FormatV2, days)
+	// v3 here: quarantine-on-corruption must work for columnar days too.
+	buildChaosStore(t, dir, flowrec.FormatV3, days)
 	store, err := flowrec.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -11,9 +11,9 @@ import (
 	"repro/internal/simnet"
 )
 
-// Store-format equivalence: the columnar formats prune columns and
-// skip blocks (v3 additionally inflates per block), so the proof
-// obligation is that no experiment can tell v1, v2 and v3 apart —
+// Store-format equivalence: the columnar format prunes columns, skips
+// blocks and inflates per block, so the proof obligation is that no
+// experiment can tell v1 and v3 apart —
 // same seed, same days, byte-identical canonical aggregates, serial
 // and sharded alike. The second test closes the gap
 // byte-identity cannot see: a column missing from an experiment's
@@ -56,7 +56,7 @@ func colsEqDays() []time.Time {
 
 func TestFormatCanonicalEquivalence(t *testing.T) {
 	days := colsEqDays()
-	formats := []flowrec.Format{flowrec.FormatV1, flowrec.FormatV2, flowrec.FormatV3}
+	formats := []flowrec.Format{flowrec.FormatV1, flowrec.FormatV3}
 	stores := make([]*flowrec.Store, len(formats))
 	for i, format := range formats {
 		stores[i] = buildStoreFormat(t, t.TempDir(), format, days)
@@ -115,15 +115,15 @@ func TestFormatCanonicalEquivalence(t *testing.T) {
 }
 
 // TestDeclaredColumnsSufficeForRender renders every experiment twice
-// from the same v2 store: once normally (aggregates pruned to the
+// from the same v3 store: once normally (aggregates pruned to the
 // experiment's declared column set) and once from a pipeline whose day
 // cache was pre-warmed at full width, so the cache serves unpruned
 // aggregates to the same run. Any divergence means the experiment
-// reads a column its declaration omits — the failure mode v1-vs-v2
+// reads a column its declaration omits — the failure mode v1-vs-v3
 // byte-identity is structurally blind to.
 func TestDeclaredColumnsSufficeForRender(t *testing.T) {
 	days := colsEqDays()
-	store := buildStoreFormat(t, t.TempDir(), flowrec.FormatV2, days)
+	store := buildStoreFormat(t, t.TempDir(), flowrec.FormatV3, days)
 	ctx := context.Background()
 
 	for _, e := range AllExperiments() {

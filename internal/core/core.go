@@ -559,13 +559,14 @@ func (p *Pipeline) computeDays(ctx context.Context, owned []time.Time, entryOf m
 			for _, de := range dayErrs {
 				failed[de.Day] = de.Err
 				mDegradedDays.Inc()
-				// Corrupt days are quarantined so the next run reads an
-				// outage instead of tripping over the same bytes; the
+				// Corrupt days — damage at the codec level or below it,
+				// flowrec marks both — are quarantined so the next run reads
+				// an outage instead of tripping over the same bytes; the
 				// quarantine failing must not break the degrade path.
 				// Rollups that folded the now-gone day are dropped too —
 				// once the day is repaired and rewritten, the covering
 				// windows must recompute rather than serve stale merges.
-				if p.storage != nil && errorsIsCorrupt(de.Err) {
+				if p.storage != nil && errors.Is(de.Err, flowrec.ErrCorrupt) {
 					_ = p.storage.QuarantineDay(de.Day)
 					_ = p.storage.InvalidateRollups(de.Day)
 				}
@@ -602,11 +603,6 @@ func (p *Pipeline) computeDays(ctx context.Context, owned []time.Time, entryOf m
 // cacheAggs reports whether per-day aggregates persist through storage.
 func (p *Pipeline) cacheAggs() bool {
 	return p.storage != nil && p.cfg.AggCacheDir != ""
-}
-
-// errorsIsCorrupt matches data-damage errors (codec or gzip level).
-func errorsIsCorrupt(err error) bool {
-	return errors.Is(err, flowrec.ErrCorrupt)
 }
 
 // eachIndex runs fn(0..n-1) on the pipeline's bounded worker count.

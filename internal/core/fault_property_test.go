@@ -16,7 +16,7 @@ import (
 func TestDegradedTotalsMatchFaultFreeOnSurvivingDays(t *testing.T) {
 	days := MonthDays(2016, time.April)
 	base := t.TempDir()
-	buildChaosStore(t, base, flowrec.FormatV2, days)
+	buildChaosStore(t, base, flowrec.FormatV3, days)
 
 	// Fault-free reference run over its own copy.
 	cleanDir := t.TempDir()

@@ -14,24 +14,18 @@ import (
 	"repro/internal/simnet"
 )
 
-// flakySource fails its first call, then delegates to the world.
-type flakySource struct {
-	fails int
-	world *simnet.World
-}
-
-func (f *flakySource) Records(day time.Time, fn func(*flowrec.Record)) error {
-	if f.fails > 0 {
-		f.fails--
-		return errors.New("transient storage failure")
-	}
-	f.world.EmitDay(day, fn)
-	return nil
-}
-
 func TestAggregateRetriesAfterError(t *testing.T) {
 	p := New(Config{Seed: 99, Scale: simnet.Scale{ADSL: 8, FTTH: 4}, Workers: 1})
-	src := &flakySource{fails: 1, world: p.World}
+	// A source that fails its first call, then delegates to the world.
+	fails := 1
+	src := analytics.FuncSource(func(day time.Time, fn func(*flowrec.Record)) error {
+		if fails > 0 {
+			fails--
+			return errors.New("transient storage failure")
+		}
+		p.World.EmitDay(day, fn)
+		return nil
+	})
 	day := time.Date(2016, 4, 9, 0, 0, 0, 0, time.UTC)
 
 	// Drive Aggregate's internals through a source shim: swap the
@@ -111,7 +105,7 @@ func (f *cancelStorage) setFail(v bool) {
 	f.mu.Unlock()
 }
 
-func (f *cancelStorage) ReadDay(day time.Time, fn func(*flowrec.Record) error) error {
+func (f *cancelStorage) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error {
 	f.mu.Lock()
 	fail := f.fail
 	f.reads++
@@ -125,20 +119,14 @@ func (f *cancelStorage) ReadDay(day time.Time, fn func(*flowrec.Record) error) e
 			Proto: flowrec.ProtoTCP, Tech: flowrec.TechADSL,
 			SubID: uint32(i % 5), BytesDown: 20 << 10, BytesUp: 10 << 10,
 		}
+		if !sc.Pred.Match(&r) {
+			continue
+		}
 		if err := fn(&r); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (f *cancelStorage) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error {
-	return f.ReadDay(day, func(r *flowrec.Record) error {
-		if !sc.Pred.Match(r) {
-			return nil
-		}
-		return fn(r)
-	})
 }
 
 func (f *cancelStorage) WriteDay(time.Time, func(write func(*flowrec.Record) error) error) (uint64, error) {

@@ -152,7 +152,7 @@ func rollupTestDays() []time.Time {
 
 func buildRollupStore(t *testing.T, dir string) *flowrec.Store {
 	t.Helper()
-	store, err := flowrec.OpenStoreFormat(dir, flowrec.FormatV2)
+	store, err := flowrec.OpenStoreFormat(dir, flowrec.FormatV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestRollupSketchModePipeline(t *testing.T) {
 func TestChaosRollupRefresh(t *testing.T) {
 	days := MonthDays(2016, time.April)
 	storeDir, rollDir := t.TempDir(), t.TempDir()
-	buildChaosStore(t, storeDir, flowrec.FormatV2, days)
+	buildChaosStore(t, storeDir, flowrec.FormatV3, days)
 
 	// The clean answer, from a flat exact fold (no rollups involved).
 	cleanStore, err := flowrec.OpenStore(storeDir)

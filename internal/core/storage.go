@@ -22,13 +22,13 @@ import (
 // this interface structurally, which is what lets faultinject avoid
 // importing core.
 type Storage interface {
-	// ReadDay streams one day's flow records; fn errors abort the
-	// read and are returned. A missing day is flowrec.ErrNoDay.
-	ReadDay(day time.Time, fn func(*flowrec.Record) error) error
-	// ReadDayCols is ReadDay with a column projection and predicate
-	// pushdown: a v2 store decodes only the requested columns and
-	// skips blocks the predicate rules out; a v1 store delivers full
-	// records filtered by the predicate. A zero ColScan is ReadDay.
+	// ReadDayCols streams one day's flow records through a column
+	// projection and predicate pushdown: a v3 day decodes only the
+	// requested columns and skips blocks the predicate rules out; a v1
+	// day delivers full records filtered by the predicate. The zero
+	// ColScan reads everything. fn errors abort the read and are
+	// returned; a missing day is flowrec.ErrNoDay, a damaged one wraps
+	// flowrec.ErrCorrupt.
 	ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error
 	// WriteDay (re)creates one day's log: emit receives the write
 	// callback and runs to completion before the log is sealed. The
@@ -130,14 +130,6 @@ func NewDiskStorage(store *flowrec.Store, aggDir string) *DiskStorage {
 func (d *DiskStorage) WithRollupDir(dir string) *DiskStorage {
 	d.rollupDir = dir
 	return d
-}
-
-// ReadDay implements Storage.
-func (d *DiskStorage) ReadDay(day time.Time, fn func(*flowrec.Record) error) error {
-	if d.store == nil {
-		return fmt.Errorf("%w: %s", flowrec.ErrNoDay, day.UTC().Format("2006-01-02"))
-	}
-	return d.store.ReadDay(day, fn)
 }
 
 // ReadDayCols implements Storage.

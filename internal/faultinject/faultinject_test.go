@@ -191,26 +191,20 @@ func newMemStorage() *memStorage {
 	}
 }
 
-func (m *memStorage) ReadDay(d time.Time, fn func(*flowrec.Record) error) error {
+func (m *memStorage) ReadDayCols(d time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error {
 	recs, ok := m.days[d]
 	if !ok {
 		return fmt.Errorf("%w: %s", flowrec.ErrNoDay, d.Format("2006-01-02"))
 	}
 	for _, r := range recs {
+		if !sc.Pred.Match(r) {
+			continue
+		}
 		if err := fn(r); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (m *memStorage) ReadDayCols(d time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error {
-	return m.ReadDay(d, func(r *flowrec.Record) error {
-		if !sc.Pred.Match(r) {
-			return nil
-		}
-		return fn(r)
-	})
 }
 
 func (m *memStorage) WriteDay(d time.Time, emit func(write func(*flowrec.Record) error) error) (uint64, error) {
@@ -290,7 +284,7 @@ func TestWrapperReadFaultUpfront(t *testing.T) {
 	plan, _ := Parse("readday:p=1,transient")
 	s := Wrap(m, plan)
 	n := 0
-	err := s.ReadDay(day(1), func(*flowrec.Record) error { n++; return nil })
+	err := s.ReadDayCols(day(1), flowrec.ColScan{}, func(*flowrec.Record) error { n++; return nil })
 	if err == nil || n != 0 {
 		t.Fatalf("err=%v n=%d, want upfront failure with zero records", err, n)
 	}
@@ -305,7 +299,7 @@ func TestWrapperCorruptionDeliversPrefix(t *testing.T) {
 	plan, _ := Parse("readday:p=1,truncate")
 	s := Wrap(m, plan)
 	n := 0
-	err := s.ReadDay(day(1), func(*flowrec.Record) error { n++; return nil })
+	err := s.ReadDayCols(day(1), flowrec.ColScan{}, func(*flowrec.Record) error { n++; return nil })
 	if !errors.Is(err, flowrec.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt wrap", err)
 	}
@@ -316,7 +310,7 @@ func TestWrapperCorruptionDeliversPrefix(t *testing.T) {
 	m2 := newMemStorage()
 	fillDay(m2, day(2), 1)
 	s2 := Wrap(m2, plan)
-	if err := s2.ReadDay(day(2), func(*flowrec.Record) error { return nil }); !errors.Is(err, flowrec.ErrCorrupt) {
+	if err := s2.ReadDayCols(day(2), flowrec.ColScan{}, func(*flowrec.Record) error { return nil }); !errors.Is(err, flowrec.ErrCorrupt) {
 		t.Errorf("1-record day under truncation: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -348,7 +342,7 @@ func TestWrapperLatencyOnly(t *testing.T) {
 	s := Wrap(m, plan)
 	t0 := time.Now()
 	n := 0
-	if err := s.ReadDay(day(1), func(*flowrec.Record) error { n++; return nil }); err != nil {
+	if err := s.ReadDayCols(day(1), flowrec.ColScan{}, func(*flowrec.Record) error { n++; return nil }); err != nil {
 		t.Fatalf("latency-only rule failed the read: %v", err)
 	}
 	if n != 3 {
@@ -364,7 +358,7 @@ func TestWrapperPassThrough(t *testing.T) {
 	fillDay(m, day(1), 5)
 	s := Wrap(m, nil) // nil plan: everything passes through
 	n := 0
-	if err := s.ReadDay(day(1), func(*flowrec.Record) error { n++; return nil }); err != nil || n != 5 {
+	if err := s.ReadDayCols(day(1), flowrec.ColScan{}, func(*flowrec.Record) error { n++; return nil }); err != nil || n != 5 {
 		t.Fatalf("nil plan: err=%v n=%d", err, n)
 	}
 	if wn, err := s.WriteDay(day(2), func(write func(*flowrec.Record) error) error {
@@ -422,7 +416,7 @@ func TestTransientReadConvergesUnderRetry(t *testing.T) {
 	for d := 1; d <= 30; d++ {
 		dd := day(d)
 		err := pol.Do(nil, uint64(dd.Unix()), func() error {
-			return s.ReadDay(dd, func(*flowrec.Record) error { return nil })
+			return s.ReadDayCols(dd, flowrec.ColScan{}, func(*flowrec.Record) error { return nil })
 		})
 		if err != nil {
 			t.Fatalf("day %d did not converge under retry: %v", d, err)

@@ -13,10 +13,9 @@ import (
 // structural interface breaks the cycle). It is method-for-method
 // identical to core.Storage, so a *FaultyStorage satisfies both.
 type Storage interface {
-	// ReadDay streams one day's flow records; fn errors abort the read.
-	ReadDay(day time.Time, fn func(*flowrec.Record) error) error
-	// ReadDayCols is ReadDay with a column projection and predicate
-	// pushdown (see core.Storage).
+	// ReadDayCols streams one day's flow records through a column
+	// projection and predicate pushdown; fn errors abort the read (see
+	// core.Storage).
 	ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error
 	// WriteDay materialises one day: emit receives a write callback
 	// and the record count is returned.
@@ -63,44 +62,10 @@ func Wrap(inner Storage, plan *Plan) *FaultyStorage {
 	return &FaultyStorage{inner: inner, plan: plan}
 }
 
-// ReadDay injects read faults: transient/permanent I/O errors fail the
-// call upfront; bitflip and truncate deliver a deterministic prefix of
-// the day's records and then fail like a damaged gzip (wrapping
-// flowrec.ErrCorrupt).
-func (s *FaultyStorage) ReadDay(day time.Time, fn func(*flowrec.Record) error) error {
-	attempt := s.plan.next(OpReadDay, day)
-	f := s.plan.fault(OpReadDay, day, attempt)
-	if f == nil {
-		return s.inner.ReadDay(day, fn)
-	}
-	if !f.IsCorruption() {
-		return f
-	}
-	// Corruption: the stream decodes up to the damage point, then the
-	// decoder surfaces the fault — exactly how a flipped bit or a
-	// truncated tail reads back.
-	limit := s.plan.truncPoint(day)
-	n := 0
-	var ferr error = f
-	err := s.inner.ReadDay(day, func(r *flowrec.Record) error {
-		if n >= limit {
-			return ferr
-		}
-		n++
-		return fn(r)
-	})
-	if err == nil {
-		// Fewer records than the damage point: the fault lands on the
-		// trailer instead.
-		return f
-	}
-	return err
-}
-
-// ReadDayCols injects the same read faults as ReadDay — a projected
-// read of a day is the same physical operation as a full read, so it
-// draws from the same fault schedule (OpReadDay) and corruption
-// delivers the same deterministic record prefix before failing.
+// ReadDayCols injects read faults (the OpReadDay schedule):
+// transient/permanent I/O errors fail the call upfront; bitflip and
+// truncate deliver a deterministic prefix of the day's records and then
+// fail like a damaged file (wrapping flowrec.ErrCorrupt).
 func (s *FaultyStorage) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error {
 	attempt := s.plan.next(OpReadDay, day)
 	f := s.plan.fault(OpReadDay, day, attempt)
@@ -110,6 +75,9 @@ func (s *FaultyStorage) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*
 	if !f.IsCorruption() {
 		return f
 	}
+	// Corruption: the stream decodes up to the damage point, then the
+	// decoder surfaces the fault — exactly how a flipped bit or a
+	// truncated tail reads back.
 	limit := s.plan.truncPoint(day)
 	n := 0
 	var ferr error = f
@@ -121,6 +89,8 @@ func (s *FaultyStorage) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*
 		return fn(r)
 	})
 	if err == nil {
+		// Fewer records than the damage point: the fault lands on the
+		// trailer instead.
 		return f
 	}
 	return err

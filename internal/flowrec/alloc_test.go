@@ -33,30 +33,22 @@ func TestScanAllocBudget(t *testing.T) {
 	// Narrow projection: the Figure-3 shape these budgets guard.
 	sc := ColScan{Cols: ColumnSet(1<<ColSubID | 1<<ColBytesUp | 1<<ColBytesDown).Norm()}
 
-	// Budgets are allocs per *record*. Unpooled string decoding alone
-	// costs >=1 alloc/record; the pooled columnar paths sit well under
+	// The budget is allocs per *record*. Unpooled string decoding alone
+	// costs >=1 alloc/record; the pooled columnar path sits well under
 	// 0.1 even with block framing, slab growth and callback overhead.
-	for _, c := range []struct {
-		format Format
-		budget float64
-	}{
-		{FormatV2, 0.1},
-		{FormatV3, 0.1},
-	} {
-		t.Run(c.format.String(), func(t *testing.T) {
-			s, err := OpenStoreFormat(t.TempDir(), c.format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			writeDayRecords(t, s, colTestDay, recs)
-			got := scanAllocsPerRecord(t, s, n, sc)
-			t.Logf("%s narrow scan: %.4f allocs/record", c.format, got)
-			if got > c.budget {
-				t.Errorf("%s narrow scan allocates %.4f/record, budget %.4f — a codec stopped pooling",
-					c.format, got, c.budget)
-			}
-		})
-	}
+	const budget = 0.1
+	t.Run(FormatV3.String(), func(t *testing.T) {
+		s, err := OpenStoreFormat(t.TempDir(), FormatV3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeDayRecords(t, s, colTestDay, recs)
+		got := scanAllocsPerRecord(t, s, n, sc)
+		t.Logf("v3 narrow scan: %.4f allocs/record", got)
+		if got > budget {
+			t.Errorf("v3 narrow scan allocates %.4f/record, budget %.4f — a codec stopped pooling", got, budget)
+		}
+	})
 }
 
 // TestV1ScanAllocBudget pins the pooled gzip reader on the v1 row

@@ -12,27 +12,9 @@ import (
 	"repro/internal/zpool"
 )
 
-// The v2/v3 columnar codec. A v2 day file is gzip(magic "eflc" |
-// block*), each block ~colBlockRows records transposed into
-// per-column streams:
-//
-//	block := rowCount uvarint            (1..maxBlockRows)
-//	         stats                       (min/max footer, see blockStats)
-//	         colCount uvarint            (= NumColumns)
-//	         colCount × (len uvarint, payload)
-//
-// Columns appear in Column ID order. Fixed-width columns (addresses,
-// ports, enum bytes) are raw row-major arrays; counters are plain
-// uvarints; Start is a zigzag delta varint chain (records arrive in
-// near-sorted time order, so deltas are tiny); ServerName/ALPN/QUICVer
-// are per-block dictionaries (uvarint entry count, length-prefixed
-// entries, one uvarint index per row). The stats lead the block so a
-// reader can skip the entire payload — every column — when a pushed-
-// down predicate cannot match, and skip any column the projection
-// does not ask for.
-//
-// v3 (magic "efl3") keeps the block structure but moves compression
-// INSIDE the column framing and drops the file-level gzip entirely:
+// The v3 columnar codec. A day file is a raw (not gzip-wrapped) stream
+// of blocks, each ~colBlockRows records transposed into per-column
+// streams, with compression INSIDE the column framing:
 //
 //	file  := "efl3" | block* | terminator
 //	block := rowCount uvarint            (1..maxBlockRows)
@@ -46,27 +28,28 @@ import (
 //	         payload                     (flate if compLen>0, else raw)
 //	terminator := 0 uvarint | blockCount uvarint | totalRows uvarint
 //
+// Columns appear in Column ID order. Fixed-width columns (addresses,
+// ports, enum bytes) are raw row-major arrays; counters are plain
+// uvarints; Start is a zigzag delta varint chain (records arrive in
+// near-sorted time order, so deltas are tiny); ServerName/ALPN/QUICVer
+// are per-block dictionaries (uvarint entry count, length-prefixed
+// entries, then one uvarint index per row in the payload).
+//
 // Keeping the stats and dictionaries outside the compressed payload
 // means predicate pushdown skips a block — and projection skips a
 // column — by Discarding totalLen bytes without ever inflating them,
 // and because each column inflates independently the read path can fan
 // block decompression out over workers instead of queuing behind one
-// gzip stream. The per-column crc32c (Castagnoli) replaces the gzip
-// trailer checksum for the bytes a scan actually consumes; pruned
-// bytes are deliberately unverified — damage there cannot affect the
-// result. The terminator replaces the gzip trailer's length check so
-// a truncated v3 file still classifies as stream damage.
+// gzip stream. The per-column crc32c (Castagnoli) covers the bytes a
+// scan actually consumes; pruned bytes are deliberately unverified —
+// damage there cannot affect the result. The terminator's block and row
+// counts are what let a reader tell a clean end from a truncated tail.
 
-// colMagic identifies a v2 stream (v1 uses "efl1"); readers
-// auto-detect by peeking these four bytes after the gzip header.
-// colMagicV3 identifies a v3 file — peeked raw, since v3 files are
-// not gzip-wrapped.
-var (
-	colMagic   = [4]byte{'e', 'f', 'l', 'c'}
-	colMagicV3 = [4]byte{'e', 'f', 'l', '3'}
-)
+// colMagicV3 identifies a v3 file — peeked raw, since v3 files are not
+// gzip-wrapped.
+var colMagicV3 = [4]byte{'e', 'f', 'l', '3'}
 
-// crcTab is the Castagnoli table shared by the v3 write and read
+// crcTab is the Castagnoli table shared by the write and read
 // paths (hardware-accelerated on amd64/arm64).
 var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
@@ -187,15 +170,14 @@ func dictSlot(c Column) int {
 	return -1
 }
 
-// colEncoder writes the v2/v3 columnar stream. It satisfies the same
+// colEncoder writes the v3 columnar stream. It satisfies the same
 // surface DayWriter needs from the v1 Encoder.
 type colEncoder struct {
 	w      *bufio.Writer
 	count  uint64
 	rows   int
 	blocks uint64
-	v3     bool
-	sealed bool // v3 terminator written; further Flushes are bufio-only
+	sealed bool // terminator written; further Flushes are bufio-only
 
 	cols      [NumColumns][]byte // per-column row streams
 	dicts     [3]map[string]uint64
@@ -204,23 +186,18 @@ type colEncoder struct {
 	prevStart int64
 	stats     blockStats
 
-	pre  []byte       // v3 scratch: column body head (crc+dict+lengths)
-	comp appendWriter // v3 scratch: deflated column payload
+	pre  []byte       // scratch: column body head (crc+dict+lengths)
+	comp appendWriter // scratch: deflated column payload
 }
 
-// newColEncoder writes the stream header and returns an encoder; v3
-// selects per-block compression (the caller must then NOT wrap w in
-// gzip).
-func newColEncoder(w io.Writer, v3 bool) (*colEncoder, error) {
+// newColEncoder writes the stream header and returns an encoder. The
+// blocks compress themselves, so the caller must NOT wrap w in gzip.
+func newColEncoder(w io.Writer) (*colEncoder, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	magic := colMagic
-	if v3 {
-		magic = colMagicV3
-	}
-	if _, err := bw.Write(magic[:]); err != nil {
+	if _, err := bw.Write(colMagicV3[:]); err != nil {
 		return nil, fmt.Errorf("flowrec: writing magic: %w", err)
 	}
-	e := &colEncoder{w: bw, v3: v3}
+	e := &colEncoder{w: bw}
 	e.resetBlock()
 	return e, nil
 }
@@ -243,7 +220,7 @@ func (e *colEncoder) resetBlock() {
 }
 
 // appendWriter is an io.Writer that appends into a reusable slice —
-// the deflate sink for v3 column payloads.
+// the deflate sink for column payloads.
 type appendWriter struct{ b []byte }
 
 func (w *appendWriter) Write(p []byte) (int, error) {
@@ -326,28 +303,8 @@ func (e *colEncoder) flushBlock() error {
 	}
 	var lenBuf [binary.MaxVarintLen64]byte
 	for c := 0; c < NumColumns; c++ {
-		if e.v3 {
-			if err := e.writeColV3(Column(c), lenBuf[:]); err != nil {
-				return err
-			}
-			continue
-		}
-		payload := e.cols[c]
-		if j := dictSlot(Column(c)); j >= 0 {
-			// Dictionary column: entry count + entries + row indexes.
-			pre := e.pre[:0]
-			pre = binary.AppendUvarint(pre, e.dictN[j])
-			pre = append(pre, e.dictEnts[j]...)
-			pre = append(pre, payload...)
-			e.pre = pre
-			payload = pre
-		}
-		n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-		if _, err := e.w.Write(lenBuf[:n]); err != nil {
-			return fmt.Errorf("flowrec: writing column length: %w", err)
-		}
-		if _, err := e.w.Write(payload); err != nil {
-			return fmt.Errorf("flowrec: writing column: %w", err)
+		if err := e.writeCol(Column(c), lenBuf[:]); err != nil {
+			return err
 		}
 	}
 	e.blocks++
@@ -355,10 +312,10 @@ func (e *colEncoder) flushBlock() error {
 	return nil
 }
 
-// writeColV3 writes one column in the v3 framing: length-prefixed
-// body of crc | [dict] | rawLen | compLen | payload, with the payload
-// deflated only when that actually shrinks it.
-func (e *colEncoder) writeColV3(col Column, lenBuf []byte) error {
+// writeCol writes one column: length-prefixed body of crc | [dict] |
+// rawLen | compLen | payload, with the payload deflated only when that
+// actually shrinks it.
+func (e *colEncoder) writeCol(col Column, lenBuf []byte) error {
 	raw := e.cols[col]
 	// Body head, with 4 bytes reserved up front for the crc.
 	pre := append(e.pre[:0], 0, 0, 0, 0)
@@ -420,14 +377,14 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// Flush seals the current block — and, for v3, the stream: the
-// terminator's block/row counts are what lets a reader distinguish a
-// clean end from a truncated tail without a gzip trailer.
+// Flush seals the current block and the stream: the terminator's
+// block/row counts are what lets a reader distinguish a clean end from
+// a truncated tail.
 func (e *colEncoder) Flush() error {
 	if err := e.flushBlock(); err != nil {
 		return err
 	}
-	if e.v3 && !e.sealed {
+	if !e.sealed {
 		e.sealed = true
 		var t []byte
 		t = binary.AppendUvarint(t, 0)
@@ -440,13 +397,12 @@ func (e *colEncoder) Flush() error {
 	return e.w.Flush()
 }
 
-// colBlock is one raw block read off a v2/v3 stream: the stats, plus
-// the payload of every column the scan needs (nil entries were
-// pruned). Column payloads live in pooled buffers; release returns
+// colBlock is one raw block read off a v3 stream: the stats, plus the
+// still-compressed body of every column the scan needs (nil entries
+// were pruned). Column bodies live in pooled buffers; release returns
 // them once the block is decoded.
 type colBlock struct {
 	rows  int
-	v3    bool
 	stats blockStats
 	data  [NumColumns][]byte
 	bufs  [NumColumns]*[]byte
@@ -465,21 +421,20 @@ func (b *colBlock) release() {
 	}
 }
 
-// colReader reads raw blocks off a v2/v3 stream, pruning columns and
+// colReader reads raw blocks off a v3 stream, pruning columns and
 // skipping stat-excluded blocks. It also accumulates the scan-level
 // byte accounting the store publishes.
 type colReader struct {
 	br   *bufio.Reader
 	need ColumnSet
 	pred *Pred
-	v3   bool
 
-	rowsSeen                  uint64 // all blocks, skipped included (v3 terminator check)
+	rowsSeen                  uint64 // all blocks, skipped included (terminator check)
 	blocksRead, blocksSkipped uint64
 	bytesDecoded, bytesPruned uint64
 }
 
-// corruptf wraps a structural v2 decode failure as ErrCorrupt.
+// corruptf wraps a structural decode failure as ErrCorrupt.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("flowrec: "+format+": %w", append(args, ErrCorrupt)...)
 }
@@ -494,33 +449,27 @@ func blockEOF(err error) error {
 }
 
 // next returns the next block the scan needs. Blocks excluded by the
-// predicate stats are consumed, counted and skipped internally —
-// for v3 that means Discarding their compressed bytes without ever
-// inflating them. A clean end of stream returns (nil, io.EOF).
+// predicate stats are consumed, counted and skipped internally, by
+// Discarding their compressed bytes without ever inflating them. A
+// clean end of stream returns (nil, io.EOF).
 func (cr *colReader) next() (*colBlock, error) {
 	for {
 		rows, err := binary.ReadUvarint(cr.br)
 		if err != nil {
 			if err == io.EOF {
-				if cr.v3 {
-					// A v3 stream must end with its terminator; a bare
-					// EOF at a block boundary is a truncated file.
-					return nil, fmt.Errorf("flowrec: missing v3 terminator: %w", io.ErrUnexpectedEOF)
-				}
-				return nil, io.EOF // clean block boundary
+				// The stream must end with its terminator; a bare EOF at
+				// a block boundary is a truncated file.
+				return nil, fmt.Errorf("flowrec: missing v3 terminator: %w", io.ErrUnexpectedEOF)
 			}
 			return nil, blockEOF(err)
 		}
 		if rows == 0 {
-			if cr.v3 {
-				return nil, cr.readTerminator()
-			}
-			return nil, corruptf("block of %d rows", rows)
+			return nil, cr.readTerminator()
 		}
 		if rows > maxBlockRows {
 			return nil, corruptf("block of %d rows", rows)
 		}
-		b := &colBlock{rows: int(rows), v3: cr.v3}
+		b := &colBlock{rows: int(rows)}
 		if err := b.stats.read(cr.br); err != nil {
 			b.release()
 			return nil, blockEOF(err)
@@ -561,19 +510,14 @@ func (cr *colReader) next() (*colBlock, error) {
 			}
 			b.data[c] = *bp
 			b.bufs[c] = bp
-			if cr.v3 {
-				// Count the bytes this column will materialise (dict
-				// part + inflated payload), keeping decoded_bytes
-				// comparable with the v2 metric.
-				dn, derr := v3DecodedSize(Column(c), *bp)
-				if derr != nil {
-					b.release()
-					return nil, derr
-				}
-				cr.bytesDecoded += dn
-			} else {
-				cr.bytesDecoded += n
+			// decoded_bytes counts what this column will materialise
+			// (dict part + inflated payload), not its compressed size.
+			dn, derr := v3DecodedSize(Column(c), *bp)
+			if derr != nil {
+				b.release()
+				return nil, derr
 			}
+			cr.bytesDecoded += dn
 		}
 		cr.rowsSeen += rows
 		if skipAll {
@@ -644,9 +588,9 @@ type colInflater struct {
 	out []byte
 }
 
-// column verifies and unpacks one v3 column body into the v2 payload
-// layout ([dict] + rows), inflating when the payload was deflated and
-// returning the stored bytes zero-copy when it was not.
+// column verifies and unpacks one column body into the flat layout
+// decodeBlock walks ([dict] + rows), inflating when the payload was
+// deflated and returning the stored bytes zero-copy when it was not.
 func (inf *colInflater) column(col Column, body []byte) ([]byte, error) {
 	c := int(col)
 	if len(body) < 4 {
@@ -719,7 +663,7 @@ func (inf *colInflater) column(col Column, body []byte) ([]byte, error) {
 // decodeBlock materialises the needed columns of b into recs, which
 // must have length b.rows. Unneeded fields keep their zero values.
 // strs interns dictionary strings across blocks; inf is the worker's
-// v3 inflater (may be nil for v2 blocks).
+// inflater.
 func decodeBlock(b *colBlock, need ColumnSet, recs []Record, strs map[string]string, inf *colInflater) error {
 	rows := b.rows
 	for c := 0; c < NumColumns; c++ {
@@ -727,12 +671,9 @@ func decodeBlock(b *colBlock, need ColumnSet, recs []Record, strs map[string]str
 		if !need.Has(col) {
 			continue
 		}
-		p := b.data[c]
-		if b.v3 {
-			var err error
-			if p, err = inf.column(col, p); err != nil {
-				return err
-			}
+		p, err := inf.column(col, b.data[c])
+		if err != nil {
+			return err
 		}
 		switch col {
 		case ColClient, ColServer:

@@ -1,6 +1,8 @@
 package flowrec
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
 	"io"
 	"math/rand"
@@ -12,9 +14,10 @@ import (
 	"time"
 )
 
-// v2 columnar store tests: round-trip fidelity, format auto-detection,
-// column pruning, predicate pushdown (block skipping), parallel decode
-// ordering, and damage handling — the contract ReadDayCols promises.
+// Columnar read-contract tests: format auto-detection, column pruning,
+// predicate pushdown (block skipping), parallel decode ordering,
+// callback errors and read metrics — what ReadDayCols promises. The v3
+// format's own round-trip and damage tests are in v3_test.go.
 
 var colTestDay = time.Date(2016, 11, 12, 0, 0, 0, 0, time.UTC)
 
@@ -63,80 +66,33 @@ func readAll(t *testing.T, s *Store, day time.Time, sc ColScan) []Record {
 	return out
 }
 
-func TestV2StoreRoundTrip(t *testing.T) {
-	s, err := OpenStoreFormat(t.TempDir(), FormatV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Format() != FormatV2 {
-		t.Fatalf("Format() = %v", s.Format())
-	}
-	want := dayRecords(rand.New(rand.NewSource(1)), colTestDay, 1000)
-	writeDayRecords(t, s, colTestDay, want)
-
-	var got []Record
-	err = s.ReadDay(colTestDay, func(r *Record) error { // auto-detects v2
-		got = append(got, *r)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("read %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestV2MultiBlockRoundTrip(t *testing.T) {
-	s, err := OpenStoreFormat(t.TempDir(), FormatV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Straddle two block boundaries so flush/decode of both full and
-	// short final blocks is exercised.
-	want := dayRecords(rand.New(rand.NewSource(2)), colTestDay, 2*colBlockRows+123)
-	writeDayRecords(t, s, colTestDay, want)
-
-	got := readAll(t, s, colTestDay, ColScan{})
-	if len(got) != len(want) {
-		t.Fatalf("read %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestAutoDetectMixedLake: one lake directory holding a v1 day and a
-// v2 day reads transparently through the same store handle.
+// v3 day reads transparently through either store handle, and a day
+// still in retired format v2 — a healthy gzip stream whose inner magic
+// is "eflc" — is refused by name: ErrRetiredFormat, a bad-magic error
+// and not a damage one, so nothing counts or quarantines it.
 func TestAutoDetectMixedLake(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := OpenStoreFormat(dir, FormatV1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenStoreFormat(dir, FormatV2)
+	s3, err := OpenStoreFormat(dir, FormatV3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	day1 := colTestDay
-	day2 := colTestDay.AddDate(0, 0, 1)
+	day3 := colTestDay.AddDate(0, 0, 1)
 	rng := rand.New(rand.NewSource(3))
 	recs1 := dayRecords(rng, day1, 200)
-	recs2 := dayRecords(rng, day2, 200)
+	recs3 := dayRecords(rng, day3, 200)
 	writeDayRecords(t, s1, day1, recs1)
-	writeDayRecords(t, s2, day2, recs2)
+	writeDayRecords(t, s3, day3, recs3)
 
 	for _, c := range []struct {
 		day  time.Time
 		want []Record
-	}{{day1, recs1}, {day2, recs2}} {
+	}{{day1, recs1}, {day3, recs3}} {
 		got := readAll(t, s1, c.day, ColScan{}) // either handle reads both
 		if len(got) != len(c.want) {
 			t.Fatalf("%s: read %d records, want %d", c.day.Format("2006-01-02"), len(got), len(c.want))
@@ -147,12 +103,32 @@ func TestAutoDetectMixedLake(t *testing.T) {
 			}
 		}
 	}
+
+	day2 := colTestDay.AddDate(0, 0, 2)
+	var v2 bytes.Buffer
+	gz := gzip.NewWriter(&v2)
+	gz.Write([]byte("eflc\x01block bytes no reader decodes any more"))
+	gz.Close()
+	if err := os.WriteFile(s1.dayPath(day2), v2.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupt0 := mCorruptRecords.Load()
+	err = s3.ReadDayCols(day2, ColScan{}, func(*Record) error { return nil })
+	if !errors.Is(err, ErrRetiredFormat) || !errors.Is(err, ErrBadMagic) || errors.Is(err, ErrCorrupt) {
+		t.Errorf("v2 day: err = %v, want ErrRetiredFormat (a bad magic, not corruption)", err)
+	}
+	if err != nil && !strings.Contains(err.Error(), "retired format v2") {
+		t.Errorf("v2 day: error does not name the retired format: %v", err)
+	}
+	if mCorruptRecords.Load() != corrupt0 {
+		t.Error("corrupt_records advanced on a healthy file in a retired format")
+	}
 }
 
 // TestReadDayColsPrunesUnrequested: a narrow projection yields records
 // whose unrequested fields are zero — those columns were never decoded.
 func TestReadDayColsPrunesUnrequested(t *testing.T) {
-	s, err := OpenStoreFormat(t.TempDir(), FormatV2)
+	s, err := OpenStoreFormat(t.TempDir(), FormatV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +161,8 @@ func TestReadDayColsPrunesUnrequested(t *testing.T) {
 func TestReadDayColsPredPushdown(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	recs := dayRecords(rng, colTestDay, 2*colBlockRows+1000)
-	dirV2, dirV1 := t.TempDir(), t.TempDir()
-	sv2, err := OpenStoreFormat(dirV2, FormatV2)
+	dirV3, dirV1 := t.TempDir(), t.TempDir()
+	sv3, err := OpenStoreFormat(dirV3, FormatV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +170,7 @@ func TestReadDayColsPredPushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeDayRecords(t, sv2, colTestDay, recs)
+	writeDayRecords(t, sv3, colTestDay, recs)
 	writeDayRecords(t, sv1, colTestDay, recs)
 
 	pred := &Pred{StartMin: colTestDay.Add(21 * time.Hour)}
@@ -209,12 +185,12 @@ func TestReadDayColsPredPushdown(t *testing.T) {
 	}
 
 	skipped0 := mBlocksSkipped.Load()
-	got := readAll(t, sv2, colTestDay, ColScan{Pred: pred})
+	got := readAll(t, sv3, colTestDay, ColScan{Pred: pred})
 	if d := mBlocksSkipped.Load() - skipped0; d < 1 {
 		t.Errorf("blocks_skipped advanced by %d, want >= 1 (records are time-ordered)", d)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v2 predicate scan: %d records, want %d (or content mismatch)", len(got), len(want))
+		t.Fatalf("v3 predicate scan: %d records, want %d (or content mismatch)", len(got), len(want))
 	}
 
 	gotV1 := readAll(t, sv1, colTestDay, ColScan{Pred: pred})
@@ -225,36 +201,50 @@ func TestReadDayColsPredPushdown(t *testing.T) {
 	// Predicate columns populate even when the projection omits them:
 	// SrvPort must carry real values or Match would see zeros.
 	portPred := &Pred{HasSrvPort: true, SrvPortLo: 0, SrvPortHi: 65535}
-	narrow := readAll(t, sv2, colTestDay, ColScan{Cols: Cols(ColSubID), Pred: portPred})
+	narrow := readAll(t, sv3, colTestDay, ColScan{Cols: Cols(ColSubID), Pred: portPred})
 	if len(narrow) != len(recs) {
 		t.Fatalf("full-range port predicate dropped records: %d of %d", len(narrow), len(recs))
 	}
 }
 
 // TestReadDayColsParallelOrder: any worker count delivers the same
-// records in the same (file) order as the serial scan.
+// records in the same (file) order as the serial scan — for a full
+// read, and for a projected, predicate-filtered one whose skipped
+// blocks leave holes in the sequence the reorder buffer restores.
 func TestReadDayColsParallelOrder(t *testing.T) {
-	s, err := OpenStoreFormat(t.TempDir(), FormatV2)
+	s, err := OpenStoreFormat(t.TempDir(), FormatV3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := dayRecords(rand.New(rand.NewSource(6)), colTestDay, 3*colBlockRows+77)
+	recs := dayRecords(rand.New(rand.NewSource(6)), colTestDay, 5*colBlockRows+77)
 	writeDayRecords(t, s, colTestDay, recs)
 
-	serial := readAll(t, s, colTestDay, ColScan{Workers: 1})
-	for _, workers := range []int{2, 4, 8} {
-		par := readAll(t, s, colTestDay, ColScan{Workers: workers})
-		if !reflect.DeepEqual(par, serial) {
-			t.Fatalf("workers=%d delivered different records or order", workers)
+	for name, sc := range map[string]ColScan{
+		"full": {},
+		"narrow pushdown": {
+			Cols: Cols(ColSubID, ColServerName, ColBytesDown),
+			Pred: &Pred{StartMin: colTestDay.Add(6 * time.Hour), StartMax: colTestDay.Add(17 * time.Hour)},
+		},
+	} {
+		sc.Workers = 1
+		serial := readAll(t, s, colTestDay, sc)
+		if len(serial) == 0 || (sc.Pred != nil && len(serial) == len(recs)) {
+			t.Fatalf("%s: degenerate scan: %d of %d records", name, len(serial), len(recs))
+		}
+		for _, workers := range []int{2, 4, 8} {
+			sc.Workers = workers
+			if par := readAll(t, s, colTestDay, sc); !reflect.DeepEqual(par, serial) {
+				t.Fatalf("%s: workers=%d delivered different records or order", name, workers)
+			}
 		}
 	}
 }
 
-// TestV2FnErrorsPropagateUnwrapped: like ReadDay always has, a
-// callback error returns verbatim (callers compare sentinels) and
-// stops the scan early — serial and parallel alike.
-func TestV2FnErrorsPropagateUnwrapped(t *testing.T) {
-	s, err := OpenStoreFormat(t.TempDir(), FormatV2)
+// TestColsFnErrorsPropagateUnwrapped: a callback error returns verbatim
+// (callers compare sentinels) and stops the scan early — serial and
+// parallel alike.
+func TestColsFnErrorsPropagateUnwrapped(t *testing.T) {
+	s, err := OpenStoreFormat(t.TempDir(), FormatV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,53 +268,11 @@ func TestV2FnErrorsPropagateUnwrapped(t *testing.T) {
 	}
 }
 
-// TestV2DamagedFileFailsLoudly: truncation and bitflips surface as
-// errors (classified corrupt), never as silently short or garbled
-// record streams; days_read stays untouched.
-func TestV2DamagedFileFailsLoudly(t *testing.T) {
-	cases := []struct {
-		name   string
-		damage func([]byte) []byte
-	}{
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"bitflip", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }},
-		{"truncated trailer", func(b []byte) []byte { return b[:len(b)-4] }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s, err := OpenStoreFormat(t.TempDir(), FormatV2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			writeDayRecords(t, s, colTestDay, dayRecords(rand.New(rand.NewSource(8)), colTestDay, 2000))
-			path := s.dayPath(colTestDay)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, tc.damage(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			read0, corrupt0 := mDaysRead.Load(), mCorruptRecords.Load()
-			err = s.ReadDay(colTestDay, func(*Record) error { return nil })
-			if err == nil {
-				t.Fatal("damaged v2 log read without error")
-			}
-			if mDaysRead.Load() != read0 {
-				t.Error("days_read advanced on a failed read")
-			}
-			if mCorruptRecords.Load() == corrupt0 {
-				t.Error("corrupt_records did not advance")
-			}
-		})
-	}
-}
-
-// TestV2OversizeStringRejected: the columnar encoder applies the same
+// TestV3OversizeStringRejected: the columnar encoder applies the same
 // write-time bound the row codec does — an absurd string field is
 // refused (counted), not persisted for every future reader to choke on.
-func TestV2OversizeStringRejected(t *testing.T) {
-	s, err := OpenStoreFormat(t.TempDir(), FormatV2)
+func TestV3OversizeStringRejected(t *testing.T) {
+	s, err := OpenStoreFormat(t.TempDir(), FormatV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,11 +359,12 @@ func TestEncodeOversizeBoundary(t *testing.T) {
 
 // TestDaysReadCountsCleanEOFOnly documents the read-metric semantics
 // for both formats: store.days_read advances only when a day's stream
-// ends cleanly (records + gzip trailer intact), while store.bytes_read
+// ends cleanly (v1: records + gzip trailer intact; v3: terminator
+// matched), while store.bytes_read
 // counts the compressed bytes actually consumed — it advances even on
 // a read that fails partway, because those bytes were paid for.
 func TestDaysReadCountsCleanEOFOnly(t *testing.T) {
-	for _, format := range []Format{FormatV1, FormatV2} {
+	for _, format := range []Format{FormatV1, FormatV3} {
 		t.Run(format.String(), func(t *testing.T) {
 			s, err := OpenStoreFormat(t.TempDir(), format)
 			if err != nil {

@@ -2,15 +2,15 @@ package flowrec
 
 import "time"
 
-// Column identity for the v2 columnar day format and for read-side
+// Column identity for the v3 columnar day format and for read-side
 // projection. Every Record field has a fixed column ID; the IDs are
-// part of the on-disk v2 layout (blocks store columns in ID order), so
+// part of the on-disk v3 layout (blocks store columns in ID order), so
 // they must never be renumbered — append only.
 
 // Column identifies one Record field.
 type Column uint8
 
-// The 22 record columns, in v2 block order.
+// The 22 record columns, in v3 block order.
 const (
 	ColClient Column = iota
 	ColServer
@@ -77,7 +77,7 @@ func (s ColumnSet) Covers(t ColumnSet) bool {
 	return s.Norm()&t.Norm() == t.Norm()
 }
 
-// Pred is a predicate pushed down into a day read. A v2 reader skips
+// Pred is a predicate pushed down into a day read. A v3 reader skips
 // whole blocks whose per-block min/max stats cannot intersect it and
 // then re-checks every surviving record, so fn only ever sees matching
 // records; a v1 reader applies the same per-record check after decode.
@@ -101,7 +101,7 @@ type Pred struct {
 	Tech    AccessTech
 }
 
-// Columns returns the columns the predicate reads — a v2 reader adds
+// Columns returns the columns the predicate reads — a v3 reader adds
 // them to the decode set so Match sees real values even when the
 // caller's projection omits them.
 func (p *Pred) Columns() ColumnSet {
@@ -177,10 +177,10 @@ type ColScan struct {
 	// populated in the records fn receives (a reader may deliver more —
 	// v1 files always deliver all 22). Zero means all columns.
 	Cols ColumnSet
-	// Pred filters records; on v2 files it also skips whole blocks on
+	// Pred filters records; on v3 files it also skips whole blocks on
 	// their min/max stats. Nil matches everything.
 	Pred *Pred
-	// Workers >1 decodes v2 blocks on that many goroutines (delivery
+	// Workers >1 decodes v3 blocks on that many goroutines (delivery
 	// order is still the file's record order). <=1 decodes serially.
 	// v1 files always decode serially.
 	Workers int

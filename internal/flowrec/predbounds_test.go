@@ -12,10 +12,10 @@ import (
 // inclusive, and matchStats must keep a block whose min/max stats
 // merely *touch* the predicate — a strict comparison in the wrong
 // direction silently drops exactly the records sitting on the bound,
-// and only on v2 (block-skipping) reads, so v1 and v2 would disagree.
+// and only on v3 (block-skipping) reads, so v1 and v3 would disagree.
 // These tests pin the inclusive contract on records and block stats
 // placed exactly on the boundaries, for every predicate dimension, and
-// assert v1-fallback/v2-pushdown identity around each bound.
+// assert v1-fallback/v3-pushdown identity around each bound.
 
 // boundaryRecords builds 3 full blocks of ms-granular, Start-ascending
 // records whose per-block stats are fully controlled:
@@ -49,21 +49,21 @@ func boundaryRecords(day time.Time) []Record {
 	return recs
 }
 
-// boundaryStores writes the same record set as one v1 and one v2 day.
-func boundaryStores(t *testing.T) (v1, v2 *Store, recs []Record) {
+// boundaryStores writes the same record set as one v1 and one v3 day.
+func boundaryStores(t *testing.T) (v1, v3 *Store, recs []Record) {
 	t.Helper()
 	recs = boundaryRecords(colTestDay)
 	s1, err := OpenStoreFormat(t.TempDir(), FormatV1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenStoreFormat(t.TempDir(), FormatV2)
+	s3, err := OpenStoreFormat(t.TempDir(), FormatV3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeDayRecords(t, s1, colTestDay, recs)
-	writeDayRecords(t, s2, colTestDay, recs)
-	return s1, s2, recs
+	writeDayRecords(t, s3, colTestDay, recs)
+	return s1, s3, recs
 }
 
 // expect filters recs by an independent restatement of the inclusive
@@ -94,9 +94,9 @@ func assertSame(t *testing.T, name string, got, want []Record) {
 // TestPredStartBoundaryInclusive: StartMin equal to the last Start of a
 // block (its stats startMax) and StartMax equal to the first Start of a
 // later block (its stats startMin) must keep both edge blocks and
-// deliver both boundary records, on v1 and v2 alike.
+// deliver both boundary records, on v1 and v3 alike.
 func TestPredStartBoundaryInclusive(t *testing.T) {
-	s1, s2, recs := boundaryStores(t)
+	s1, s3, recs := boundaryStores(t)
 	lo := recs[colBlockRows-1].Start // block 0's max
 	hi := recs[2*colBlockRows].Start // block 2's min
 	pred := &Pred{StartMin: lo, StartMax: hi}
@@ -109,7 +109,7 @@ func TestPredStartBoundaryInclusive(t *testing.T) {
 	for _, s := range []struct {
 		name  string
 		store *Store
-	}{{"v1", s1}, {"v2", s2}} {
+	}{{"v1", s1}, {"v3", s3}} {
 		got := readAll(t, s.store, colTestDay, ColScan{Pred: pred})
 		assertSame(t, s.name, got, want)
 		if !got[0].Start.Equal(lo) || !got[len(got)-1].Start.Equal(hi) {
@@ -123,7 +123,7 @@ func TestPredStartBoundaryInclusive(t *testing.T) {
 	for _, s := range []struct {
 		name  string
 		store *Store
-	}{{"v1", s1}, {"v2", s2}} {
+	}{{"v1", s1}, {"v3", s3}} {
 		got := readAll(t, s.store, colTestDay, ColScan{Pred: tight})
 		if len(got) != colBlockRows {
 			t.Errorf("%s: ±1ms pred matched %d records, want %d", s.name, len(got), colBlockRows)
@@ -136,15 +136,15 @@ func TestPredStartBoundaryInclusive(t *testing.T) {
 // match. Non-touching blocks must actually be skipped (the pushdown is
 // real, not a full scan that happens to filter right).
 func TestPredSrvPortBoundaryInclusive(t *testing.T) {
-	_, s2, recs := boundaryStores(t)
+	_, s3, recs := boundaryStores(t)
 	pred := &Pred{HasSrvPort: true, SrvPortLo: 1000, SrvPortHi: 1999}
 	want := expect(recs, func(r *Record) bool { return r.SrvPort >= 1000 && r.SrvPort <= 1999 })
 	if len(want) != colBlockRows {
 		t.Fatalf("test geometry broken: %d expected records", len(want))
 	}
 	skipped0 := metrics.GetCounter("store.blocks_skipped").Load()
-	got := readAll(t, s2, colTestDay, ColScan{Pred: pred})
-	assertSame(t, "v2", got, want)
+	got := readAll(t, s3, colTestDay, ColScan{Pred: pred})
+	assertSame(t, "v3", got, want)
 	if d := metrics.GetCounter("store.blocks_skipped").Load() - skipped0; d < 2 {
 		t.Errorf("blocks_skipped advanced by %d, want >= 2 (blocks 0 and 2 cannot match)", d)
 	}
@@ -156,14 +156,14 @@ func TestPredSrvPortBoundaryInclusive(t *testing.T) {
 	if len(wantEdge) == 0 {
 		t.Fatal("test geometry broken: no records on the port edge")
 	}
-	assertSame(t, "v2-edge", readAll(t, s2, colTestDay, ColScan{Pred: edge}), wantEdge)
+	assertSame(t, "v3-edge", readAll(t, s3, colTestDay, ColScan{Pred: edge}), wantEdge)
 }
 
 // TestPredProtoTechBoundary: exact-match dimensions at block-stat
 // boundaries — a homogeneous block whose protoMin==protoMax equals the
 // predicate value must be kept, all-different blocks skipped.
 func TestPredProtoTechBoundary(t *testing.T) {
-	s1, s2, recs := boundaryStores(t)
+	s1, s3, recs := boundaryStores(t)
 	cases := []struct {
 		name string
 		pred *Pred
@@ -180,16 +180,16 @@ func TestPredProtoTechBoundary(t *testing.T) {
 			t.Fatalf("%s: test geometry broken: %d expected records", c.name, len(want))
 		}
 		assertSame(t, c.name+"-v1", readAll(t, s1, colTestDay, ColScan{Pred: c.pred}), want)
-		assertSame(t, c.name+"-v2", readAll(t, s2, colTestDay, ColScan{Pred: c.pred}), want)
+		assertSame(t, c.name+"-v3", readAll(t, s3, colTestDay, ColScan{Pred: c.pred}), want)
 	}
 }
 
-// TestPredV1V2IdentityAroundBounds sweeps predicates one step either
+// TestPredV1V3IdentityAroundBounds sweeps predicates one step either
 // side of every boundary and requires the v1 per-record fallback and
-// the v2 block-skipping pushdown to return byte-identical record
+// the v3 block-skipping pushdown to return byte-identical record
 // streams — the invariant the pushdown must never trade away.
-func TestPredV1V2IdentityAroundBounds(t *testing.T) {
-	s1, s2, recs := boundaryStores(t)
+func TestPredV1V3IdentityAroundBounds(t *testing.T) {
+	s1, s3, recs := boundaryStores(t)
 	b0max := recs[colBlockRows-1].Start
 	b1min := recs[colBlockRows].Start
 	preds := []*Pred{
@@ -206,13 +206,13 @@ func TestPredV1V2IdentityAroundBounds(t *testing.T) {
 	}
 	for i, pred := range preds {
 		got1 := readAll(t, s1, colTestDay, ColScan{Pred: pred})
-		got2 := readAll(t, s2, colTestDay, ColScan{Pred: pred})
-		if len(got1) != len(got2) {
-			t.Fatalf("pred %d: v1=%d v2=%d records", i, len(got1), len(got2))
+		got3 := readAll(t, s3, colTestDay, ColScan{Pred: pred})
+		if len(got1) != len(got3) {
+			t.Fatalf("pred %d: v1=%d v3=%d records", i, len(got1), len(got3))
 		}
 		for j := range got1 {
-			if !reflect.DeepEqual(got1[j], got2[j]) {
-				t.Fatalf("pred %d: record %d differs between v1 and v2:\n v1 %+v\n v2 %+v", i, j, got1[j], got2[j])
+			if !reflect.DeepEqual(got1[j], got3[j]) {
+				t.Fatalf("pred %d: record %d differs between v1 and v3:\n v1 %+v\n v3 %+v", i, j, got1[j], got3[j])
 			}
 		}
 	}

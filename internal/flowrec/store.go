@@ -51,7 +51,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // day-partitioned, gzip-compressed flow logs, mirroring the paper's
 // "daily, logs are copied into a long-term storage" workflow
 // (section 2.2). File layout: <root>/YYYY/MM/flows-YYYYMMDD.efl.gz.
-// Each file is either row-oriented v1 or columnar v2 (see Format);
+// Each file is either row-oriented v1 or columnar v3 (see Format);
 // readers auto-detect per file, so both coexist in one lake.
 type Store struct {
 	root   string
@@ -79,7 +79,7 @@ func (s *Store) dayPath(day time.Time) string {
 }
 
 // dayEncoder is the record-sink surface a DayWriter needs; both the
-// v1 row Encoder and the v2 columnar encoder provide it.
+// v1 row Encoder and the v3 columnar encoder provide it.
 type dayEncoder interface {
 	Encode(*Record) error
 	Flush() error
@@ -137,14 +137,10 @@ func (s *Store) createDayAt(path string, day time.Time, format Format) (*DayWrit
 	if format == FormatV3 {
 		// v3 compresses inside the block framing; a file-level gzip
 		// layer would serialise block decompression again.
-		enc, err = newColEncoder(cw, true)
+		enc, err = newColEncoder(cw)
 	} else {
 		gz = zpool.GzipWriterSpeed(cw)
-		if format == FormatV2 {
-			enc, err = newColEncoder(gz, false)
-		} else {
-			enc, err = NewEncoder(gz)
-		}
+		enc, err = NewEncoder(gz)
 	}
 	if err != nil {
 		if gz != nil {
@@ -235,21 +231,12 @@ func (w *DayWriter) Abort() {
 // paper's terms (section 2.3); callers skip and carry on.
 var ErrNoDay = errors.New("flowrec: no log for day")
 
-// ReadDay streams every record of one day to fn. Iteration stops early
-// if fn returns a non-nil error, which is then returned. The file's
-// format (v1 row stream or v2 columnar) is auto-detected by magic.
-// store.days_read counts only days whose stream ended cleanly — a day
-// that fails mid-read never inflates read-throughput metrics.
+// ReadDay streams every record of one day to fn: ReadDayCols with no
+// projection and no predicate. store.days_read counts only days whose
+// stream ended cleanly — a day that fails mid-read never inflates
+// read-throughput metrics.
 func (s *Store) ReadDay(day time.Time, fn func(*Record) error) error {
 	return s.ReadDayCols(day, ColScan{}, fn)
-}
-
-// isGzipDamage classifies transport-level stream damage — a truncated
-// file or a failed checksum — as corruption, like codec-level damage.
-func isGzipDamage(err error) bool {
-	return errors.Is(err, gzip.ErrChecksum) ||
-		errors.Is(err, gzip.ErrHeader) ||
-		errors.Is(err, io.ErrUnexpectedEOF)
 }
 
 // countingReader tracks compressed bytes entering a day read.

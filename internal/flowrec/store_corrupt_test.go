@@ -51,15 +51,15 @@ func TestReadDayTruncatedGzip(t *testing.T) {
 	}
 	n := 0
 	err = s.ReadDay(day, func(*Record) error { n++; return nil })
-	if err == nil {
-		t.Fatal("truncated log read without error")
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated log: err = %v, want ErrCorrupt", err)
 	}
 }
 
 // TestReadDayDamagedGzipTail regresses the swallowed gzip.Reader.Close
 // error: a file whose flate stream decodes every record but whose gzip
-// trailer is truncated or checksum-damaged must fail loudly and count
-// as corruption, not read as a clean day.
+// trailer is truncated or checksum-damaged must fail loudly, count as
+// corruption and wrap ErrCorrupt, not read as a clean day.
 func TestReadDayDamagedGzipTail(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -87,8 +87,8 @@ func TestReadDayDamagedGzipTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := mCorruptRecords.Load()
-			if err := s.ReadDay(day, func(*Record) error { return nil }); err == nil {
-				t.Fatal("damaged gzip tail read without error")
+			if err := s.ReadDay(day, func(*Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("damaged gzip tail: err = %v, want ErrCorrupt", err)
 			}
 			if after := mCorruptRecords.Load(); after == before {
 				t.Error("store.corrupt_records not incremented for damaged gzip tail")
@@ -131,8 +131,8 @@ func TestReadDayWrongInnerMagic(t *testing.T) {
 	f.Close()
 
 	err = s.ReadDay(day, func(*Record) error { return nil })
-	if err == nil {
-		t.Fatal("wrong-magic payload read without error")
+	if !errors.Is(err, ErrBadMagic) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("wrong-magic payload: err = %v, want ErrBadMagic and not ErrCorrupt (the file is healthy)", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package ingest
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -477,15 +476,30 @@ func TestRecoveryOverDamagedCheckpoint(t *testing.T) {
 		apply  func(b []byte) []byte
 	}
 	var cases []damage
+	// Frame sizes are gzip(gob) lengths and differ from run to run, so
+	// the subtests are named by where the damage sits, not by its byte
+	// offset — a stable name is what lets a suite listing be compared
+	// between runs. The offsets are logged.
 	last := ends[3] - ends[2]
-	for _, off := range []int64{0, 1, 4, 11, 12, last / 3, last / 2, last - 1} {
-		cut := ends[2] + off
-		cases = append(cases, damage{fmt.Sprintf("last frame cut at byte %d of %d", off, last), 3,
-			func(b []byte) []byte { return b[:cut] }})
+	t.Logf("frames end at %v; the last frame is %d bytes", ends, last)
+	for _, c := range []struct {
+		where string
+		off   int64
+	}{
+		{"byte 0", 0}, {"byte 1", 1}, {"byte 4", 4}, {"byte 11", 11}, {"byte 12", 12},
+		{"a third", last / 3}, {"half", last / 2}, {"its final byte", last - 1},
+	} {
+		cases = append(cases, damage{"last frame cut at " + c.where, 3,
+			func(b []byte) []byte { return b[:ends[2]+c.off] }})
 	}
-	for _, at := range []int64{ends[0] + 6, (ends[0] + ends[1]) / 2} {
-		cases = append(cases, damage{fmt.Sprintf("bit flipped at byte %d (second frame spans %d..%d)", at, ends[0], ends[1]), 1,
-			func(b []byte) []byte { b[at] ^= 0x04; return b }})
+	for _, c := range []struct {
+		where string
+		at    int64
+	}{
+		{"6 bytes into the second frame", ends[0] + 6}, {"in the middle of the second frame", (ends[0] + ends[1]) / 2},
+	} {
+		cases = append(cases, damage{"bit flipped " + c.where, 1,
+			func(b []byte) []byte { b[c.at] ^= 0x04; return b }})
 	}
 
 	for _, c := range cases {

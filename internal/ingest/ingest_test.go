@@ -68,7 +68,7 @@ func batchCanon(t *testing.T, w *simnet.World, day time.Time) []byte {
 func lakeCanon(t *testing.T, storage *core.DiskStorage, day time.Time) []byte {
 	t.Helper()
 	agg := analytics.NewAggregator(day, classify.Default())
-	if err := storage.ReadDay(day, func(r *flowrec.Record) error {
+	if err := storage.ReadDayCols(day, flowrec.ColScan{}, func(r *flowrec.Record) error {
 		agg.Add(r)
 		return nil
 	}); err != nil {

@@ -90,7 +90,7 @@ func TestStraddlerCutIntoStartDay(t *testing.T) {
 	}
 
 	var n, straddlers int
-	if err := lake.storage.ReadDay(dayD, func(r *flowrec.Record) error {
+	if err := lake.storage.ReadDayCols(dayD, flowrec.ColScan{}, func(r *flowrec.Record) error {
 		n++
 		if exportTime(r).After(dayE) {
 			straddlers++
@@ -113,7 +113,7 @@ func TestStraddlerCutIntoStartDay(t *testing.T) {
 		t.Fatal(err)
 	}
 	n = 0
-	if err := lake.storage.ReadDay(dayE, func(*flowrec.Record) error { n++; return nil }); err != nil {
+	if err := lake.storage.ReadDayCols(dayE, flowrec.ColScan{}, func(*flowrec.Record) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
@@ -164,7 +164,7 @@ func TestZeroRecordDaySealsEmptyButValid(t *testing.T) {
 	// The empty day is valid and readable: zero records, and its
 	// canonical aggregate equals a genuinely empty fold of that day.
 	n := 0
-	if err := lake.storage.ReadDay(gap, func(*flowrec.Record) error { n++; return nil }); err != nil {
+	if err := lake.storage.ReadDayCols(gap, flowrec.ColScan{}, func(*flowrec.Record) error { n++; return nil }); err != nil {
 		t.Fatalf("reading empty day: %v", err)
 	}
 	if n != 0 {

@@ -105,11 +105,10 @@ func (f *Filter) match(svc classify.Service, rec *flowrec.Record) bool {
 	return !f.HasSub || rec.SubID == f.SubID
 }
 
-// Source is the day-file reader a scan runs over; core.Storage (fault
-// wrapper included) and *flowrec.Store both satisfy it.
-type Source interface {
-	ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error
-}
+// Source is the day-file reader a scan runs over — the same one read
+// stage one uses; core.Storage (fault wrapper included) and
+// *flowrec.Store both satisfy it.
+type Source = analytics.DayReader
 
 // Query is one scan.
 type Query struct {

@@ -88,12 +88,11 @@ type CompactResponse struct {
 }
 
 // adminCompact rewrites every lake day into the requested format
-// (format=v1|v2|v3, default v3). Days already in the target format
+// (format=v1|v3, default v3). Days already in the target format
 // are rewritten too — CompactDay is idempotent — which doubles as a
 // lake-wide integrity pass.
 func (s *Server) adminCompact(ctx context.Context, r *http.Request) (*result, error) {
-	var format flowrec.Format = flowrec.FormatV3
-	formatName := "v3"
+	format := flowrec.FormatV3
 	for key, vals := range r.URL.Query() {
 		if key != "format" {
 			return nil, badf("unknown parameter %q", key)
@@ -101,11 +100,10 @@ func (s *Server) adminCompact(ctx context.Context, r *http.Request) (*result, er
 		if len(vals) != 1 {
 			return nil, badf("parameter %q given %d times", key, len(vals))
 		}
-		f, err := flowrec.ParseFormat(vals[0])
-		if err != nil {
-			return nil, badf("bad format=%q (want v1, v2 or v3)", vals[0])
+		var err error
+		if format, err = flowrec.ParseFormat(vals[0]); err != nil {
+			return nil, badf("bad format=%q (want v1, v3)", vals[0])
 		}
-		format, formatName = f, vals[0]
 	}
 	st := s.p.FlowStore()
 	if st == nil {
@@ -126,7 +124,7 @@ func (s *Server) adminCompact(ctx context.Context, r *http.Request) (*result, er
 	return jsonResult(CompactResponse{
 		DaysCompacted: n,
 		Records:       recs,
-		Format:        formatName,
+		Format:        format.String(),
 		Generation:    gen,
 		ElapsedMs:     time.Since(t0).Milliseconds(),
 	})

@@ -111,10 +111,6 @@ func (m *memLake) addDay(day time.Time, n int, bytesDown, bytesUp uint64) {
 	m.recs[day.Unix()] = recs
 }
 
-func (m *memLake) ReadDay(day time.Time, fn func(*flowrec.Record) error) error {
-	return m.ReadDayCols(day, flowrec.ColScan{}, fn)
-}
-
 func (m *memLake) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error {
 	recs, ok := m.recs[day.Unix()]
 	if !ok {

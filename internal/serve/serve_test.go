@@ -62,10 +62,6 @@ type fakeStorage struct {
 	gen     atomic.Uint64
 }
 
-func (f *fakeStorage) ReadDay(day time.Time, fn func(*flowrec.Record) error) error {
-	return f.ReadDayCols(day, flowrec.ColScan{}, fn)
-}
-
 func (f *fakeStorage) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error {
 	if !day.Equal(f.day) {
 		return flowrec.ErrNoDay
