@@ -65,13 +65,19 @@ chaos:
 
 ## streamequiv: the streamed≡batch gate — every experiment over a lake
 ## built by the live ingest loop (chaos faults + crash/restart on the
-## way) must match the batch build byte for byte, plus the ingest
+## way) must match the batch build byte for byte, every derived file
+## must load damaged as its saved value or not at all, plus the ingest
 ## package's crash-recovery property suite, three times over: its kills
 ## and damage are seeded, so a run that differs from the last is a bug
-## in what a dead incarnation leaves behind, not in the dice.
+## in what a dead incarnation leaves behind, not in the dice. core's and
+## serve's concurrency tests run three times too, under the race
+## detector in shuffled order, so an interleaving that passes once by
+## luck gets two more chances to fail.
 streamequiv:
-	$(GO) test -run '^TestStreamedEqualsBatchExperiments|^TestHotDay|^TestPartialFrames|^TestOrphanTemps' ./internal/core
+	$(GO) test -run '^TestStreamedEqualsBatchExperiments|^TestHotDay|^TestPartialFrames|^TestDerivedFilesRejectDamage|^TestOrphanTemps' ./internal/core
 	$(GO) test -count=3 ./internal/ingest
+	$(GO) test -count=3 -race -shuffle=on -run '^TestConcurrent|^TestHotDayConcurrentReadsDuringIngest$$' ./internal/core
+	$(GO) test -count=3 -race -shuffle=on -run '^TestConcurrent|^TestResponseCache' ./internal/serve
 
 ## servequiv: the serve-equivalence gate — every /v1/figures response
 ## must match the golden HTTP corpus byte for byte, equal the batch
@@ -139,7 +145,7 @@ examples:
 FUZZTIME ?= 10s
 FUZZ_TARGETS := \
 	internal/flowrec:FuzzDecodeRecord \
-	internal/core:FuzzLoadPartialsFrames \
+	internal/framefile:FuzzLoadDerivedFiles \
 	internal/wire:FuzzParsePacket \
 	internal/dpi:FuzzTLSClientHello \
 	internal/dpi:FuzzDNSDecode \

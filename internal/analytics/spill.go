@@ -6,15 +6,14 @@ package analytics
 // RAM. The merge monoid (merge.go) already makes any grouping of a
 // day's records equivalent, so when the live estimate crosses a
 // configured budget the aggregator seals its state into a Partial,
-// spills it to disk (parts-*.gob.gz, the same gob+gzip encoding the
-// shard-partial cache uses) and restarts empty. Spilled partials merge
+// spills it to disk (parts-*.frames, one framefile frame, the codec of
+// every derived file) and restarts empty. Spilled partials merge
 // back in bounded fan-in passes, so aggregation memory is O(budget +
 // final aggregate), not O(day's working state) — and because the merge
 // is the same associative fold the sharded path uses, the result is
 // byte-identical to the unbounded in-memory run.
 
 import (
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,8 +22,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/framefile"
 	"repro/internal/metrics"
-	"repro/internal/zpool"
 )
 
 // Spill observability: partials written, bytes they occupied on disk,
@@ -131,10 +130,8 @@ func (sp *spiller) over(a *Aggregator) bool {
 // keeps aggregating either way, so a failed spill degrades to more
 // memory, never to wrong results.
 func (sp *spiller) spill(p *Partial) {
-	path := sp.nextPath()
-	n, err := writeSpill(path, p)
+	n, err := writeSpill(sp.nextPath(), p)
 	if err != nil {
-		os.Remove(path)
 		sp.mu.Lock()
 		if sp.err == nil {
 			sp.err = err
@@ -150,7 +147,7 @@ func (sp *spiller) spill(p *Partial) {
 // nextPath names the next spill file; zero-padded so the lexical sort
 // in files() is the write order.
 func (sp *spiller) nextPath() string {
-	return filepath.Join(sp.dir, fmt.Sprintf("parts-%06d.gob.gz", sp.seq.Add(1)))
+	return filepath.Join(sp.dir, fmt.Sprintf("parts-%06d.frames", sp.seq.Add(1)))
 }
 
 // spilled reports whether any partial reached disk.
@@ -252,50 +249,20 @@ func (sp *spiller) merge(day time.Time, finals []*Partial) (*DayAgg, error) {
 	return acc.Finish(), nil
 }
 
-// writeSpill persists one partial as gob+gzip, returning the on-disk
-// size.
+// writeSpill persists one partial, returning the bytes written.
 func writeSpill(path string, p *Partial) (int64, error) {
-	f, err := os.Create(path)
+	n, err := framefile.Save(path, p)
 	if err != nil {
 		return 0, fmt.Errorf("analytics: writing spill: %w", err)
 	}
-	gz := zpool.GzipWriter(f)
-	err = gob.NewEncoder(gz).Encode(p)
-	if cerr := gz.Close(); err == nil {
-		err = cerr
-	}
-	zpool.PutGzipWriter(gz)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return 0, fmt.Errorf("analytics: writing spill: %w", err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return 0, nil
-	}
-	return st.Size(), nil
+	return n, nil
 }
 
-// readSpill loads one spilled partial.
+// readSpill loads one spilled partial. A damaged run is an error: the
+// day's answer needs every run.
 func readSpill(path string) (*Partial, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("analytics: reading spill: %w", err)
-	}
-	defer f.Close()
-	gz, err := zpool.GzipReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("analytics: reading spill: %w", err)
-	}
-	defer zpool.PutGzipReader(gz)
 	var p Partial
-	if err := gob.NewDecoder(gz).Decode(&p); err != nil {
-		gz.Close()
-		return nil, fmt.Errorf("analytics: reading spill: %w", err)
-	}
-	if err := gz.Close(); err != nil {
+	if err := framefile.Load(path, &p); err != nil {
 		return nil, fmt.Errorf("analytics: reading spill: %w", err)
 	}
 	return &p, nil

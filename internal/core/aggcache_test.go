@@ -87,7 +87,7 @@ func TestAggCacheVersioning(t *testing.T) {
 	dir := t.TempDir()
 	day := time.Date(2016, 4, 7, 0, 0, 0, 0, time.UTC)
 	// A file with the wrong version in its name is simply not found.
-	stale := filepath.Join(dir, "agg-20160407-v1.gob.gz")
+	stale := filepath.Join(dir, "agg-20160407-v3.gob.gz")
 	if err := os.WriteFile(stale, []byte("old"), 0o644); err != nil {
 		t.Fatal(err)
 	}

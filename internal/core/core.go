@@ -78,9 +78,10 @@ type Config struct {
 	// curated rule files loaded with classify.ParseRules). Nil means
 	// classify.Default().
 	Classifier *classify.Classifier
-	// AggCacheDir, when set, persists per-day aggregates to disk (gob
-	// + gzip) so later runs skip stage one for days already reduced —
-	// the materialised-aggregate workflow of section 2.2.
+	// AggCacheDir, when set, persists per-day aggregates to disk
+	// (checksummed framefile frames) so later runs skip stage one for
+	// days already reduced — the materialised-aggregate workflow of
+	// section 2.2.
 	AggCacheDir string
 	// RollupDir, when set, enables the multi-resolution rollup tier:
 	// week/month/year windows pre-folded through the merge monoid are

@@ -10,7 +10,7 @@ package core
 //     windows lying entirely inside the requested span (year first,
 //     then month, then week); days at the range edges fall back to the
 //     day tier.
-//   - Each window is one rollups/<grain>-<start>-v1.gob.gz file whose
+//   - Each window is one rollups/<grain>-<start>-v2.frames file whose
 //     manifest (Rollup.Requested) names the exact source-day grid; a
 //     query with a different stride or span misses and rebuilds.
 //   - A rewritten or quarantined day invalidates the rollups covering
@@ -24,17 +24,15 @@ package core
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
 	"repro/internal/analytics"
 	"repro/internal/flowrec"
+	"repro/internal/framefile"
 	"repro/internal/metrics"
-	"repro/internal/zpool"
 )
 
 // Rollup-tier observability: hits serve a query from one file, misses
@@ -48,72 +46,29 @@ var (
 )
 
 // rollupCacheVersion invalidates persisted rollups when the Rollup
-// schema changes.
-const rollupCacheVersion = 1
-
-// cachedRollup is the on-disk envelope.
-type cachedRollup struct {
-	Version int
-	R       *analytics.Rollup
-}
+// schema or the file format changes.
+const rollupCacheVersion = 2
 
 // rollupCachePath names the file for one window, e.g.
-// week-2016-05-09-v1.gob.gz.
+// week-2016-05-09-v2.frames.
 func rollupCachePath(dir string, g analytics.Grain, start time.Time) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-%s-v%d.gob.gz", g, start.Format("2006-01-02"), rollupCacheVersion))
+	return filepath.Join(dir, fmt.Sprintf("%s-%s-v%d.frames", g, start.Format("2006-01-02"), rollupCacheVersion))
 }
 
 // loadRollup reads one persisted window, nil when absent or unusable —
 // the same never-trust-a-damaged-cache model as loadAgg.
 func loadRollup(dir string, g analytics.Grain, start time.Time) *analytics.Rollup {
-	f, err := os.Open(rollupCachePath(dir, g, start))
-	if err != nil {
+	var r analytics.Rollup
+	if framefile.Load(rollupCachePath(dir, g, start), &r) != nil || r.Agg == nil ||
+		r.Grain != g || !r.Start.Equal(start) {
 		return nil
 	}
-	defer f.Close()
-	gz, err := zpool.GzipReader(f)
-	if err != nil {
-		return nil
-	}
-	defer zpool.PutGzipReader(gz)
-	defer gz.Close()
-	var env cachedRollup
-	if err := gob.NewDecoder(gz).Decode(&env); err != nil {
-		return nil
-	}
-	if env.Version != rollupCacheVersion || env.R == nil || env.R.Agg == nil ||
-		env.R.Grain != g || !env.R.Start.Equal(start) {
-		return nil
-	}
-	return env.R
+	return &r
 }
 
-// saveRollup writes one window atomically (tmp + rename, like saveAgg).
+// saveRollup writes one window atomically.
 func saveRollup(dir string, r *analytics.Rollup) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("core: rollup cache: %w", err)
-	}
-	path := rollupCachePath(dir, r.Grain, r.Start)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("core: rollup cache: %w", err)
-	}
-	tmp := f.Name()
-	gz := zpool.GzipWriter(f)
-	err = gob.NewEncoder(gz).Encode(cachedRollup{Version: rollupCacheVersion, R: r})
-	if cerr := gz.Close(); err == nil {
-		err = cerr
-	}
-	zpool.PutGzipWriter(gz)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: rollup cache: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if _, err := framefile.Save(rollupCachePath(dir, r.Grain, r.Start), r); err != nil {
 		return fmt.Errorf("core: rollup cache: %w", err)
 	}
 	return nil

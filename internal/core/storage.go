@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/flowrec"
+	"repro/internal/framefile"
 )
 
 // Storage is the single surface the pipeline reads and writes through:
@@ -264,7 +265,7 @@ func (d *DiskStorage) PartialsSize(day time.Time) (base, total int64) {
 	if d.aggDir == "" {
 		return 0, 0
 	}
-	return partialsSize(d.aggDir, day)
+	return framefile.Sizes(partialCachePath(d.aggDir, day))
 }
 
 // SweepTemps implements Storage.

@@ -391,7 +391,7 @@ func TestDamagedCursorFallsBackToFullReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := os.WriteFile(filepath.Join(lake.walDir, "cursor.gob"),
+	if err := os.WriteFile(filepath.Join(lake.walDir, "cursor"),
 		[]byte("not a cursor"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ package ingest
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,6 +41,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/faultinject"
 	"repro/internal/flowrec"
+	"repro/internal/framefile"
 	"repro/internal/metrics"
 	"repro/internal/retry"
 )
@@ -155,8 +155,9 @@ type Config struct {
 }
 
 // cursorVersion invalidates old cursor files if the resume schema
-// changes.
-const cursorVersion = 1
+// or the file format changes. It travels inside the file: the cursor's
+// name is fixed.
+const cursorVersion = 2
 
 // cursorFile is the durable resume state, written atomically beside
 // the WAL segments at every checkpoint: every stream record with
@@ -256,12 +257,10 @@ func Open(cfg Config) (*Ingester, error) {
 		sealed: make(map[int64]bool),
 	}
 
-	// A kill mid-cursor-write leaves a cursor.tmp-* orphan (the final
-	// rename never ran); sweep them so attempts cannot accumulate.
-	if tmps, _ := filepath.Glob(filepath.Join(cfg.WALDir, "cursor.tmp-*")); len(tmps) > 0 {
-		for _, tmp := range tmps {
-			os.Remove(tmp)
-		}
+	// A kill mid-cursor-write leaves a temp orphan (the final rename
+	// never ran); sweep them so attempts cannot accumulate.
+	if err := framefile.RemoveTemps(cursorPath(cfg.WALDir)); err != nil {
+		cfg.Logf("ingest: sweeping cursor temps: %v", err)
 	}
 
 	cur := loadCursor(cfg.WALDir)
@@ -797,19 +796,14 @@ func (in *Ingester) compactWorker() {
 }
 
 // cursorPath names the resume-cursor file.
-func cursorPath(walDir string) string { return filepath.Join(walDir, "cursor.gob") }
+func cursorPath(walDir string) string { return filepath.Join(walDir, "cursor") }
 
 // loadCursor reads the resume cursor; absent or damaged reads as the
 // zero cursor (resume from the stream start — recovery dedup makes
 // that correct, just slower).
 func loadCursor(walDir string) cursorFile {
 	var cur cursorFile
-	f, err := os.Open(cursorPath(walDir))
-	if err != nil {
-		return cursorFile{}
-	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(&cur); err != nil || cur.Version != cursorVersion {
+	if framefile.Load(cursorPath(walDir), &cur) != nil || cur.Version != cursorVersion {
 		return cursorFile{}
 	}
 	return cur
@@ -829,21 +823,7 @@ func (in *Ingester) writeCursor() error {
 	for k, st := range in.days {
 		cur.Days[k] = st.ordinal
 	}
-	path := cursorPath(in.cfg.WALDir)
-	f, err := os.CreateTemp(in.cfg.WALDir, "cursor.tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	err = gob.NewEncoder(f).Encode(cur)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if _, err := framefile.Save(cursorPath(in.cfg.WALDir), cur); err != nil {
 		return err
 	}
 	in.resume = cur.Seq
