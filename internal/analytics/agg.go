@@ -109,9 +109,9 @@ type DayAgg struct {
 	Flows              uint64
 
 	// Cols records the column set this aggregate was built from (zero
-	// means all columns — aggregates predating column gating). A cached
-	// aggregate satisfies a request only when its Cols cover the
-	// requested set; see core's aggregate cache. Cols is bookkeeping,
+	// means all columns — aggregates predating column gating). core
+	// counts a cached aggregate only when its Cols cover
+	// AggregateColumns; a narrower one is a miss. Cols is bookkeeping,
 	// not data: CanonicalBytes deliberately excludes it.
 	Cols flowrec.ColumnSet
 

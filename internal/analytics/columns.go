@@ -2,15 +2,14 @@ package analytics
 
 import "repro/internal/flowrec"
 
-// Column requirements of stage one. Each experiment declares the
-// column set its aggregates actually consume; a columnar (v3) store
-// then decodes only those columns and never touches the rest. The
-// sets here are a correctness contract, not a hint: the aggregator
-// gates its accumulators on the same set (see NewAggregatorCols), so
-// a v1 store — which always decodes every field — produces
-// byte-identical aggregates to a pruned v3 scan. An under-declared
-// set therefore fails loudly (a missing accumulator) rather than
-// silently aggregating zeros.
+// Column requirements of stage one. Each accumulator needs a known
+// column set; a columnar (v3) store decodes only the requested columns
+// and never touches the rest. The sets here are a correctness
+// contract, not a hint: the aggregator gates its accumulators on the
+// same set (see NewAggregatorCols), so a v1 store — which always
+// decodes every field — produces byte-identical aggregates to a pruned
+// v3 scan. An under-declared set therefore fails loudly (a missing
+// accumulator) rather than silently aggregating zeros.
 
 // BaseAggColumns is what every aggregate needs regardless of gating:
 // totals and protocol/service byte shares (BytesUp/BytesDown, Web,
@@ -31,10 +30,6 @@ const (
 	// Figures 2, 3, 5, 6, 7, 9, the active series and the weekly
 	// extension all live off it.
 	ColsSubscribers = BaseAggColumns | 1<<flowrec.ColSubID
-
-	// ColsProtocols is the protocol byte-share view (Figure 8):
-	// nothing beyond the base.
-	ColsProtocols = BaseAggColumns
 
 	// ColsTimeBins adds the 10-minute down-bins (Figure 4); the figure
 	// also reads observed-subscriber counts, hence ColsSubscribers.
@@ -64,7 +59,8 @@ const (
 )
 
 // AggregateColumns is the union every Aggregator accumulator needs —
-// the widest set stage one ever asks a store for. Still 14 of 22
+// the one width core's pipeline folds every day at, so a day is read
+// once whatever mix of figures asks for it. Still 14 of 22
 // columns: ports aside (the RTT sample hash), no aggregate reads
 // Proto, NameSrc, Duration, packet counts, ALPN, or the RTT avg/max.
 const AggregateColumns = ColsSubscribers | ColsTimeBins | ColsRTT | ColsInfra | ColsQUIC

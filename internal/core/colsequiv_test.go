@@ -13,13 +13,12 @@ import (
 
 // Store-format equivalence: the columnar format prunes columns, skips
 // blocks and inflates per block, so the proof obligation is that no
-// experiment can tell v1 and v3 apart —
-// same seed, same days, byte-identical canonical aggregates, serial
-// and sharded alike. The second test closes the gap
-// byte-identity cannot see: a column missing from an experiment's
-// declared set would make both formats equally wrong, so each figure
-// rendered from its pruned aggregates is compared against the same
-// figure rendered from full-width aggregates of the same store.
+// experiment can tell v1 and v3 apart — same seed, same days,
+// byte-identical canonical aggregates, serial and sharded alike. The
+// second test closes the gap byte-identity cannot see: a column missing
+// from analytics.AggregateColumns would make both formats equally
+// wrong, so the pipeline's aggregates are compared against a stage one
+// that decodes every column of the same store.
 
 const colsEqSeed = 99
 
@@ -54,6 +53,20 @@ func colsEqDays() []time.Time {
 	return chaosDays(colsEqStride)
 }
 
+// canonicalAll encodes aggs with CanonicalBytes, in order.
+func canonicalAll(t *testing.T, aggs []*analytics.DayAgg) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(aggs))
+	for i, a := range aggs {
+		b, err := analytics.CanonicalBytes(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
+}
+
 func TestFormatCanonicalEquivalence(t *testing.T) {
 	days := colsEqDays()
 	formats := []flowrec.Format{flowrec.FormatV1, flowrec.FormatV3}
@@ -64,93 +77,73 @@ func TestFormatCanonicalEquivalence(t *testing.T) {
 	ctx := context.Background()
 
 	for _, shards := range []int{1, 3} {
-		// One pipeline per store and sharding level: experiments share
-		// the day cache exactly as a real report run would, including
-		// the union-recompute when column sets widen — identical on
-		// every side because the experiment order is identical. v1 is
-		// the baseline; every other format must match it byte for byte.
-		ps := make([]*Pipeline, len(formats))
-		for i := range formats {
-			ps[i] = New(Config{Seed: colsEqSeed, Scale: colsEqScale, Stride: colsEqStride,
+		// Every experiment's days are a subset of colsEqDays and every
+		// aggregate is folded at the one pipeline width, so one
+		// Aggregate over the union per store is what a report run's day
+		// cache holds. v1 is the baseline; every other format must match
+		// it byte for byte.
+		var want [][]byte
+		for i, format := range formats {
+			p := New(Config{Seed: colsEqSeed, Scale: colsEqScale, Stride: colsEqStride,
 				Workers: 4, ShardsPerDay: shards, Store: stores[i]})
-		}
-		for _, e := range AllExperiments() {
-			edays := e.Days(colsEqStride)
-			if len(edays) == 0 {
+			aggs, err := p.Aggregate(ctx, days)
+			if err != nil {
+				t.Fatalf("shards=%d: %s aggregate: %v", shards, format, err)
+			}
+			got := canonicalAll(t, aggs)
+			if i == 0 {
+				want = got
 				continue
 			}
-			a1, err := ps[0].AggregateCols(ctx, edays, e.Cols)
-			if err != nil {
-				t.Fatalf("%s shards=%d: v1 aggregate: %v", e.ID, shards, err)
+			if len(got) != len(want) {
+				t.Fatalf("shards=%d: v1 has %d days, %s has %d", shards, len(want), format, len(got))
 			}
-			want := make([][]byte, len(a1))
-			for i := range a1 {
-				if want[i], err = analytics.CanonicalBytes(a1[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for fi := 1; fi < len(formats); fi++ {
-				af, err := ps[fi].AggregateCols(ctx, edays, e.Cols)
-				if err != nil {
-					t.Fatalf("%s shards=%d: %s aggregate: %v", e.ID, shards, formats[fi], err)
-				}
-				if len(af) != len(a1) {
-					t.Fatalf("%s shards=%d: v1 has %d days, %s has %d",
-						e.ID, shards, len(a1), formats[fi], len(af))
-				}
-				for i := range af {
-					bf, err := analytics.CanonicalBytes(af[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(bf, want[i]) {
-						t.Errorf("%s shards=%d: day %s aggregates diverge between v1 and %s",
-							e.ID, shards, af[i].Day.Format("2006-01-02"), formats[fi])
-						break
-					}
+			for d := range got {
+				if !bytes.Equal(got[d], want[d]) {
+					t.Errorf("shards=%d: day %s aggregates diverge between v1 and %s",
+						shards, aggs[d].Day.Format("2006-01-02"), format)
 				}
 			}
 		}
 	}
 }
 
-// TestDeclaredColumnsSufficeForRender renders every experiment twice
-// from the same v3 store: once normally (aggregates pruned to the
-// experiment's declared column set) and once from a pipeline whose day
-// cache was pre-warmed at full width, so the cache serves unpruned
-// aggregates to the same run. Any divergence means the experiment
-// reads a column its declaration omits — the failure mode v1-vs-v3
-// byte-identity is structurally blind to.
-func TestDeclaredColumnsSufficeForRender(t *testing.T) {
+// TestAggregateColumnsLoseNothing is the width contract: the pipeline
+// folds every day at analytics.AggregateColumns, so no accumulator may
+// read a column outside it. Over both formats and at 1 and 3 shards,
+// Pipeline.Aggregate must be byte-identical to a stage one that decodes
+// every column of the same store. v1 always decodes everything, so it
+// catches an accumulator gated off by a missing column; v3 decodes
+// only the requested columns, so it catches an accumulator fed a
+// zeroed field.
+func TestAggregateColumnsLoseNothing(t *testing.T) {
 	days := colsEqDays()
-	store := buildStoreFormat(t, t.TempDir(), flowrec.FormatV3, days)
 	ctx := context.Background()
-
-	for _, e := range AllExperiments() {
-		edays := e.Days(colsEqStride)
-		if len(edays) == 0 {
-			continue
-		}
-		// A fresh pipeline per experiment keeps the pruned side strict:
-		// a shared cache would leak columns widened by earlier
-		// experiments into later ones.
-		cfg := Config{Seed: colsEqSeed, Scale: colsEqScale, Stride: colsEqStride,
-			Workers: 4, Store: store}
-		pruned := New(cfg)
-		full := New(cfg)
-		if _, err := full.AggregateCols(ctx, edays, flowrec.AllColumns); err != nil {
-			t.Fatalf("%s: full-width prewarm: %v", e.ID, err)
-		}
-
-		var prunedOut, fullOut bytes.Buffer
-		if err := e.Run(ctx, pruned, &prunedOut); err != nil {
-			t.Fatalf("%s: pruned render: %v", e.ID, err)
-		}
-		if err := e.Run(ctx, full, &fullOut); err != nil {
-			t.Fatalf("%s: full-width render: %v", e.ID, err)
-		}
-		if !bytes.Equal(prunedOut.Bytes(), fullOut.Bytes()) {
-			t.Errorf("%s: rendering from column-pruned aggregates diverges from full-width aggregates; its Cols declaration is missing a column the figure reads", e.ID)
+	for _, format := range []flowrec.Format{flowrec.FormatV1, flowrec.FormatV3} {
+		store := buildStoreFormat(t, t.TempDir(), format, days)
+		for _, shards := range []int{1, 3} {
+			p := New(Config{Seed: colsEqSeed, Scale: colsEqScale, Stride: colsEqStride,
+				Workers: 4, ShardsPerDay: shards, Store: store})
+			got, err := p.Aggregate(ctx, days)
+			if err != nil {
+				t.Fatalf("%s shards=%d: pipeline aggregate: %v", format, shards, err)
+			}
+			full, dayErrs, err := analytics.RunReport(ctx, analytics.StoreSource{Store: store}, days, p.Cls,
+				analytics.RunConfig{Workers: 4, ShardsPerDay: shards, Cols: flowrec.AllColumns})
+			if err != nil || len(dayErrs) > 0 {
+				t.Fatalf("%s shards=%d: full-width stage one: %v %v", format, shards, err, dayErrs)
+			}
+			if len(got) != len(full) || len(got) != len(days) {
+				t.Fatalf("%s shards=%d: pipeline has %d days, full-width %d, lake %d",
+					format, shards, len(got), len(full), len(days))
+			}
+			gb, fb := canonicalAll(t, got), canonicalAll(t, full)
+			for i := range gb {
+				if !bytes.Equal(gb[i], fb[i]) {
+					t.Errorf("%s shards=%d: day %s differs from the full-width fold; an accumulator reads a column outside AggregateColumns",
+						format, shards, got[i].Day.Format("2006-01-02"))
+				}
+			}
 		}
 	}
 }

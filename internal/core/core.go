@@ -171,11 +171,6 @@ type aggEntry struct {
 	done chan struct{}
 	agg  *analytics.DayAgg
 	err  error
-	// cols is the column contract the aggregate is (being) computed
-	// under — zero meaning all columns. A cached entry only serves a
-	// request whose column set it covers; a narrower resolved entry is
-	// evicted and recomputed at the union of both sets.
-	cols flowrec.ColumnSet
 	// gen is the lake generation the aggregate was computed under. A
 	// resolved entry from an older generation is evicted at claim time:
 	// the lake mutated (WriteDay, quarantine, live-ingest checkpoint)
@@ -184,10 +179,6 @@ type aggEntry struct {
 	// fires when a live writer shares the lake.
 	gen uint64
 }
-
-// covers reports whether the entry's aggregate satisfies a request for
-// the given column set (zero ≡ all on both sides).
-func (e *aggEntry) covers(cols flowrec.ColumnSet) bool { return e.cols.Covers(cols) }
 
 // resolved reports whether the entry's computation has finished. Only
 // meaningful under p.mu for deciding eviction; waiters use e.done.
@@ -342,79 +333,60 @@ func sortDayErrors(errs []analytics.DayError) {
 // inheriting a cancelled result. In Degrade mode, days that fail after
 // retries are reported via DayErrors and return as gaps (like
 // outages); otherwise the first day error fails the call.
+//
+// Every aggregate is built at one width, analytics.AggregateColumns —
+// the union of every accumulator's input columns — whether the records
+// come from a store or the simulated world. So any mix of figures reads
+// and folds each day once per pipeline: no request is ever too wide for
+// a cached day.
+//
+// aggcache.mem_hits and mem_misses count each distinct requested day
+// once per call that returns aggregates: a miss when this call computed
+// the day, a hit when the cache (or another caller) supplied it.
 func (p *Pipeline) Aggregate(ctx context.Context, days []time.Time) ([]*analytics.DayAgg, error) {
-	return p.AggregateCols(ctx, days, 0)
-}
-
-// AggregateCols is Aggregate with a column contract: the aggregates
-// only need the accumulators derivable from cols (zero means all), so
-// a columnar store decodes just those columns and the rest of the day
-// file is skipped. The in-memory and disk caches answer a request only
-// when the cached aggregate's column set covers it; a narrower cached
-// day is recomputed at the union of the old and new sets, so repeated
-// mixed-experiment runs converge instead of thrashing. Simulation-fed
-// pipelines ignore cols — the world emits full records anyway and the
-// full-width aggregate serves every experiment.
-func (p *Pipeline) AggregateCols(ctx context.Context, days []time.Time, cols flowrec.ColumnSet) ([]*analytics.DayAgg, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	eff := flowrec.ColumnSet(0)
-	if p.fromStore {
-		eff = analytics.NormalizeCols(cols)
-	}
+	computed := make(map[time.Time]bool)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Claim days nobody holds; collect the entries of the rest.
-		// A resolved entry that does not cover eff — or was computed
-		// under an older lake generation — is evicted here and
-		// recomputed — at the union of its set and ours, so whoever
-		// needed the old columns still hits on the replacement.
+		// Claim days nobody holds; collect the entries of the rest. A
+		// resolved entry computed under an older lake generation is
+		// evicted here and recomputed.
 		curGen := p.Generation()
-		stale := func(e *aggEntry) bool {
-			return e != nil && e.resolved() && (!e.covers(eff) || e.gen != curGen)
-		}
 		entryOf := make(map[time.Time]*aggEntry, len(days))
 		var owned []time.Time
 		p.mu.Lock()
-		runEff := eff
-		for _, d := range days {
-			if e := p.cache[d]; stale(e) {
-				runEff = runEff.Norm() | e.cols.Norm()
-			}
-		}
 		for _, d := range days {
 			if _, ok := entryOf[d]; ok {
 				continue // duplicate day in the request
 			}
 			e := p.cache[d]
-			if stale(e) {
+			if e != nil && e.resolved() && e.gen != curGen {
 				delete(p.cache, d)
 				e = nil
 			}
 			if e == nil {
-				e = &aggEntry{done: make(chan struct{}), cols: runEff, gen: curGen}
+				e = &aggEntry{done: make(chan struct{}), gen: curGen}
 				p.cache[d] = e
 				owned = append(owned, d)
+				computed[d] = true
 			}
 			entryOf[d] = e
 		}
 		p.mu.Unlock()
-		mMemHits.Add(uint64(len(days) - len(owned)))
-		mMemMisses.Add(uint64(len(owned)))
 
 		if len(owned) > 0 {
-			if err := p.computeDays(ctx, owned, entryOf, runEff); err != nil {
+			if err := p.computeDays(ctx, owned, entryOf); err != nil {
 				return nil, err
 			}
 		}
 
 		// Wait out days other callers are computing. An owner that
 		// failed marked its entries broken and un-reserved the days, so
-		// loop back and claim them ourselves — likewise an in-flight
-		// owner whose column set turns out not to cover ours.
+		// loop back and claim them ourselves.
 		retryClaim := false
 		for _, e := range entryOf {
 			select {
@@ -422,13 +394,15 @@ func (p *Pipeline) AggregateCols(ctx context.Context, days []time.Time, cols flo
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			if e.err != nil || !e.covers(eff) {
+			if e.err != nil {
 				retryClaim = true
 			}
 		}
 		if retryClaim {
 			continue
 		}
+		mMemMisses.Add(uint64(len(computed)))
+		mMemHits.Add(uint64(len(entryOf) - len(computed)))
 
 		out := make([]*analytics.DayAgg, 0, len(days))
 		for _, d := range days {
@@ -443,13 +417,29 @@ func (p *Pipeline) AggregateCols(ctx context.Context, days []time.Time, cols flo
 	}
 }
 
+// AggregateCols is Aggregate; cols is ignored. Every aggregate is built
+// at analytics.AggregateColumns, so there is no narrower request to
+// honour. It survives only for callers outside this package that still
+// name it.
+func (p *Pipeline) AggregateCols(ctx context.Context, days []time.Time, _ flowrec.ColumnSet) ([]*analytics.DayAgg, error) {
+	return p.Aggregate(ctx, days)
+}
+
+// usable reports whether a persisted aggregate can answer for this
+// pipeline: it was folded at full aggregation width — a narrower file
+// from an older, column-pruning run reads as a miss — and, in sketch
+// mode, it carries the sketches to merge.
+func (p *Pipeline) usable(agg *analytics.DayAgg) bool {
+	return agg != nil && agg.Cols.Covers(analytics.AggregateColumns) && (!p.cfg.Sketch || agg.Sketches != nil)
+}
+
 // computeDays produces the aggregates for the days this caller claimed
 // and resolves their cache entries. On error (including cancellation)
 // every owned entry is marked broken and un-reserved, so a retry
 // recomputes the days rather than mistaking them for permanent
 // outages. In Degrade mode per-day failures resolve to nil aggregates
 // (gaps) and land in the DayErrors report instead of failing the call.
-func (p *Pipeline) computeDays(ctx context.Context, owned []time.Time, entryOf map[time.Time]*aggEntry, cols flowrec.ColumnSet) (err error) {
+func (p *Pipeline) computeDays(ctx context.Context, owned []time.Time, entryOf map[time.Time]*aggEntry) (err error) {
 	aggOf := make(map[time.Time]*analytics.DayAgg, len(owned))
 	failed := make(map[time.Time]error)
 	defer func() {
@@ -481,13 +471,7 @@ func (p *Pipeline) computeDays(ctx context.Context, owned []time.Time, entryOf m
 	if p.cacheAggs() {
 		loaded := make([]*analytics.DayAgg, len(owned))
 		p.eachIndex(len(owned), func(i int) {
-			// A cached aggregate only counts when its column contract
-			// covers this run's: a narrower one (cached by a pruned
-			// experiment) reads as a miss and the day recomputes wide.
-			// Likewise a sketch-mode run cannot use an exact-mode
-			// cache entry — it carries no sketches to merge.
-			if agg, lerr := p.storage.LoadAgg(owned[i]); lerr == nil && agg != nil && agg.Cols.Covers(cols) &&
-				(!p.cfg.Sketch || agg.Sketches != nil) {
+			if agg, lerr := p.storage.LoadAgg(owned[i]); lerr == nil && p.usable(agg) {
 				loaded[i] = agg
 				return
 			}
@@ -496,8 +480,7 @@ func (p *Pipeline) computeDays(ctx context.Context, owned []time.Time, entryOf m
 			// the same reduce step the live path runs, minus reading
 			// the records.
 			if parts, lerr := p.storage.LoadPartials(owned[i]); lerr == nil && len(parts) > 0 {
-				if agg, merr := analytics.MergePartials(owned[i], parts); merr == nil && agg.Cols.Covers(cols) &&
-					(!p.cfg.Sketch || agg.Sketches != nil) {
+				if agg, merr := analytics.MergePartials(owned[i], parts); merr == nil && p.usable(agg) {
 					loaded[i] = agg
 					mPartialHits.Inc()
 					// A day served from partials that has no sealed log
@@ -528,7 +511,7 @@ func (p *Pipeline) computeDays(ctx context.Context, owned []time.Time, entryOf m
 			ShardsPerDay: p.cfg.ShardsPerDay,
 			Retry:        p.retry,
 			DayTimeout:   p.cfg.DayTimeout,
-			Cols:         cols,
+			Cols:         analytics.AggregateColumns,
 			Sketch:       p.cfg.Sketch,
 			MemBudget:    p.cfg.MemBudget,
 			SpillDir:     p.cfg.SpillDir,
@@ -643,7 +626,7 @@ func (p *Pipeline) eachIndex(n int, fn func(int)) {
 func (p *Pipeline) runStage1(ctx context.Context, src analytics.Source, days []time.Time, workers int) ([]*analytics.DayAgg, error) {
 	aggs, dayErrs, err := analytics.RunReport(ctx, src, days, p.Cls,
 		analytics.RunConfig{Workers: workers, ShardsPerDay: p.cfg.ShardsPerDay,
-			Retry: p.retry, DayTimeout: p.cfg.DayTimeout,
+			Retry: p.retry, DayTimeout: p.cfg.DayTimeout, Cols: analytics.AggregateColumns,
 			MemBudget: p.cfg.MemBudget, SpillDir: p.cfg.SpillDir,
 			SpillFanIn: p.cfg.SpillFanIn})
 	if err != nil {

@@ -25,11 +25,6 @@ type Experiment struct {
 	// Days lists the days of data the experiment consumes under a
 	// given stride.
 	Days func(stride int) []time.Time
-	// Cols is the experiment's column contract: the record columns its
-	// aggregation actually reads. Run passes it to AggregateCols so a
-	// columnar store decodes only these columns; zero means the
-	// experiment needs full records (or none at all).
-	Cols flowrec.ColumnSet
 	// Run aggregates (through the pipeline cache) and writes the
 	// rendered result. Cancelling ctx aborts mid-aggregation.
 	Run func(ctx context.Context, p *Pipeline, w io.Writer) error
@@ -46,63 +41,54 @@ func Experiments() []Experiment {
 		},
 		{
 			ID:    "active",
-			Cols:  analytics.ColsSubscribers,
 			Title: "Section 3: share of active subscribers per day (~80%)",
 			Days:  func(stride int) []time.Time { return RangeDays(date(2016, 4, 1), date(2016, 4, 30), 1) },
 			Run:   runActive,
 		},
 		{
 			ID:    "fig2",
-			Cols:  analytics.ColsSubscribers,
 			Title: "Figure 2: CCDF of per-active-subscriber daily traffic, Apr 2014 vs Apr 2017",
 			Days:  aprilDays,
 			Run:   runFig2,
 		},
 		{
 			ID:    "fig3",
-			Cols:  analytics.ColsSubscribers,
 			Title: "Figure 3: average per-subscription daily traffic over 54 months",
 			Days:  spanDays,
 			Run:   runFig3,
 		},
 		{
 			ID:    "fig4",
-			Cols:  analytics.ColsTimeBins,
 			Title: "Figure 4: download growth ratio Apr 2017 / Apr 2014 by time of day",
 			Days:  aprilDays,
 			Run:   runFig4,
 		},
 		{
 			ID:    "fig5",
-			Cols:  analytics.ColsSubscribers,
 			Title: "Figure 5: service popularity and byte share over time",
 			Days:  spanDays,
 			Run:   runFig5,
 		},
 		{
 			ID:    "fig6",
-			Cols:  analytics.ColsSubscribers,
 			Title: "Figure 6: P2P, Netflix, YouTube popularity and volumes",
 			Days:  spanDays,
 			Run:   runFig6,
 		},
 		{
 			ID:    "fig7",
-			Cols:  analytics.ColsSubscribers,
 			Title: "Figure 7: SnapChat, WhatsApp, Instagram popularity and volumes",
 			Days:  spanDays,
 			Run:   runFig7,
 		},
 		{
 			ID:    "fig8",
-			Cols:  analytics.ColsProtocols,
 			Title: "Figure 8: web protocol breakdown over 5 years (events A-F)",
 			Days:  spanDays,
 			Run:   runFig8,
 		},
 		{
 			ID:    "fig9",
-			Cols:  analytics.ColsSubscribers,
 			Title: "Figure 9: Facebook per-user daily traffic through 2014 (video auto-play)",
 			Days: func(stride int) []time.Time {
 				s := stride / 2
@@ -115,14 +101,12 @@ func Experiments() []Experiment {
 		},
 		{
 			ID:    "fig10",
-			Cols:  analytics.ColsRTT,
 			Title: "Figure 10: RTT CDFs 2014 vs 2017 (Facebook, Instagram, YouTube, Google)",
 			Days:  aprilDays,
 			Run:   runFig10,
 		},
 		{
 			ID:    "fig11",
-			Cols:  analytics.ColsInfra,
 			Title: "Figure 11: Facebook, Instagram, YouTube infrastructure evolution",
 			Days:  spanDays,
 			Run:   runFig11,
@@ -202,7 +186,7 @@ func orDash(s string) string {
 // --- Section 3: active share ------------------------------------------------
 
 func runActive(ctx context.Context, p *Pipeline, w io.Writer) error {
-	pts, err := p.ActiveSeriesTier(ctx, Lookup0("active").Days(p.Stride()), analytics.ColsSubscribers)
+	pts, err := p.ActiveSeriesTier(ctx, Lookup0("active").Days(p.Stride()))
 	if err != nil {
 		return err
 	}
@@ -235,7 +219,7 @@ func Lookup0(id string) Experiment {
 // --- Figure 2 ----------------------------------------------------------------
 
 func runFig2(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.AggregateCols(ctx, aprilDays(0), analytics.ColsSubscribers)
+	aggs, err := p.Aggregate(ctx, aprilDays(0))
 	if err != nil {
 		return err
 	}
@@ -288,7 +272,7 @@ func runFig2(ctx context.Context, p *Pipeline, w io.Writer) error {
 // --- Figure 3 ----------------------------------------------------------------
 
 func runFig3(ctx context.Context, p *Pipeline, w io.Writer) error {
-	ms, err := p.MonthlySeriesTier(ctx, spanDays(p.Stride()), analytics.ColsSubscribers)
+	ms, err := p.MonthlySeriesTier(ctx, spanDays(p.Stride()))
 	if err != nil {
 		return err
 	}
@@ -325,7 +309,7 @@ func runFig3(ctx context.Context, p *Pipeline, w io.Writer) error {
 // --- Figure 4 ----------------------------------------------------------------
 
 func runFig4(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.AggregateCols(ctx, aprilDays(0), analytics.ColsTimeBins)
+	aggs, err := p.Aggregate(ctx, aprilDays(0))
 	if err != nil {
 		return err
 	}
@@ -356,7 +340,7 @@ func runFig4(ctx context.Context, p *Pipeline, w io.Writer) error {
 // --- Figure 5 ----------------------------------------------------------------
 
 func runFig5(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.AggregateCols(ctx, spanDays(p.Stride()), analytics.ColsSubscribers)
+	aggs, err := p.Aggregate(ctx, spanDays(p.Stride()))
 	if err != nil {
 		return err
 	}
@@ -517,7 +501,7 @@ func halfYear(d time.Time) time.Time {
 }
 
 func runFig6(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.AggregateCols(ctx, spanDays(p.Stride()), analytics.ColsSubscribers)
+	aggs, err := p.Aggregate(ctx, spanDays(p.Stride()))
 	if err != nil {
 		return err
 	}
@@ -533,7 +517,7 @@ func runFig6(ctx context.Context, p *Pipeline, w io.Writer) error {
 }
 
 func runFig7(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.AggregateCols(ctx, spanDays(p.Stride()), analytics.ColsSubscribers)
+	aggs, err := p.Aggregate(ctx, spanDays(p.Stride()))
 	if err != nil {
 		return err
 	}
@@ -550,7 +534,7 @@ func runFig7(ctx context.Context, p *Pipeline, w io.Writer) error {
 
 func runFig9(ctx context.Context, p *Pipeline, w io.Writer) error {
 	days := Lookup0("fig9").Days(p.Stride())
-	aggs, err := p.AggregateCols(ctx, days, analytics.ColsSubscribers)
+	aggs, err := p.Aggregate(ctx, days)
 	if err != nil {
 		return err
 	}
@@ -589,7 +573,7 @@ func runFig9(ctx context.Context, p *Pipeline, w io.Writer) error {
 // --- Figure 8 ----------------------------------------------------------------
 
 func runFig8(ctx context.Context, p *Pipeline, w io.Writer) error {
-	shares, err := p.ProtoSharesTier(ctx, spanDays(p.Stride()), analytics.ColsProtocols)
+	shares, err := p.ProtoSharesTier(ctx, spanDays(p.Stride()))
 	if err != nil {
 		return err
 	}
@@ -632,7 +616,7 @@ func runFig8(ctx context.Context, p *Pipeline, w io.Writer) error {
 // --- Figure 10 -----------------------------------------------------------------
 
 func runFig10(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.AggregateCols(ctx, aprilDays(0), analytics.ColsRTT)
+	aggs, err := p.Aggregate(ctx, aprilDays(0))
 	if err != nil {
 		return err
 	}
@@ -674,7 +658,7 @@ func runFig10(ctx context.Context, p *Pipeline, w io.Writer) error {
 // --- Figure 11 -----------------------------------------------------------------
 
 func runFig11(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.AggregateCols(ctx, spanDays(p.Stride()), analytics.ColsInfra)
+	aggs, err := p.Aggregate(ctx, spanDays(p.Stride()))
 	if err != nil {
 		return err
 	}
@@ -790,7 +774,7 @@ func fig11Service(p *Pipeline, w io.Writer, aggs []*analytics.DayAgg, svc classi
 
 // Fig4Points exposes the smoothed fig4 curves for tests and examples.
 func Fig4Points(ctx context.Context, p *Pipeline, tech flowrec.AccessTech, points int) ([]stats.Point, error) {
-	aggs, err := p.AggregateCols(ctx, aprilDays(0), analytics.ColsTimeBins)
+	aggs, err := p.Aggregate(ctx, aprilDays(0))
 	if err != nil {
 		return nil, err
 	}

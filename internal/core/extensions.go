@@ -22,7 +22,6 @@ func extensionExperiments() []Experiment {
 	return []Experiment{
 		{
 			ID:    "weekly",
-			Cols:  analytics.ColsSubscribers,
 			Title: "Section 4.3 extension: daily vs weekly service reach (Netflix gap)",
 			Days: func(int) []time.Time {
 				return RangeDays(date(2017, 10, 2), date(2017, 10, 29), 1)
@@ -31,7 +30,6 @@ func extensionExperiments() []Experiment {
 		},
 		{
 			ID:    "quicver",
-			Cols:  analytics.ColsQUIC,
 			Title: "Per-protocol drill-down: gQUIC version mix by year",
 			Days:  spanDays,
 			Run:   runQUICVersions,
@@ -114,7 +112,7 @@ func runWhatIf(ctx context.Context, p *Pipeline, w io.Writer) error {
 }
 
 func runWeekly(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.AggregateCols(ctx, Lookup0("weekly").Days(p.Stride()), analytics.ColsSubscribers)
+	aggs, err := p.Aggregate(ctx, Lookup0("weekly").Days(p.Stride()))
 	if err != nil {
 		return err
 	}
@@ -149,7 +147,7 @@ func runWeekly(ctx context.Context, p *Pipeline, w io.Writer) error {
 }
 
 func runQUICVersions(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.AggregateCols(ctx, spanDays(p.Stride()), analytics.ColsQUIC)
+	aggs, err := p.Aggregate(ctx, spanDays(p.Stride()))
 	if err != nil {
 		return err
 	}

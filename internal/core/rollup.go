@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/analytics"
-	"repro/internal/flowrec"
 	"repro/internal/framefile"
 	"repro/internal/metrics"
 )
@@ -127,22 +126,18 @@ func (p *Pipeline) RollupsEnabled() bool {
 }
 
 // rollupFor serves one planned window: a persisted rollup when its
-// manifest matches the request exactly and its aggregate is full-width
-// (and sketch-bearing when the pipeline runs in sketch mode), a
+// manifest matches the request exactly and its aggregate is usable
+// (folded at AggregateColumns width, sketch-bearing in sketch mode), a
 // rebuild from day aggregates otherwise. Save failures are fatal in
 // strict mode and tolerated in Degrade (the rollup still answers from
 // memory; the next run rebuilds).
 func (p *Pipeline) rollupFor(ctx context.Context, win tierWindow) (*analytics.Rollup, error) {
 	r, err := p.storage.LoadRollup(win.Grain, win.Start)
-	if err == nil && r != nil && r.Agg != nil && r.CoversExactly(win.Days) &&
-		r.Agg.Cols.Covers(flowrec.ColumnSet(0)) &&
-		(!p.cfg.Sketch || r.Agg.Sketches != nil) {
+	if err == nil && r != nil && r.CoversExactly(win.Days) && p.usable(r.Agg) {
 		mRollupHits.Inc()
 		return r, nil
 	}
 	mRollupMisses.Inc()
-	// Rebuild at full column width: a rollup serves every experiment,
-	// so it must never inherit one experiment's pruned column contract.
 	aggs, err := p.Aggregate(ctx, win.Days)
 	if err != nil {
 		return nil, err
@@ -163,12 +158,10 @@ func (p *Pipeline) rollupFor(ctx context.Context, win tierWindow) (*analytics.Ro
 // DayStats returns one scalar row per requested day that has data,
 // ascending. With the rollup tier enabled, rows come from the coarsest
 // covering rollups and only edge days touch per-day aggregates; without
-// it, the rows project straight off the day aggregates (cols is the
-// requesting experiment's column contract for that path — rollups
-// themselves are always full-width).
-func (p *Pipeline) DayStats(ctx context.Context, days []time.Time, cols flowrec.ColumnSet) ([]analytics.DayStat, error) {
+// it, the rows project straight off the day aggregates.
+func (p *Pipeline) DayStats(ctx context.Context, days []time.Time) ([]analytics.DayStat, error) {
 	if !p.RollupsEnabled() {
-		aggs, err := p.AggregateCols(ctx, days, cols)
+		aggs, err := p.Aggregate(ctx, days)
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +174,7 @@ func (p *Pipeline) DayStats(ctx context.Context, days []time.Time, cols flowrec.
 	var rows []analytics.DayStat
 	for _, win := range planTiers(days) {
 		if win.Grain == "" {
-			aggs, err := p.AggregateCols(ctx, win.Days, cols)
+			aggs, err := p.Aggregate(ctx, win.Days)
 			if err != nil {
 				return nil, err
 			}
@@ -245,15 +238,15 @@ func (p *Pipeline) Rollups(ctx context.Context, days []time.Time) ([]*analytics.
 // MonthlySeriesTier is Figure 3's fold served from the rollup tier
 // when enabled — byte-identical to MonthlySeries over the flat day
 // fold — and the plain exact path otherwise.
-func (p *Pipeline) MonthlySeriesTier(ctx context.Context, days []time.Time, cols flowrec.ColumnSet) ([]analytics.MonthlyMean, error) {
+func (p *Pipeline) MonthlySeriesTier(ctx context.Context, days []time.Time) ([]analytics.MonthlyMean, error) {
 	if !p.RollupsEnabled() {
-		aggs, err := p.AggregateCols(ctx, days, cols)
+		aggs, err := p.Aggregate(ctx, days)
 		if err != nil {
 			return nil, err
 		}
 		return analytics.MonthlySeries(aggs), nil
 	}
-	rows, err := p.DayStats(ctx, days, cols)
+	rows, err := p.DayStats(ctx, days)
 	if err != nil {
 		return nil, err
 	}
@@ -262,15 +255,15 @@ func (p *Pipeline) MonthlySeriesTier(ctx context.Context, days []time.Time, cols
 
 // ActiveSeriesTier is the section-3 active-share series through the
 // rollup tier.
-func (p *Pipeline) ActiveSeriesTier(ctx context.Context, days []time.Time, cols flowrec.ColumnSet) ([]analytics.ActivePoint, error) {
+func (p *Pipeline) ActiveSeriesTier(ctx context.Context, days []time.Time) ([]analytics.ActivePoint, error) {
 	if !p.RollupsEnabled() {
-		aggs, err := p.AggregateCols(ctx, days, cols)
+		aggs, err := p.Aggregate(ctx, days)
 		if err != nil {
 			return nil, err
 		}
 		return analytics.ActiveSeries(aggs), nil
 	}
-	rows, err := p.DayStats(ctx, days, cols)
+	rows, err := p.DayStats(ctx, days)
 	if err != nil {
 		return nil, err
 	}
@@ -279,15 +272,15 @@ func (p *Pipeline) ActiveSeriesTier(ctx context.Context, days []time.Time, cols 
 
 // ProtoSharesTier is Figure 8's monthly protocol mix through the
 // rollup tier.
-func (p *Pipeline) ProtoSharesTier(ctx context.Context, days []time.Time, cols flowrec.ColumnSet) ([]analytics.ProtoSharePoint, error) {
+func (p *Pipeline) ProtoSharesTier(ctx context.Context, days []time.Time) ([]analytics.ProtoSharePoint, error) {
 	if !p.RollupsEnabled() {
-		aggs, err := p.AggregateCols(ctx, days, cols)
+		aggs, err := p.Aggregate(ctx, days)
 		if err != nil {
 			return nil, err
 		}
 		return analytics.ProtocolShares(aggs), nil
 	}
-	rows, err := p.DayStats(ctx, days, cols)
+	rows, err := p.DayStats(ctx, days)
 	if err != nil {
 		return nil, err
 	}

@@ -185,7 +185,7 @@ func TestRollupInvalidationOnWriteDay(t *testing.T) {
 	cfg := Config{Seed: 11, Scale: simnet.Scale{ADSL: 8, FTTH: 4}, Workers: 4,
 		Store: store, AggCacheDir: aggDir, RollupDir: rollDir}
 	p := New(cfg)
-	rows, err := p.DayStats(context.Background(), days, 0)
+	rows, err := p.DayStats(context.Background(), days)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestRollupInvalidationOnWriteDay(t *testing.T) {
 
 	// A fresh pipeline must rebuild the window and see the new bytes.
 	p2 := New(cfg)
-	rows2, err := p2.DayStats(context.Background(), days, 0)
+	rows2, err := p2.DayStats(context.Background(), days)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +257,14 @@ func TestRollupManifestMismatchRebuilds(t *testing.T) {
 	week := RangeDays(time.Date(2016, 6, 6, 0, 0, 0, 0, time.UTC),
 		time.Date(2016, 6, 12, 0, 0, 0, 0, time.UTC), 1)
 
-	if _, err := New(cfg).DayStats(context.Background(), week, 0); err != nil {
+	if _, err := New(cfg).DayStats(context.Background(), week); err != nil {
 		t.Fatal(err)
 	}
 	// Same window, stride-2 grid: 4 of the 7 days.
 	strided := RangeDays(week[0], week[6], 2)
 	mBuilds := metrics.GetCounter("rollup.builds")
 	builds0 := mBuilds.Load()
-	rows, err := New(cfg).DayStats(context.Background(), strided, 0)
+	rows, err := New(cfg).DayStats(context.Background(), strided)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestChaosRollupRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	pClean := New(Config{Seed: chaosSeed, Scale: chaosScale, Workers: 4, Store: cleanStore})
-	want, err := pClean.MonthlySeriesTier(context.Background(), days, 0)
+	want, err := pClean.MonthlySeriesTier(context.Background(), days)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestChaosRollupRefresh(t *testing.T) {
 	}
 	pBad := New(Config{Seed: chaosSeed, Scale: chaosScale, Workers: 4, Store: badStore,
 		RollupDir: rollDir, Degrade: true, Faults: plan, Retry: chaosPolicy()})
-	degraded, err := pBad.MonthlySeriesTier(context.Background(), days, 0)
+	degraded, err := pBad.MonthlySeriesTier(context.Background(), days)
 	if err != nil {
 		t.Fatalf("degraded tier query: %v", err)
 	}
@@ -409,7 +409,7 @@ func TestChaosRollupRefresh(t *testing.T) {
 	}
 	pFresh := New(Config{Seed: chaosSeed, Scale: chaosScale, Workers: 4, Store: freshStore,
 		RollupDir: rollDir})
-	got, err := pFresh.MonthlySeriesTier(context.Background(), days, 0)
+	got, err := pFresh.MonthlySeriesTier(context.Background(), days)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,11 +137,11 @@ func TestStreamedEqualsBatchExperiments(t *testing.T) {
 			if len(edays) == 0 {
 				continue
 			}
-			ab, err := pb.AggregateCols(ctx, edays, e.Cols)
+			ab, err := pb.Aggregate(ctx, edays)
 			if err != nil {
 				t.Fatalf("%s shards=%d: batch aggregate: %v", e.ID, shards, err)
 			}
-			as, err := ps.AggregateCols(ctx, edays, e.Cols)
+			as, err := ps.Aggregate(ctx, edays)
 			if err != nil {
 				t.Fatalf("%s shards=%d: streamed aggregate: %v", e.ID, shards, err)
 			}
@@ -205,7 +205,7 @@ func TestHotDayServesFromCheckpoints(t *testing.T) {
 	// live day's canonical bytes.
 	hotLast := func() []byte {
 		t.Helper()
-		aggs, err := New(pcfg).AggregateCols(ctx, []time.Time{last}, 0)
+		aggs, err := New(pcfg).Aggregate(ctx, []time.Time{last})
 		if err != nil || len(aggs) != 1 {
 			t.Fatalf("hot-day aggregate: %d days, err %v", len(aggs), err)
 		}
@@ -272,7 +272,7 @@ func TestHotDayServesFromCheckpoints(t *testing.T) {
 	}
 
 	hot0 := mHotDayServes.Load()
-	aggs, err := New(pcfg).AggregateCols(ctx, days, 0)
+	aggs, err := New(pcfg).Aggregate(ctx, days)
 	if err != nil {
 		t.Fatalf("aggregate over live span: %v", err)
 	}
@@ -301,7 +301,7 @@ func TestHotDayServesFromCheckpoints(t *testing.T) {
 
 	// Fresh pipeline: no memory cache, and sealing invalidated the
 	// partials — the answer now comes from the sealed day file.
-	aggs2, err := New(pcfg).AggregateCols(ctx, days, 0)
+	aggs2, err := New(pcfg).Aggregate(ctx, days)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestHotDayConcurrentReadsDuringIngest(t *testing.T) {
 				}
 				// A fresh pipeline per query: the memory cache must not
 				// hide the moving checkpoint state.
-				aggs, err := New(pcfg).AggregateCols(ctx, []time.Time{day}, 0)
+				aggs, err := New(pcfg).Aggregate(ctx, []time.Time{day})
 				if err != nil {
 					t.Errorf("hot-day query during ingest: %v", err)
 					return
@@ -401,7 +401,7 @@ func TestHotDayConcurrentReadsDuringIngest(t *testing.T) {
 	var want uint64
 	w2 := simnet.NewWorld(7, simnet.Scale{ADSL: 8, FTTH: 4})
 	w2.EmitDay(day, func(*flowrec.Record) { want++ })
-	aggs, err := New(pcfg).AggregateCols(ctx, []time.Time{day}, 0)
+	aggs, err := New(pcfg).Aggregate(ctx, []time.Time{day})
 	if err != nil {
 		t.Fatal(err)
 	}

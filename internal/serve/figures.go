@@ -15,7 +15,7 @@ import (
 // The figure endpoints. Each one answers with the same numbers the
 // batch edgereport figure renders — the handlers call the exact tier
 // functions the experiments call (MonthlySeriesTier, ActiveSeriesTier,
-// ProtoSharesTier, AggregateCols + the analytics folds), so tier
+// ProtoSharesTier, Aggregate + the analytics folds), so tier
 // selection, the shared agg cache and hot-day checkpoint serving all
 // apply unchanged. The serve-equivalence test tier holds the two
 // derivations byte-identical on a golden lake.
@@ -187,7 +187,7 @@ type ActiveRow struct {
 }
 
 func runActiveFigure(ctx context.Context, p *core.Pipeline, q Query, days []time.Time) (any, csvTable, error) {
-	pts, err := p.ActiveSeriesTier(ctx, days, analytics.ColsSubscribers)
+	pts, err := p.ActiveSeriesTier(ctx, days)
 	if err != nil {
 		return nil, csvTable{}, err
 	}
@@ -221,7 +221,7 @@ type DistRow struct {
 var defaultVolumeQuantiles = []float64{0.5, 0.9, 0.99}
 
 func runFig2Figure(ctx context.Context, p *core.Pipeline, q Query, days []time.Time) (any, csvTable, error) {
-	aggs, err := p.AggregateCols(ctx, days, analytics.ColsSubscribers)
+	aggs, err := p.Aggregate(ctx, days)
 	if err != nil {
 		return nil, csvTable{}, err
 	}
@@ -274,7 +274,7 @@ type MonthlyRow struct {
 }
 
 func runFig3Figure(ctx context.Context, p *core.Pipeline, q Query, days []time.Time) (any, csvTable, error) {
-	ms, err := p.MonthlySeriesTier(ctx, days, analytics.ColsSubscribers)
+	ms, err := p.MonthlySeriesTier(ctx, days)
 	if err != nil {
 		return nil, csvTable{}, err
 	}
@@ -360,7 +360,7 @@ type Fig5Rows struct {
 }
 
 func runFig5Figure(ctx context.Context, p *core.Pipeline, q Query, days []time.Time) (any, csvTable, error) {
-	aggs, err := p.AggregateCols(ctx, days, analytics.ColsSubscribers)
+	aggs, err := p.Aggregate(ctx, days)
 	if err != nil {
 		return nil, csvTable{}, err
 	}
@@ -405,7 +405,7 @@ type ProtoRow struct {
 }
 
 func runFig8Figure(ctx context.Context, p *core.Pipeline, q Query, days []time.Time) (any, csvTable, error) {
-	shares, err := p.ProtoSharesTier(ctx, days, analytics.ColsProtocols)
+	shares, err := p.ProtoSharesTier(ctx, days)
 	if err != nil {
 		return nil, csvTable{}, err
 	}
@@ -441,7 +441,7 @@ var defaultRTTServices = []classify.Service{"Facebook", "Instagram", "YouTube", 
 var defaultRTTQuantiles = []float64{0.25, 0.5, 0.75, 0.9, 0.99}
 
 func runFig10Figure(ctx context.Context, p *core.Pipeline, q Query, days []time.Time) (any, csvTable, error) {
-	aggs, err := p.AggregateCols(ctx, days, analytics.ColsRTT)
+	aggs, err := p.Aggregate(ctx, days)
 	if err != nil {
 		return nil, csvTable{}, err
 	}

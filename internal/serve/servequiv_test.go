@@ -153,7 +153,7 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 		var rows []ActiveRow
 		getRows(t, ts.URL+"/v1/figures/active", &rows)
 		days := core.Lookup0("active").Days(batch.Stride())
-		pts, err := batch.ActiveSeriesTier(ctx, days, analytics.ColsSubscribers)
+		pts, err := batch.ActiveSeriesTier(ctx, days)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 		var rows []MonthlyRow
 		getRows(t, ts.URL+"/v1/figures/fig3", &rows)
 		days := core.Lookup0("fig3").Days(batch.Stride())
-		ms, err := batch.MonthlySeriesTier(ctx, days, analytics.ColsSubscribers)
+		ms, err := batch.MonthlySeriesTier(ctx, days)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 		var rows []ProtoRow
 		getRows(t, ts.URL+"/v1/figures/fig8", &rows)
 		days := core.Lookup0("fig8").Days(batch.Stride())
-		shares, err := batch.ProtoSharesTier(ctx, days, analytics.ColsProtocols)
+		shares, err := batch.ProtoSharesTier(ctx, days)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 		var rows []DistRow
 		getRows(t, ts.URL+"/v1/figures/fig2", &rows)
 		days := core.Lookup0("fig2").Days(batch.Stride())
-		aggs, err := batch.AggregateCols(ctx, days, analytics.ColsSubscribers)
+		aggs, err := batch.Aggregate(ctx, days)
 		if err != nil {
 			t.Fatal(err)
 		}
