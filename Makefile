@@ -72,11 +72,13 @@ chaos:
 ## in what a dead incarnation leaves behind, not in the dice. core's and
 ## serve's concurrency tests run three times too, under the race
 ## detector in shuffled order, so an interleaving that passes once by
-## luck gets two more chances to fail.
+## luck gets two more chances to fail — the day-stamp writers among
+## them. And a long-lived pipeline's rollup memory tier must reload only
+## the window a rewritten day lies in.
 streamequiv:
-	$(GO) test -run '^TestStreamedEqualsBatchExperiments|^TestHotDay|^TestPartialFrames|^TestDerivedFilesRejectDamage|^TestOrphanTemps' ./internal/core
+	$(GO) test -run '^TestStreamedEqualsBatchExperiments|^TestHotDay|^TestPartialFrames|^TestDerivedFilesRejectDamage|^TestOrphanTemps|^TestRollupMemoryTier$$' ./internal/core
 	$(GO) test -count=3 ./internal/ingest
-	$(GO) test -count=3 -race -shuffle=on -run '^TestConcurrent|^TestHotDayConcurrentReadsDuringIngest$$' ./internal/core
+	$(GO) test -count=3 -race -shuffle=on -run '^TestConcurrent|^TestHotDayConcurrentReadsDuringIngest$$|^TestDayStampsAcrossWriters$$' ./internal/core
 	$(GO) test -count=3 -race -shuffle=on -run '^TestConcurrent|^TestResponseCache' ./internal/serve
 
 ## servequiv: the serve-equivalence gate — every /v1/figures response
@@ -96,12 +98,14 @@ servequiv-update:
 ## cacheequiv: the cache-equivalence gate — response-cache hits are
 ## byte-identical to their first computation, every mutation path
 ## (WriteDay, live-ingest checkpoint/seal, admin compact) invalidates
-## against a fresh batch pipeline, the ETag/If-None-Match round trip
-## holds, and a mid-stream damaged day terminates a streamed CSV with
-## the error trailer. Plus the three serve-contract regressions
-## (queue-wait deadline, metrics format, healthz day-count caching).
+## against a fresh batch pipeline, a hot-day checkpoint invalidates
+## nothing that did not read the hot day (same ETag, no sealed-day
+## load), the ETag/If-None-Match round trip holds, and a mid-stream
+## damaged day terminates a streamed CSV with the error trailer. Plus
+## the three serve-contract regressions (queue-wait deadline, metrics
+## format, healthz day-count caching).
 cacheequiv:
-	$(GO) test ./internal/serve -run '^TestResponseCache|^TestETag|^TestStreaming|^TestAdmin|^TestDeadlineIncludesQueueWait$$|^TestMetricsFormatStrict$$|^TestHealthzCachedDayCount$$' -count=1
+	$(GO) test ./internal/serve -run '^TestResponseCache|^TestETag|^TestStreaming|^TestAdmin|^TestCheckpointSparesUnreadDays$$|^TestDeadlineIncludesQueueWait$$|^TestMetricsFormatStrict$$|^TestHealthzCachedDayCount$$' -count=1
 
 ## scanequiv: the scan-equivalence gate — over one mixed v1/v3 lake
 ## with a truncated day and a missing day, /v1/scan's summary, buffered

@@ -14,9 +14,11 @@
 // Endpoints: /v1/healthz, /v1/metrics, /v1/experiments,
 // /v1/figures/{name}, /v1/scan, and the token-gated POST
 // /v1/admin/{compact,rollups/prewarm} (see README for the parameter
-// table). Responses are cached per lake generation and carry strong
-// ETags; repeated dashboard queries answer from memory, 304 when the
-// client already holds the bytes.
+// table). Responses are cached while the stamps of the lake days they
+// read are unchanged, so a live ingester's checkpoint of today drops
+// only the answers that read today. They carry strong ETags; repeated
+// dashboard queries answer from memory, 304 when the client already
+// holds the bytes.
 package main
 
 import (

@@ -156,6 +156,8 @@ type Pipeline struct {
 	mu      sync.Mutex
 	cache   map[time.Time]*aggEntry
 	dayErrs map[time.Time]error
+	// rollRows is the rollup tier's memory half (see windowStats).
+	rollRows map[rollupKey]*rollupRows
 }
 
 // aggEntry is one day's slot in the in-memory aggregate cache. The
@@ -171,13 +173,13 @@ type aggEntry struct {
 	done chan struct{}
 	agg  *analytics.DayAgg
 	err  error
-	// gen is the lake generation the aggregate was computed under. A
-	// resolved entry from an older generation is evicted at claim time:
-	// the lake mutated (WriteDay, quarantine, live-ingest checkpoint)
-	// since it was built, so its bytes may no longer match a fresh
-	// derivation. Batch pipelines never bump mid-run, so this only
-	// fires when a live writer shares the lake.
-	gen uint64
+	// stamp is the day's stamp, read before the aggregate was loaded or
+	// computed. A resolved entry whose day's stamp has moved since is
+	// evicted at claim time: the day mutated (WriteDay, quarantine,
+	// compaction, a live-ingest checkpoint), so its bytes may no longer
+	// match a fresh derivation. Other days' entries stay: a checkpoint
+	// of the hot day leaves every sealed day in memory.
+	stamp uint64
 }
 
 // resolved reports whether the entry's computation has finished. Only
@@ -237,6 +239,7 @@ func New(cfg Config) *Pipeline {
 		retry:     pol,
 		cache:     make(map[time.Time]*aggEntry),
 		dayErrs:   make(map[time.Time]error),
+		rollRows:  make(map[rollupKey]*rollupRows),
 	}
 }
 
@@ -254,9 +257,8 @@ func (p *Pipeline) Storage() Storage { return p.storage }
 func (p *Pipeline) FlowStore() *flowrec.Store { return p.cfg.Store }
 
 // Generation returns the lake generation (see Storage.Generation);
-// 0 — a constant, never-invalidating generation — for a pure
-// simulation pipeline, whose "lake" is a deterministic world that
-// cannot mutate.
+// 0 for a pure simulation pipeline, whose "lake" is a deterministic
+// world that cannot mutate.
 func (p *Pipeline) Generation() uint64 {
 	if p.storage == nil {
 		return 0
@@ -264,14 +266,38 @@ func (p *Pipeline) Generation() uint64 {
 	return p.storage.Generation()
 }
 
-// BumpGeneration advances the lake generation after an out-of-band
-// mutation (admin-triggered compaction, rollup prewarm). A no-op
-// without storage.
+// DayStamps reads the stamps of days, in order (see
+// Storage.DayStamp); all 0, never changing, for a pure simulation
+// pipeline.
+func (p *Pipeline) DayStamps(days []time.Time) []uint64 {
+	out := make([]uint64, len(days))
+	if p.storage != nil {
+		for i, d := range days {
+			out[i] = p.storage.DayStamp(d)
+		}
+	}
+	return out
+}
+
+// BumpGeneration advances the lake generation and drops the pipeline's
+// in-memory tiers — resolved day aggregates and rollup rows — so the
+// next call reloads them from storage. Mutations name their days
+// through Storage.BumpDays and invalidate only those; this is the
+// blunt form, which the benchmark's reload ladder times. The
+// generation is 0 without storage.
 func (p *Pipeline) BumpGeneration() uint64 {
+	p.mu.Lock()
+	for d, e := range p.cache {
+		if e.resolved() {
+			delete(p.cache, d)
+		}
+	}
+	clear(p.rollRows)
+	p.mu.Unlock()
 	if p.storage == nil {
 		return 0
 	}
-	return p.storage.BumpGeneration()
+	return p.storage.BumpDays()
 }
 
 // faultPlan returns the configured plan as a simnet.FaultPlan,
@@ -353,23 +379,25 @@ func (p *Pipeline) Aggregate(ctx context.Context, days []time.Time) ([]*analytic
 			return nil, err
 		}
 		// Claim days nobody holds; collect the entries of the rest. A
-		// resolved entry computed under an older lake generation is
-		// evicted here and recomputed.
-		curGen := p.Generation()
+		// resolved entry whose day's stamp moved is evicted here and
+		// recomputed. The stamps are read before the claim, so before
+		// any load: a mutation that lands mid-load leaves the new entry
+		// stale, and the next call reloads it.
+		stamps := p.DayStamps(days)
 		entryOf := make(map[time.Time]*aggEntry, len(days))
 		var owned []time.Time
 		p.mu.Lock()
-		for _, d := range days {
+		for i, d := range days {
 			if _, ok := entryOf[d]; ok {
 				continue // duplicate day in the request
 			}
 			e := p.cache[d]
-			if e != nil && e.resolved() && e.gen != curGen {
+			if e != nil && e.resolved() && e.stamp != stamps[i] {
 				delete(p.cache, d)
 				e = nil
 			}
 			if e == nil {
-				e = &aggEntry{done: make(chan struct{}), gen: curGen}
+				e = &aggEntry{done: make(chan struct{}), stamp: stamps[i]}
 				p.cache[d] = e
 				owned = append(owned, d)
 				computed[d] = true

@@ -13,16 +13,24 @@ import (
 )
 
 // countingStorage counts, per day, the record reads and derived-state
-// probes that reach the storage it wraps.
+// probes that reach the storage it wraps, and per window the rollup
+// loads.
 type countingStorage struct {
 	Storage
-	mu                         sync.Mutex
-	reads, aggLoads, partLoads map[string]int
+	mu                                    sync.Mutex
+	reads, aggLoads, partLoads, rollLoads map[string]int
 }
 
 func newCountingStorage(s Storage) *countingStorage {
-	return &countingStorage{Storage: s,
-		reads: map[string]int{}, aggLoads: map[string]int{}, partLoads: map[string]int{}}
+	return &countingStorage{Storage: s, reads: map[string]int{}, aggLoads: map[string]int{},
+		partLoads: map[string]int{}, rollLoads: map[string]int{}}
+}
+
+func (c *countingStorage) LoadRollup(g analytics.Grain, start time.Time) (*analytics.Rollup, error) {
+	c.mu.Lock()
+	c.rollLoads[string(g)+"-"+start.Format("2006-01-02")]++
+	c.mu.Unlock()
+	return c.Storage.LoadRollup(g, start)
 }
 
 func (c *countingStorage) count(m map[string]int, day time.Time) {

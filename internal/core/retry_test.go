@@ -152,12 +152,16 @@ func (f *cancelStorage) Generation() uint64 {
 	defer f.mu.Unlock()
 	return f.gen
 }
-func (f *cancelStorage) BumpGeneration() uint64 {
+func (f *cancelStorage) BumpDays(...time.Time) uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.gen++
 	return f.gen
 }
+
+// DayStamp is the generation for every day: a bump of any day moves
+// them all, which satisfies the strict-increase contract bluntly.
+func (f *cancelStorage) DayStamp(time.Time) uint64 { return f.Generation() }
 
 // TestAggregatePreCancelled: a context cancelled before the call must
 // fail fast without reserving (and thus without poisoning) any day.

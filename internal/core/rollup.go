@@ -16,6 +16,10 @@ package core
 //   - A rewritten or quarantined day invalidates the rollups covering
 //     it (DiskStorage.InvalidateRollups), so repaired days recompute
 //     instead of serving stale merges.
+//   - DayStats holds each window's rows in memory once read, valid while
+//     the stamps of the window's requested days are unchanged, so a
+//     long-lived pipeline re-reads a window's file only after one of
+//     its days mutated.
 //
 // Exactness: the tier serves DayStat rows — per-source-day scalars —
 // so figures that group by month or day (Figure 3, Figure 8, the
@@ -26,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -34,11 +39,13 @@ import (
 	"repro/internal/metrics"
 )
 
-// Rollup-tier observability: hits serve a query from one file, misses
-// fall back to day aggregates and rebuild, invalidations are dropped
-// files after a covered day changed.
+// Rollup-tier observability: hits serve a window without rebuilding it
+// — mem_hits from the rows held in memory, the rest from its file —
+// misses fall back to day aggregates and rebuild, invalidations are
+// dropped files after a covered day changed.
 var (
 	mRollupHits    = metrics.GetCounter("rollup.hits")
+	mRollupMemHits = metrics.GetCounter("rollup.mem_hits")
 	mRollupMisses  = metrics.GetCounter("rollup.misses")
 	mRollupBuilds  = metrics.GetCounter("rollup.builds")
 	mRollupInvalid = metrics.GetCounter("rollup.invalidations")
@@ -155,10 +162,54 @@ func (p *Pipeline) rollupFor(ctx context.Context, win tierWindow) (*analytics.Ro
 	return r, nil
 }
 
+// rollupKey names one rollup window in the memory tier.
+type rollupKey struct {
+	grain analytics.Grain
+	start int64 // window start, Unix seconds
+}
+
+// rollupRows is one window in the memory tier: a rollup carrying only
+// its manifest and per-source-day rows, and the stamps its requested
+// days had when they were read. Agg stays on disk, so an entry is a few
+// hundred bytes per source day, and with one entry per window the tier
+// is bounded by the calendar, not by a budget.
+type rollupRows struct {
+	r      *analytics.Rollup
+	stamps []uint64
+}
+
+// windowStats serves one planned window's rows: from memory when the
+// held manifest covers the request exactly and none of its days'
+// stamps moved, through rollupFor otherwise — which then refreshes the
+// held rows. The stamps are read before rollupFor, so a day mutated
+// while the window loads leaves the entry stale.
+func (p *Pipeline) windowStats(ctx context.Context, win tierWindow) ([]analytics.DayStat, error) {
+	key := rollupKey{win.Grain, win.Start.Unix()}
+	stamps := p.DayStamps(win.Days)
+	p.mu.Lock()
+	e := p.rollRows[key]
+	p.mu.Unlock()
+	if e != nil && e.r.CoversExactly(win.Days) && slices.Equal(e.stamps, stamps) {
+		mRollupHits.Inc()
+		mRollupMemHits.Inc()
+		return e.r.Stats, nil
+	}
+	r, err := p.rollupFor(ctx, win)
+	if err != nil {
+		return nil, err
+	}
+	rows := &analytics.Rollup{Grain: r.Grain, Start: r.Start, Requested: r.Requested, Stats: r.Stats}
+	p.mu.Lock()
+	p.rollRows[key] = &rollupRows{r: rows, stamps: stamps}
+	p.mu.Unlock()
+	return r.Stats, nil
+}
+
 // DayStats returns one scalar row per requested day that has data,
 // ascending. With the rollup tier enabled, rows come from the coarsest
-// covering rollups and only edge days touch per-day aggregates; without
-// it, the rows project straight off the day aggregates.
+// covering rollups (held in memory once read, see windowStats) and
+// only edge days touch per-day aggregates; without it, the rows
+// project straight off the day aggregates.
 func (p *Pipeline) DayStats(ctx context.Context, days []time.Time) ([]analytics.DayStat, error) {
 	if !p.RollupsEnabled() {
 		aggs, err := p.Aggregate(ctx, days)
@@ -183,11 +234,11 @@ func (p *Pipeline) DayStats(ctx context.Context, days []time.Time) ([]analytics.
 			}
 			continue
 		}
-		r, err := p.rollupFor(ctx, win)
+		stats, err := p.windowStats(ctx, win)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, r.Stats...)
+		rows = append(rows, stats...)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Day.Before(rows[j].Day) })
 	return rows, nil

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -85,15 +87,23 @@ type Storage interface {
 	InvalidateRollups(day time.Time) error
 	// Generation returns the lake generation: a monotonic counter that
 	// advances on every mutation (WriteDay, quarantine, compaction,
-	// live-ingest checkpoints). Anything derived from the lake — a
-	// cached HTTP response, a day count — is valid exactly as long as
-	// the generation it was computed under.
+	// live-ingest checkpoints). It is the clock day stamps are drawn
+	// from and what healthz reports; no cache keys on it — a cache keys
+	// on the stamps of the days it read.
 	Generation() uint64
-	// BumpGeneration advances the generation and returns the new value.
-	// Mutation paths inside Storage call it themselves; external
-	// mutators (compaction, ingest checkpoints) call it after their
-	// change lands.
-	BumpGeneration() uint64
+	// BumpDays advances the generation, records the new value as each
+	// listed day's stamp and returns it. A day's stamp strictly
+	// increases on every bump of that day. Mutation paths inside Storage
+	// call it themselves; external mutators (compaction, ingest
+	// checkpoints and recovery) name the days they changed once the
+	// change has landed.
+	BumpDays(days ...time.Time) uint64
+	// DayStamp returns day's stamp: anything derived from the day is
+	// valid exactly as long as its stamp is unchanged, and every bump of
+	// the day changes it. A stamp that cannot be read whole reads as a
+	// value no earlier or later read returns, so damage is always a
+	// miss.
+	DayStamp(day time.Time) uint64
 }
 
 // DiskStorage is the production Storage: a flowrec day-partitioned
@@ -105,14 +115,15 @@ type DiskStorage struct {
 	aggDir    string
 	rollupDir string
 
-	// genMu serializes generation bumps; gen holds the highest
-	// generation this process has observed. With an agg cache dir the
-	// counter is also persisted there (genPath), which is what lets a
-	// live edged writer and an edgeserve reader sharing the directory
-	// agree on lake freshness across processes.
-	genMu   sync.Mutex
-	gen     atomic.Uint64
-	genPath string
+	// genMu serializes bumps; gen holds the highest generation this
+	// process has observed. With an agg cache dir the counter and the
+	// day stamps are persisted there (genPath, stampDir), which is what
+	// lets a live edged writer and an edgeserve reader sharing the
+	// directory agree on what changed across processes.
+	genMu    sync.Mutex
+	gen      atomic.Uint64
+	genPath  string
+	stampDir string
 }
 
 // NewDiskStorage wires a DiskStorage; store may be nil (no flow lake)
@@ -121,6 +132,7 @@ func NewDiskStorage(store *flowrec.Store, aggDir string) *DiskStorage {
 	d := &DiskStorage{store: store, aggDir: aggDir}
 	if aggDir != "" {
 		d.genPath = filepath.Join(aggDir, "generation")
+		d.stampDir = filepath.Join(aggDir, "stamps")
 	}
 	return d
 }
@@ -166,7 +178,7 @@ func (d *DiskStorage) WriteDay(day time.Time, emit func(write func(*flowrec.Reco
 		// rollups — must go, or a repaired day keeps serving stale
 		// merges. Absent files are fine; anything else surfaces.
 		werr = d.invalidateDerived(day)
-		d.BumpGeneration()
+		d.BumpDays(day)
 	}
 	return n, werr
 }
@@ -212,7 +224,7 @@ func (d *DiskStorage) QuarantineDay(day time.Time) error {
 	}
 	err := d.store.QuarantineDay(day)
 	if err == nil {
-		d.BumpGeneration()
+		d.BumpDays(day)
 	}
 	return err
 }
@@ -299,9 +311,10 @@ func (d *DiskStorage) Generation() uint64 {
 	g := d.gen.Load()
 	if fg := d.readGenFile(); fg > g {
 		// Another process (a live edged beside this edgeserve) moved
-		// the lake forward; adopt its generation so caches keyed on
-		// ours go stale too. CompareAndSwap keeps the counter
-		// monotonic against a concurrent local bump.
+		// the lake forward; adopt its generation, so the next stamp this
+		// process draws lies above every stamp that one drew.
+		// CompareAndSwap keeps the counter monotonic against a
+		// concurrent local bump.
 		for fg > g && !d.gen.CompareAndSwap(g, fg) {
 			g = d.gen.Load()
 		}
@@ -310,24 +323,101 @@ func (d *DiskStorage) Generation() uint64 {
 	return g
 }
 
-// BumpGeneration implements Storage.
-func (d *DiskStorage) BumpGeneration() uint64 {
+// BumpDays implements Storage. A listed day whose stamp already reads
+// at or above the new generation — another process's bump raced this
+// one's read of the generation file — takes its old stamp plus one, so
+// the day's stamp still strictly increases.
+func (d *DiskStorage) BumpDays(days ...time.Time) uint64 {
 	d.genMu.Lock()
 	defer d.genMu.Unlock()
-	g := d.gen.Load()
-	if fg := d.readGenFile(); fg > g {
-		g = fg
+	g := max(d.gen.Load(), d.readGenFile()) + 1
+	top := g
+	if d.stampDir != "" {
+		for _, day := range days {
+			s := g
+			if old, ok := d.readStamp(day); ok && old >= s {
+				s = old + 1
+			}
+			d.writeStamp(day, s)
+			top = max(top, s)
+		}
 	}
-	g++
-	d.gen.Store(g)
-	d.writeGenFile(g)
-	return g
+	d.gen.Store(top)
+	d.writeGenFile(top)
+	return top
+}
+
+// DayStamp implements Storage. With an agg dir every call reads the
+// day's stamp file, since another process may have bumped it since.
+// Without one no other process can mutate what this one caches, and
+// every day's stamp is the in-process generation: a bump of any day
+// moves them all, and a store that never mutated answers 0 without a
+// syscall.
+func (d *DiskStorage) DayStamp(day time.Time) uint64 {
+	if d.stampDir == "" {
+		return d.gen.Load()
+	}
+	s, ok := d.readStamp(day)
+	if !ok {
+		return missStamp()
+	}
+	return s
+}
+
+// stampMisses numbers the reads of damaged stamps; see missStamp.
+var stampMisses atomic.Uint64
+
+// missStamp is what a damaged stamp reads as: a value above every
+// stamp a bump can draw and different on every call, so it matches
+// neither a healthy stamp nor another damaged read.
+func missStamp() uint64 { return 1<<63 | stampMisses.Add(1) }
+
+// A stamp file is stampMagic, the stamp (little-endian uint64) and the
+// CRC-32C of those 8 bytes: 16 bytes, so a truncated, extended or
+// garbled file fails the length, magic or checksum test.
+const (
+	stampMagic = "dst1"
+	stampLen   = 16
+)
+
+var stampTable = crc32.MakeTable(crc32.Castagnoli)
+
+// stampPath names day's stamp file.
+func (d *DiskStorage) stampPath(day time.Time) string {
+	return filepath.Join(d.stampDir, day.UTC().Format("2006-01-02"))
+}
+
+// readStamp reads day's stamp file: 0 for a day never bumped, ok=false
+// for a file that exists but cannot be read whole.
+func (d *DiskStorage) readStamp(day time.Time) (uint64, bool) {
+	b, err := os.ReadFile(d.stampPath(day))
+	switch {
+	case os.IsNotExist(err):
+		return 0, true
+	case err != nil || len(b) != stampLen || string(b[:4]) != stampMagic ||
+		crc32.Checksum(b[4:12], stampTable) != binary.LittleEndian.Uint32(b[12:]):
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(b[4:12]), true
+}
+
+// writeStamp records s as day's stamp. The file is replaced through a
+// unique temp sibling, so two processes bumping different days never
+// write through one path. A failed write is swallowed like the
+// generation file's: it happens only when the agg dir itself is
+// failing, and the saves the bump follows fail with it.
+func (d *DiskStorage) writeStamp(day time.Time, s uint64) {
+	b := make([]byte, stampLen)
+	copy(b, stampMagic)
+	binary.LittleEndian.PutUint64(b[4:12], s)
+	binary.LittleEndian.PutUint32(b[12:], crc32.Checksum(b[4:12], stampTable))
+	_ = framefile.Replace(d.stampPath(day), b)
 }
 
 // readGenFile returns the persisted generation, 0 when absent,
-// unreadable, or unconfigured — a lost counter file only makes caches
-// live one generation too long in a *new* process, never serves wrong
-// bytes, so it is not worth failing a query over.
+// unreadable, or unconfigured. No cache keys on the generation, and
+// BumpDays keeps each day's stamp increasing whatever this returns, so
+// a lost counter file is not worth failing a query over.
 func (d *DiskStorage) readGenFile() uint64 {
 	if d.genPath == "" {
 		return 0
@@ -343,20 +433,14 @@ func (d *DiskStorage) readGenFile() uint64 {
 	return g
 }
 
-// writeGenFile persists g atomically (temp sibling + rename). Errors
-// are swallowed for the same reason readGenFile's are.
+// writeGenFile persists g atomically through a unique temp sibling, so
+// two processes bumping at once never share a temp path. Errors are
+// swallowed for the same reason readGenFile's are.
 func (d *DiskStorage) writeGenFile(g uint64) {
 	if d.genPath == "" {
 		return
 	}
-	if err := os.MkdirAll(filepath.Dir(d.genPath), 0o755); err != nil {
-		return
-	}
-	tmp := d.genPath + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(g, 10)+"\n"), 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, d.genPath)
+	_ = framefile.Replace(d.genPath, []byte(strconv.FormatUint(g, 10)+"\n"))
 }
 
 // InvalidateRollups implements Storage: one covering window per grain.

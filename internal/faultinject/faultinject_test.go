@@ -266,7 +266,9 @@ func (m *memStorage) InvalidateRollups(time.Time) error { return nil }
 
 func (m *memStorage) Generation() uint64 { return m.gen }
 
-func (m *memStorage) BumpGeneration() uint64 { m.gen++; return m.gen }
+func (m *memStorage) BumpDays(...time.Time) uint64 { m.gen++; return m.gen }
+
+func (m *memStorage) DayStamp(time.Time) uint64 { return m.gen }
 
 func fillDay(m *memStorage, d time.Time, n int) {
 	for i := 0; i < n; i++ {

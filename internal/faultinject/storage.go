@@ -44,10 +44,11 @@ type Storage interface {
 	LoadRollup(g analytics.Grain, start time.Time) (*analytics.Rollup, error)
 	SaveRollup(r *analytics.Rollup) error
 	InvalidateRollups(day time.Time) error
-	// Generation and BumpGeneration expose the lake generation counter
-	// (see core.Storage).
+	// Generation, BumpDays and DayStamp expose the lake generation and
+	// the per-day stamps drawn from it (see core.Storage).
 	Generation() uint64
-	BumpGeneration() uint64
+	BumpDays(days ...time.Time) uint64
+	DayStamp(day time.Time) uint64
 }
 
 // FaultyStorage injects the plan's faults in front of an inner
@@ -216,12 +217,16 @@ func (s *FaultyStorage) InvalidateRollups(day time.Time) error {
 	return s.inner.InvalidateRollups(day)
 }
 
-// Generation passes through: the counter is bookkeeping, not I/O —
-// faulting it would only decouple caches from the lake they mirror.
+// Generation passes through: the counter and the stamps are
+// bookkeeping, not lake I/O — faulting them would only decouple caches
+// from the days they mirror.
 func (s *FaultyStorage) Generation() uint64 { return s.inner.Generation() }
 
-// BumpGeneration passes through, like Generation.
-func (s *FaultyStorage) BumpGeneration() uint64 { return s.inner.BumpGeneration() }
+// BumpDays passes through, like Generation.
+func (s *FaultyStorage) BumpDays(days ...time.Time) uint64 { return s.inner.BumpDays(days...) }
+
+// DayStamp passes through, like Generation.
+func (s *FaultyStorage) DayStamp(day time.Time) uint64 { return s.inner.DayStamp(day) }
 
 // IsCorruption reports whether the fault damages data (bitflip or
 // truncation) rather than failing the operation outright.

@@ -156,16 +156,27 @@ func Save(path string, v any) (int64, error) {
 	if err := encode(&buf, v, false); err != nil {
 		return 0, err
 	}
+	if err := Replace(path, buf.Bytes()); err != nil {
+		return 0, err
+	}
+	return int64(buf.Len()), nil
+}
+
+// Replace publishes data as the file at path, creating the directory
+// if needed, the way Save publishes a frame: through a unique temp
+// sibling renamed over path. Writers in different processes therefore
+// never share a temp, and RemoveTemps sweeps what a killed one left.
+func Replace(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
+		return err
 	}
 	f, err := os.CreateTemp(dir, tempPrefix(path)+"*")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	tmp := f.Name()
-	_, err = f.Write(buf.Bytes())
+	_, err = f.Write(data)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -174,9 +185,8 @@ func Save(path string, v any) (int64, error) {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return 0, err
 	}
-	return int64(buf.Len()), nil
+	return err
 }
 
 // Append adds one frame holding v behind the frames of the existing

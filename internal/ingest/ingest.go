@@ -93,21 +93,21 @@ type Compactor interface {
 	CompactDay(day time.Time, format flowrec.Format) (uint64, error)
 }
 
-// generationBumper is the optional lake-generation surface (see
-// core.Storage.BumpGeneration). The Storage interface above stays the
-// minimal write slice; when the wired backend also tracks a generation
-// (DiskStorage does), the daemon bumps it after checkpoints, recovery
-// and compactions so response caches over the shared lake go stale.
-// Seals bump implicitly through WriteDay.
-type generationBumper interface {
-	BumpGeneration() uint64
+// dayBumper is the optional day-stamp surface (see
+// core.Storage.BumpDays). The Storage interface above stays the
+// minimal write slice; when the wired backend also keeps day stamps
+// (DiskStorage does), the daemon bumps the day it changed after a
+// checkpoint, each recovered day after recovery and the compacted day
+// after a compaction, so caches over the shared lake drop what read
+// that day and keep the rest. Seals bump implicitly through WriteDay.
+type dayBumper interface {
+	BumpDays(days ...time.Time) uint64
 }
 
-// bumpGeneration advances the lake generation when the backend
-// supports it.
-func (in *Ingester) bumpGeneration() {
-	if b, ok := in.cfg.Storage.(generationBumper); ok {
-		b.BumpGeneration()
+// bumpDays advances the stamps of days when the backend keeps them.
+func (in *Ingester) bumpDays(days ...time.Time) {
+	if b, ok := in.cfg.Storage.(dayBumper); ok {
+		b.BumpDays(days...)
 	}
 }
 
@@ -308,8 +308,9 @@ func Open(cfg Config) (*Ingester, error) {
 	}
 	if recovered {
 		// Recovery may have replayed WAL tails into fresh partials;
-		// anything cached against the pre-crash lake must revalidate.
-		in.bumpGeneration()
+		// anything cached against a recovered day's pre-crash state must
+		// revalidate.
+		in.bumpDays(in.OpenDays()...)
 	}
 	mOpenDays.Set(int64(len(in.days)))
 	in.recomputeDue()
@@ -680,8 +681,9 @@ func (in *Ingester) checkpointDay(ctx context.Context, st *dayState, fold bool) 
 	st.baseBytes, st.fileSize = base, total
 	in.updateFrames()
 	// New partials are now visible to a hot-day reader sharing the agg
-	// cache: move the lake generation so its cached responses refetch.
-	in.bumpGeneration()
+	// cache: move the day's stamp so what it cached from the day
+	// refetches.
+	in.bumpDays(day)
 	if err := in.writeCursor(); err != nil {
 		in.cfg.Logf("ingest: cursor: %v", err)
 	}
@@ -783,9 +785,9 @@ func (in *Ingester) compactDay(day time.Time) {
 		return
 	}
 	mCompactions.Inc()
-	// The day's physical bytes changed format; derived readers keyed
-	// on the generation must revalidate.
-	in.bumpGeneration()
+	// The day's physical bytes changed format; what readers derived
+	// from the day must revalidate.
+	in.bumpDays(day)
 }
 
 func (in *Ingester) compactWorker() {

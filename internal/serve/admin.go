@@ -19,10 +19,11 @@ import (
 // /v1/admin/rollups/prewarm builds the rollup tier before queries need
 // it. Both are token-gated, bypass admission (an operator acts
 // *because* the query pool is saturated) but serialize among
-// themselves, run under the request context rather than QueryTimeout
-// (compacting a five-year lake legitimately outlives any query
-// budget), and bump the lake generation on success so every cached
-// response derived from the old bytes revalidates.
+// themselves, and run under the request context rather than
+// QueryTimeout (compacting a five-year lake legitimately outlives any
+// query budget). Compaction bumps the stamps of the days it rewrote,
+// so every cached response derived from their old bytes revalidates;
+// prewarm changes no day and bumps nothing.
 
 var mAdminOps = metrics.GetCounter("serve.admin_ops")
 
@@ -118,9 +119,9 @@ func (s *Server) adminCompact(ctx context.Context, r *http.Request) (*result, er
 	if err != nil {
 		return nil, err
 	}
-	// The lake's physical bytes changed: invalidate every cached
+	// The days' physical bytes changed: invalidate every cached
 	// response derived from them.
-	gen := s.p.BumpGeneration()
+	gen := s.p.Storage().BumpDays(days...)
 	return jsonResult(CompactResponse{
 		DaysCompacted: n,
 		Records:       recs,
@@ -193,16 +194,14 @@ func (s *Server) adminPrewarm(ctx context.Context, r *http.Request) (*result, er
 	if err != nil {
 		return nil, err
 	}
-	// Prewarming only *adds* derived state, but the tier selector now
-	// answers from rollups where it answered from day aggregates —
-	// still byte-identical by the rollup equivalence proofs, yet the
-	// conservative contract ("mutating admin op completed → new
-	// generation") is cheaper to reason about than an exception.
-	gen := s.p.BumpGeneration()
+	// Prewarming only adds derived state: the tier selector now answers
+	// from rollups where it answered from day aggregates, byte-identical
+	// by the rollup-equivalence proofs, so no day's stamp moves and no
+	// cached response is dropped.
 	return jsonResult(PrewarmResponse{
 		RollupsBuilt: built,
 		Days:         len(days),
-		Generation:   gen,
+		Generation:   s.p.Generation(),
 		ElapsedMs:    time.Since(t0).Milliseconds(),
 	})
 }

@@ -4,19 +4,22 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/metrics"
 )
 
 // The response cache: a bounded LRU of fully-materialised results
-// keyed by (endpoint path, canonical query, lake generation). The
-// generation is the whole invalidation story — every lake mutation
-// bumps it, a bumped generation changes every key, and the orphaned
-// old-generation entries age out of the LRU tail. No entry is ever
-// edited or explicitly purged, so a hit can be served with nothing
-// but a map read under a short lock.
+// keyed by (endpoint path, canonical query). Each entry carries the
+// lake days its computation read and their stamps, taken before the
+// first read; it answers only while every one of those stamps is
+// unchanged. A lake mutation moves the stamps of the days it touched
+// and nothing else, so a checkpoint of the hot day leaves every answer
+// over sealed days cached. A stale entry is replaced in place by the
+// recomputation its miss triggers.
 var (
 	mCacheHits      = metrics.GetCounter("serve.cache_hits")
 	mCacheMisses    = metrics.GetCounter("serve.cache_misses")
@@ -36,7 +39,24 @@ const DefaultCacheBytes = 64 << 20
 type cacheKey struct {
 	path  string
 	query string
-	gen   uint64
+}
+
+// dayReads names the lake days a result read and the stamp each had
+// before the first read. A mutation landing mid-computation therefore
+// leaves the entry stale on arrival rather than fresh with old bytes.
+type dayReads struct {
+	days   []time.Time
+	stamps []uint64
+}
+
+// readDays stamps days for a computation about to read them.
+func (s *Server) readDays(days []time.Time) dayReads {
+	return dayReads{days: days, stamps: s.p.DayStamps(days)}
+}
+
+// current reports whether every day r read still has its stamp.
+func (s *Server) current(r dayReads) bool {
+	return slices.Equal(s.p.DayStamps(r.days), r.stamps)
 }
 
 // cacheEntry is one materialised response plus its strong ETag.
@@ -71,29 +91,34 @@ func newRespCache(maxBytes int64) *respCache {
 	}
 }
 
-// get returns the cached entry for key, promoting it to
-// most-recently-used.
-func (c *respCache) get(key cacheKey) *cacheEntry {
+// get returns the entry for key when current holds for it, promoting
+// it to most-recently-used. current reads stamps, so it runs outside
+// the lock; an entry evicted meanwhile is still a correct answer.
+func (c *respCache) get(key cacheKey, current func(dayReads) bool) *cacheEntry {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el := c.items[key]
-	if el == nil {
+	c.mu.Unlock()
+	if el == nil || !current(el.Value.(*cacheEntry).res.reads) {
 		mCacheMisses.Inc()
 		return nil
 	}
-	c.ll.MoveToFront(el)
+	c.mu.Lock()
+	c.ll.MoveToFront(el) // a no-op if el left the list meanwhile
+	c.mu.Unlock()
 	mCacheHits.Inc()
 	return el.Value.(*cacheEntry)
 }
 
-// put inserts a materialised response, evicting from the LRU tail
-// while over budget. Oversized bodies are not cached at all — one
-// uncapped scan must not wipe the figure working set.
+// put inserts a materialised response in place of any entry under its
+// key, evicting from the LRU tail while over budget. Results that name
+// no days read are not cached: nothing could say when they went stale.
+// Oversized bodies are not cached either — one uncapped scan must not
+// wipe the figure working set.
 func (c *respCache) put(key cacheKey, res *result, etag string) {
-	if c == nil {
+	if c == nil || len(res.reads.days) == 0 {
 		return
 	}
 	size := int64(len(res.body))
@@ -103,34 +128,40 @@ func (c *respCache) put(key cacheKey, res *result, etag string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el := c.items[key]; el != nil {
-		// A concurrent miss computed the same answer; keep the
-		// incumbent (byte-identical by determinism) and just promote.
-		c.ll.MoveToFront(el)
-		return
+		c.remove(el)
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, res: res, etag: etag, size: size})
-	c.items[key] = el
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, etag: etag, size: size})
 	c.size += size
 	for c.size > c.max {
 		back := c.ll.Back()
 		if back == nil {
 			break
 		}
-		ent := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.items, ent.key)
-		c.size -= ent.size
+		c.remove(back)
 		mCacheEvictions.Inc()
 	}
 }
 
-// etagFor derives the strong ETag of a response body under a lake
-// generation: the generation makes staleness visible in the tag
-// itself, the hash makes it strong (byte-identical bodies and nothing
-// else compare equal).
-func etagFor(gen uint64, body []byte) string {
-	sum := sha256.Sum256(body)
-	return fmt.Sprintf("\"%d-%x\"", gen, sum[:12])
+// remove drops one entry; the caller holds c.mu.
+func (c *respCache) remove(el *list.Element) {
+	ent := c.ll.Remove(el).(*cacheEntry)
+	delete(c.items, ent.key)
+	c.size -= ent.size
+}
+
+// etagFor derives the strong ETag of a response body from the stamps
+// of the days it read and the body's hash: the stamp half — their sum,
+// which moves whenever any of them does, since stamps only grow —
+// makes a mutation of a read day visible in the tag, the hash makes it
+// strong (byte-identical bodies and nothing else compare equal). A
+// mutation of a day the response did not read changes neither half.
+func etagFor(r dayReads, body []byte) string {
+	var sum uint64
+	for _, s := range r.stamps {
+		sum += s
+	}
+	h := sha256.Sum256(body)
+	return fmt.Sprintf("\"%d-%x\"", sum, h[:12])
 }
 
 // etagMatch reports whether an If-None-Match header value matches

@@ -115,31 +115,41 @@ func (s *Server) queryFigure(ctx context.Context, r *http.Request) (*result, err
 		return nil, err
 	}
 
+	// Every figure reads exactly its window's days (fig4's fixed
+	// comparison months are its window), stamped before the run.
 	days, stride := spec.window(s.p, q)
+	reads := s.readDays(days)
 	rows, table, err := spec.run(ctx, s.p, q, days)
 	if err != nil {
 		return nil, err
 	}
+	var res *result
 	if q.Format == "csv" {
-		return csvResult(table.headers, table.rows)
+		res, err = csvResult(table.headers, table.rows)
+	} else {
+		tier := "day"
+		if spec.tiered && s.p.RollupsEnabled() {
+			tier = "rollup+day"
+		}
+		resp := FigureResponse{
+			Figure: spec.id,
+			Title:  spec.title,
+			Stride: stride,
+			Days:   len(days),
+			Tier:   tier,
+			Rows:   rows,
+		}
+		if len(days) > 0 {
+			resp.From = days[0].Format("2006-01-02")
+			resp.To = days[len(days)-1].Format("2006-01-02")
+		}
+		res, err = jsonResult(resp)
 	}
-	tier := "day"
-	if spec.tiered && s.p.RollupsEnabled() {
-		tier = "rollup+day"
+	if err != nil {
+		return nil, err
 	}
-	resp := FigureResponse{
-		Figure: spec.id,
-		Title:  spec.title,
-		Stride: stride,
-		Days:   len(days),
-		Tier:   tier,
-		Rows:   rows,
-	}
-	if len(days) > 0 {
-		resp.From = days[0].Format("2006-01-02")
-		resp.To = days[len(days)-1].Format("2006-01-02")
-	}
-	return jsonResult(resp)
+	res.reads = reads
+	return res, nil
 }
 
 // checkParams rejects parameters the figure does not consume.

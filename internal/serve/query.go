@@ -8,11 +8,14 @@
 // readers cannot OOM one lake.
 //
 // Repeated queries are answered from a bounded in-memory response
-// cache keyed by (endpoint, canonical query, lake generation): every
-// lake mutation — WriteDay, quarantine, compaction, a live ingester's
-// checkpoint — bumps the generation, so a cached body can never
-// outlive the data it was derived from. Responses carry strong ETags
-// ("<generation>-<body hash>") and honour If-None-Match with 304.
+// cache keyed by (endpoint, canonical query). Each entry carries the
+// lake days it read and their stamps, and answers only while those
+// stamps are unchanged: every lake mutation — WriteDay, quarantine,
+// compaction, a live ingester's checkpoint — bumps the stamps of the
+// days it touched, so a cached body never outlives the data it was
+// derived from, and a checkpoint of the hot day spares every answer
+// over sealed days. Responses carry strong ETags ("<sum of the read
+// days' stamps>-<body hash>") and honour If-None-Match with 304.
 //
 // The endpoint surface:
 //
@@ -25,8 +28,8 @@
 //	POST /v1/admin/rollups/prewarm     build the rollup tier ahead of queries
 //
 // Admin endpoints are token-gated (Options.AdminToken), bypass
-// admission but serialize among themselves, and bump the lake
-// generation on completion.
+// admission but serialize among themselves; compaction bumps the
+// stamps of the days it rewrote.
 package serve
 
 import (

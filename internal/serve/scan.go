@@ -54,6 +54,9 @@ func (s *Server) queryScan(ctx context.Context, r *http.Request) (*result, error
 		return nil, badf("this server has no lake to scan (figures are simulation-fed)")
 	}
 	sq := scan.Query{Days: days, Filter: q.Filter}
+	// A scan reads exactly its days, stamped before the run (a stream
+	// is never cached, so its stamps go unused).
+	reads := s.readDays(days)
 	run := func(ctx context.Context, sq scan.Query) (scan.Result, error) {
 		res, err := scan.Run(ctx, st, s.p.Cls, sq)
 		mScanRecords.Add(res.Visited)
@@ -99,7 +102,7 @@ func (s *Server) queryScan(ctx context.Context, r *http.Request) (*result, error
 		if err != nil {
 			return nil, err
 		}
-		out := &result{contentType: "text/csv", body: buf.Bytes()}
+		out := &result{contentType: "text/csv", body: buf.Bytes(), reads: reads}
 		if res.Truncated {
 			out.header = http.Header{"X-Scan-Truncated": []string{"true"}}
 			out.header.Set("X-Scan-Limit", strconv.Itoa(sq.Limit))
@@ -111,10 +114,15 @@ func (s *Server) queryScan(ctx context.Context, r *http.Request) (*result, error
 	if err != nil {
 		return nil, err
 	}
-	return jsonResult(ScanResponse{
+	out, err := jsonResult(ScanResponse{
 		From:   days[0].Format("2006-01-02"),
 		To:     days[len(days)-1].Format("2006-01-02"),
 		Days:   len(days),
 		Result: res,
 	})
+	if err != nil {
+		return nil, err
+	}
+	out.reads = reads
+	return out, nil
 }

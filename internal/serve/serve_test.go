@@ -88,8 +88,8 @@ func (f *fakeStorage) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*fl
 	return nil
 }
 
-func (f *fakeStorage) WriteDay(time.Time, func(func(*flowrec.Record) error) error) (uint64, error) {
-	f.BumpGeneration()
+func (f *fakeStorage) WriteDay(day time.Time, _ func(func(*flowrec.Record) error) error) (uint64, error) {
+	f.BumpDays(day)
 	return 0, nil
 }
 func (f *fakeStorage) HasDay(day time.Time) bool                    { return day.Equal(f.day) }
@@ -110,7 +110,8 @@ func (f *fakeStorage) LoadRollup(analytics.Grain, time.Time) (*analytics.Rollup,
 func (f *fakeStorage) SaveRollup(*analytics.Rollup) error { return nil }
 func (f *fakeStorage) InvalidateRollups(time.Time) error  { return nil }
 func (f *fakeStorage) Generation() uint64                 { return f.gen.Load() }
-func (f *fakeStorage) BumpGeneration() uint64             { return f.gen.Add(1) }
+func (f *fakeStorage) BumpDays(...time.Time) uint64       { return f.gen.Add(1) }
+func (f *fakeStorage) DayStamp(time.Time) uint64          { return f.gen.Load() }
 
 var fakeDay = time.Date(2016, 4, 1, 0, 0, 0, 0, time.UTC)
 

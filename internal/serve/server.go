@@ -133,12 +133,15 @@ func (s *Server) Pipeline() *core.Pipeline { return s.p }
 // buffering (stream=true scans) sets stream instead of body: the
 // server then commits to a 200, writes chunks as they come, and
 // reports any mid-stream failure out of band via HTTP trailers —
-// streamed results are never cached and carry no ETag.
+// streamed results are never cached and carry no ETag. reads names the
+// lake days a buffered result was computed from; one that names none
+// is not cached.
 type result struct {
 	contentType string
 	body        []byte
 	header      http.Header // optional extras (e.g. X-Scan-Truncated)
 	stream      func(ctx context.Context, w http.ResponseWriter) error
+	reads       dayReads
 }
 
 // jsonResult marshals v (indented: the bodies double as the golden
@@ -185,12 +188,11 @@ func (s *Server) admitted(fn func(ctx context.Context, r *http.Request) (*result
 		defer func() { mLatency.ObserveSince(t0) }()
 
 		// The cache is consulted before admission: a hit costs a map
-		// read, so making it queue behind pipeline-bound queries would
-		// throw the whole benefit away. The generation read here pins
-		// the lake version the response is valid for.
-		gen := s.p.Generation()
-		key := cacheKey{path: r.URL.Path, query: r.URL.Query().Encode(), gen: gen}
-		if ent := s.cache.get(key); ent != nil {
+		// read and one stamp read per day the entry read, so making it
+		// queue behind pipeline-bound queries would throw the whole
+		// benefit away.
+		key := cacheKey{path: r.URL.Path, query: r.URL.Query().Encode()}
+		if ent := s.cache.get(key, s.current); ent != nil {
 			s.writeCached(w, r, ent.res, ent.etag, "hit")
 			return
 		}
@@ -247,7 +249,7 @@ func (s *Server) admitted(fn func(ctx context.Context, r *http.Request) (*result
 			s.writeStream(ctx, w, res)
 			return
 		}
-		etag := etagFor(gen, res.body)
+		etag := etagFor(res.reads, res.body)
 		s.cache.put(key, res, etag)
 		s.writeCached(w, r, res, etag, "miss")
 	}
