@@ -21,8 +21,8 @@ test:
 	$(GO) test ./...
 
 ## procsmatrix: the internal packages at one, two and eight procs,
-## uncached. Shard counts, worker pools and decode widths auto-size
-## from GOMAXPROCS, so a test that only passes at the core count of the
+## uncached. Worker pools and block-decode widths auto-size from
+## GOMAXPROCS, so a test that only passes at the core count of the
 ## machine it was written on fails here instead of on the next machine
 ## — and -count=1 keeps a stale test cache from hiding it.
 procsmatrix:

@@ -123,9 +123,8 @@ func main() {
 	}
 
 	// Prewarm: run stage one over the freshly written lake so the first
-	// edgereport against it starts from cached aggregates (sharded runs
-	// cache mergeable partials). A second pipeline reads what the first
-	// wrote.
+	// edgereport against it starts from cached aggregates. A second
+	// pipeline reads what the first wrote.
 	if *aggDir != "" || warm.RollupDir != "" {
 		warm.Store = store
 		warm.AggCacheDir = *aggDir

@@ -60,7 +60,7 @@ func main() {
 	}
 	// Of the shared configuration the probe path uses the fault plan
 	// (output-store chaos) and the rollup prewarm settings; -shards here
-	// counts probe workers, not shard aggregators.
+	// counts probe workers, not block-decode workers.
 	shared, err := sf.Config()
 	if err != nil {
 		sf.Fatal(err)

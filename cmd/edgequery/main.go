@@ -86,9 +86,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	// -shards here is the scan's block-decode width; the shard
-	// aggregators behind -rollup stay auto-sized.
-	q.Workers, cfg.ShardsPerDay = cfg.ShardsPerDay, 0
+	// -shards is the block-decode width of the scan and of the stage one
+	// behind -rollup alike.
+	q.Workers = cfg.ShardsPerDay
 	p := core.New(cfg)
 
 	// -rollup answers from the tier instead of scanning records: the

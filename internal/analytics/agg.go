@@ -5,13 +5,14 @@
 // and stage two (figures.go) turns slices of those aggregates into
 // every table and figure of the evaluation. Days are independent, so
 // stage one runs them in parallel, standing in for the Hadoop/Spark
-// cluster.
+// cluster, and within a day the store decodes blocks in parallel.
 package analytics
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -381,7 +382,7 @@ func (a *Aggregator) Add(rec *flowrec.Record) {
 // and CSV export see an unchanged schema. RTT reservoirs materialise
 // in canonical (hash) order, so equal record sets yield byte-identical
 // aggregates whatever the order they arrived in. Result is the
-// 1-shard special case of the mergeable form: Partial().Finish()
+// one-part special case of the mergeable form: Partial().Finish()
 // (see merge.go).
 func (a *Aggregator) Result() *DayAgg {
 	if a.finished {
@@ -492,14 +493,15 @@ func (d DayError) Unwrap() error { return d.Err }
 type RunConfig struct {
 	// Workers bounds pool parallelism; <=0 means 4.
 	Workers int
-	// ShardsPerDay splits each day's records across this many
-	// concurrent shard aggregators (hash of the anonymized client
-	// address) and merges the partials — the within-day parallelism
-	// the paper gets from its Hadoop reduction. The merged result is
-	// byte-identical to the 1-shard fold for any value. 0 auto-sizes
-	// from GOMAXPROCS and the worker count (ResolveShards); 1 keeps
-	// the serial fold.
-	ShardsPerDay int
+	// DecodeWidth is how many goroutines decode one day's v3 blocks —
+	// the within-day parallelism the paper gets from its Hadoop
+	// reduction. Decoded blocks reach the day's one aggregator in file
+	// order, so the fold sees the same record sequence at any width and
+	// results are byte-identical for any value. 0 means GOMAXPROCS; 1
+	// decodes serially. It is deliberately not sized from the day
+	// count: the straggler case has more days than cores, just unequal
+	// ones.
+	DecodeWidth int
 	// Retry re-runs a day whose source failed transiently (fresh
 	// aggregator per attempt — a half-fed aggregator is never
 	// reused). The zero policy tries each day exactly once.
@@ -507,12 +509,6 @@ type RunConfig struct {
 	// DayTimeout caps one day's aggregation (all its attempts
 	// together). Zero means no per-day deadline.
 	DayTimeout time.Duration
-	// OnDayPartials, when set and a day was sharded, receives each
-	// day's shard partials after aggregation succeeds and before they
-	// merge — the agg cache hook. The callback must not mutate the
-	// partials (the merge never does) and may run concurrently from
-	// several day workers.
-	OnDayPartials func(day time.Time, parts []*Partial)
 	// Cols is the column contract for the run: sources that support
 	// column projection (a columnar store) decode only these columns,
 	// and the aggregator gates its accumulators to match, so results
@@ -524,8 +520,8 @@ type RunConfig struct {
 	// byte-identical. Off by default.
 	Sketch bool
 	// MemBudget caps the live accumulator footprint of one day's
-	// aggregation, in bytes (split across its shard aggregators). When
-	// an aggregator's LiveBytes estimate crosses its share, it seals
+	// aggregation, in bytes. When the day's aggregator's LiveBytes
+	// estimate crosses it, the aggregator seals
 	// its state into a Partial, spills it to disk and restarts empty;
 	// the spilled partials merge back in bounded fan-in passes. The
 	// result is byte-identical to the unbounded run for any budget.
@@ -581,7 +577,10 @@ func RunReport(ctx context.Context, src Source, days []time.Time, cls *classify.
 	if len(days) == 0 {
 		return nil, nil, ctx.Err()
 	}
-	shards := ResolveShards(cfg.ShardsPerDay, workers)
+	width := cfg.DecodeWidth
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
+	}
 	type result struct {
 		agg *DayAgg
 		err error
@@ -607,7 +606,7 @@ func RunReport(ctx context.Context, src Source, days []time.Time, cls *classify.
 				}
 				day := days[i]
 				t0 := time.Now()
-				agg, err := runDay(ctx, src, day, cls, cfg, shards)
+				agg, err := runDay(ctx, src, day, cls, cfg, width)
 				elapsed := time.Since(t0)
 				busy[w] += elapsed
 				mStage1DayWall.ObserveDuration(elapsed)
@@ -658,10 +657,11 @@ func RunReport(ctx context.Context, src Source, days []time.Time, cls *classify.
 	return out, dayErrs, nil
 }
 
-// runDay aggregates one day under its deadline and retry policy. Every
-// attempt starts fresh aggregators: a partially-fed one must never
-// leak half a day into the result.
-func runDay(ctx context.Context, src Source, day time.Time, cls *classify.Classifier, cfg RunConfig, shards int) (*DayAgg, error) {
+// runDay aggregates one day under its deadline and retry policy: the
+// source decodes the day's blocks width-wide and delivers them in file
+// order to one aggregator. Every attempt starts a fresh aggregator: a
+// partially-fed one must never leak half a day into the result.
+func runDay(ctx context.Context, src Source, day time.Time, cls *classify.Classifier, cfg RunConfig, width int) (*DayAgg, error) {
 	dctx := ctx
 	if cfg.DayTimeout > 0 {
 		var cancel context.CancelFunc
@@ -672,19 +672,11 @@ func runDay(ctx context.Context, src Source, day time.Time, cls *classify.Classi
 	err := cfg.Retry.Do(dctx, uint64(day.Unix()), func() error {
 		// Each attempt gets a fresh spill directory: a half-spilled
 		// attempt must never leak partials into the next one.
-		sp, serr := newSpiller(cfg, day, shards)
+		sp, serr := newSpiller(cfg, day)
 		if serr != nil {
 			return serr
 		}
 		defer sp.cleanup()
-		if shards > 1 {
-			a, rerr := shardDay(dctx, src, day, cls, shards, cfg.OnDayPartials, cfg.Cols, cfg.Sketch, sp)
-			if rerr != nil {
-				return rerr
-			}
-			agg = a
-			return nil
-		}
 		a := NewAggregatorCols(day, cls, cfg.Cols)
 		if cfg.Sketch {
 			a.EnableSketches()
@@ -705,14 +697,14 @@ func runDay(ctx context.Context, src Source, day time.Time, cls *classify.Classi
 				}
 			}
 		}
-		if rerr := src.Records(dctx, day, scanFor(cfg.Cols, 1), add); rerr != nil {
+		if rerr := src.Records(dctx, day, scanFor(cfg.Cols, width), add); rerr != nil {
 			return rerr
 		}
 		if rerr := sp.firstErr(); rerr != nil {
 			return rerr
 		}
 		if sp.spilled() {
-			merged, rerr := sp.merge(day, []*Partial{a.Partial()})
+			merged, rerr := sp.merge(day, a.Partial())
 			if rerr != nil {
 				return rerr
 			}

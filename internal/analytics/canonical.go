@@ -94,7 +94,7 @@ func sortedServices[V any](m map[classify.Service]V) []classify.Service {
 // CanonicalBytes returns a deterministic encoding of the aggregate:
 // structurally equal DayAggs yield equal bytes, on every run, in any
 // map iteration order. Used wherever "byte-identical aggregates" is
-// asserted — the K-shard merge-equivalence property, the golden
+// asserted — the merge-equivalence properties, the golden
 // corpus — and cheap enough to run on every CI aggregate.
 func CanonicalBytes(d *DayAgg) ([]byte, error) {
 	c := canonAgg{

@@ -14,8 +14,8 @@ import "repro/internal/flowrec"
 // BaseAggColumns is what every aggregate needs regardless of gating:
 // totals and protocol/service byte shares (BytesUp/BytesDown, Web,
 // ServerName for classification, Tech for the per-tech splits) plus
-// Client, which the shard fan-out hashes. NormalizeCols always adds
-// these.
+// Client, which the RTT reservoir's flow-identity hash reads.
+// NormalizeCols always adds these.
 const BaseAggColumns = flowrec.ColumnSet(1<<flowrec.ColClient |
 	1<<flowrec.ColTech |
 	1<<flowrec.ColWeb |

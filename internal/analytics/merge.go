@@ -10,9 +10,10 @@ package analytics
 // DayAgg schema. Every merge rule is order-independent by
 // construction — counters add, key sets union, the RTT bottom-k
 // reservoir re-trims after concatenation (bottom-k of a union is a
-// function of the per-part bottom-ks) — so a K-shard reduction is
-// byte-identical to the 1-shard fold. merge_test.go holds the property
-// tests.
+// function of the per-part bottom-ks) — so any grouping of a day's
+// records (a spill run, an ingest checkpoint, a K-way client-hash
+// split) reduces to bytes identical to the one-aggregator fold.
+// merge_test.go holds the property tests.
 
 import (
 	"fmt"
@@ -20,11 +21,12 @@ import (
 	"time"
 
 	"repro/internal/classify"
+	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
 // RTTPartial is the mergeable form of one service-day's RTT bottom-k
-// reservoir. DayAgg.RTTMinMs alone cannot merge — once two shards are
+// reservoir. DayAgg.RTTMinMs alone cannot merge — once two parts are
 // both at cap, deciding which samples survive needs the sampling
 // hashes — so the partial carries them: parallel Hash/Ms arrays sorted
 // by (hash, ms), trimmed to Cap. Seen counts every sample offered,
@@ -77,10 +79,10 @@ func (p *RTTPartial) clone() *RTTPartial {
 	return c
 }
 
-// Partial is one shard's share of a day: a DayAgg plus the reservoir
-// state a byte-identical merge needs. It is gob-encodable, so the agg
-// cache can persist shard partials and an incremental re-run merges
-// them instead of re-reading the day.
+// Partial is one part of a day — a spill run, an ingest checkpoint: a
+// DayAgg plus the reservoir state a byte-identical merge needs. It is
+// gob-encodable, so the agg cache can persist partials and a later run
+// merges them instead of re-reading the day.
 type Partial struct {
 	// Agg carries every DayAgg field except RTTMinMs, which only
 	// Finish materialises (the merged reservoir defines it).
@@ -95,6 +97,25 @@ type Partial struct {
 func NewPartial(day time.Time) *Partial {
 	y, m, d := day.UTC().Date()
 	return &Partial{Agg: &DayAgg{Day: time.Date(y, m, d, 0, 0, 0, 0, time.UTC)}}
+}
+
+// mShardMerges counts partials folded by MergePartials and the spill
+// merge.
+var mShardMerges = metrics.GetCounter("analytics.shard_merges")
+
+// MergePartials folds a day's partials into the final DayAgg — the
+// reduce step of the agg cache's partial-replay path (the ingester's
+// hot-day checkpoints). The inputs are never mutated or aliased (Merge
+// deep-copies), so cached partials stay reusable.
+func MergePartials(day time.Time, parts []*Partial) (*DayAgg, error) {
+	merged := NewPartial(day)
+	for _, p := range parts {
+		if err := merged.Merge(p); err != nil {
+			return nil, err
+		}
+		mShardMerges.Inc()
+	}
+	return merged.Finish(), nil
 }
 
 // Partial finalises the aggregator into its mergeable form. Like
@@ -211,8 +232,7 @@ func (a *Aggregator) Partial() *Partial {
 // merged result stays valid when q is separately persisted or merged
 // again. Merge is associative and commutative in every field except
 // SubDay.Tech, where the first writer wins — irrelevant in practice
-// because a subscription's records carry one technology, and sharding
-// by client address keeps a subscription on one shard anyway.
+// because a subscription's records carry one technology.
 func (p *Partial) Merge(q *Partial) error {
 	if q == nil || q.Agg == nil {
 		return nil
@@ -313,7 +333,7 @@ func (p *Partial) Merge(q *Partial) error {
 	}
 
 	// Sketches merge ahead of the scalar adds because the identity
-	// rules need the pre-add Flows counts to tell an empty shard from a
+	// rules need the pre-add Flows counts to tell an empty part from a
 	// non-empty exact one.
 	switch {
 	case b.Sketches == nil && b.Flows == 0:

@@ -1,8 +1,9 @@
 package analytics
 
-// Property tests for the DayAgg merge monoid (merge.go, shard.go):
-// K-shard aggregation must be byte-identical to the serial fold for
-// any K, Merge must be associative and order-insensitive, a gob
+// Property tests for the DayAgg merge monoid (merge.go): merging the
+// partials of a K-way client-hash split must be byte-identical to the
+// serial fold for any K, stage one must fold identically at any
+// block-decode width, Merge must be associative and order-insensitive, a gob
 // round-trip of partials (the agg-cache path) must change nothing,
 // and — the metamorphic property the deterministic bottom-k RTT
 // reservoir exists for — shuffling a day's input records must not
@@ -81,7 +82,7 @@ func genDayRecords(seed uint64, n int) []flowrec.Record {
 
 // sliceSource serves a fixed record slice as a day source, handing the
 // callback a reused buffer record exactly like the store decoder does
-// — any aliasing bug in the shard fan-out shows up as corruption.
+// — any aliasing bug in a consumer shows up as corruption.
 func sliceSource(recs []flowrec.Record) FuncSource {
 	return func(day time.Time, fn func(*flowrec.Record)) error {
 		if len(recs) == 0 {
@@ -113,41 +114,67 @@ func foldSerial(recs []flowrec.Record) *DayAgg {
 	return a.Result()
 }
 
-// TestShardMergeEquivalence is the tentpole property: for shards in
-// {1, 2, 3, 8}, the sharded aggregation is byte-identical to the
-// serial fold, across several generated days.
+// TestShardMergeEquivalence is the monoid's central property: for K
+// in {1, 2, 3, 8}, merging the partials of a K-way client-hash split
+// is byte-identical to the serial fold, across several generated days.
 func TestShardMergeEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		recs := genDayRecords(seed, 4000)
 		want := canon(t, foldSerial(recs))
 		for _, k := range []int{1, 2, 3, 8} {
-			agg, err := shardDay(context.Background(), sliceSource(recs), testDay, nil, k, nil, 0, false, nil)
+			agg, err := MergePartials(testDay, shardPartials(recs, k))
 			if err != nil {
 				t.Fatalf("seed %d shards %d: %v", seed, k, err)
 			}
 			if got := canon(t, agg); !bytes.Equal(got, want) {
-				t.Errorf("seed %d: %d-shard aggregate differs from serial fold", seed, k)
+				t.Errorf("seed %d: %d-shard merge differs from serial fold", seed, k)
 			}
 		}
 	}
 }
 
-// TestShardedRunReport drives the sharding through the public
-// RunReport surface, auto-resolution included.
-func TestShardedRunReport(t *testing.T) {
-	recs := genDayRecords(3, 3000)
+// v3Source writes recs as testDay of a fresh v3 store and serves it.
+// At the record counts used here a day spans several blocks, so a
+// decode width above 1 really runs the store's parallel reader.
+func v3Source(t *testing.T, recs []flowrec.Record) Source {
+	t.Helper()
+	store, err := flowrec.OpenStoreFormat(t.TempDir(), flowrec.FormatV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := store.CreateDay(testDay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		if err := w.Write(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return StoreSource{Store: store}
+}
+
+// TestDecodeWidthRunReport drives the block-decode width through the
+// public RunReport surface over a multi-block v3 day, the GOMAXPROCS
+// default (0) included: every width folds to the serial bytes.
+func TestDecodeWidthRunReport(t *testing.T) {
+	recs := genDayRecords(3, 30000)
 	want := canon(t, foldSerial(recs))
-	for _, k := range []int{0, 2, 5} {
-		aggs, dayErrs, err := RunReport(context.Background(), sliceSource(recs),
-			[]time.Time{testDay}, nil, RunConfig{Workers: 2, ShardsPerDay: k})
+	src := v3Source(t, recs)
+	for _, w := range []int{0, 1, 2, 5} {
+		aggs, dayErrs, err := RunReport(context.Background(), src,
+			[]time.Time{testDay}, nil, RunConfig{Workers: 2, DecodeWidth: w})
 		if err != nil || len(dayErrs) > 0 {
-			t.Fatalf("shards %d: err=%v dayErrs=%v", k, err, dayErrs)
+			t.Fatalf("width %d: err=%v dayErrs=%v", w, err, dayErrs)
 		}
 		if len(aggs) != 1 {
-			t.Fatalf("shards %d: %d aggs", k, len(aggs))
+			t.Fatalf("width %d: %d aggs", w, len(aggs))
 		}
 		if got := canon(t, aggs[0]); !bytes.Equal(got, want) {
-			t.Errorf("ShardsPerDay=%d differs from serial fold", k)
+			t.Errorf("DecodeWidth=%d differs from serial fold", w)
 		}
 	}
 }
@@ -310,13 +337,13 @@ func TestInputOrderMetamorphic(t *testing.T) {
 		if got := canon(t, foldSerial(shuffled)); !bytes.Equal(got, want) {
 			t.Errorf("shuffle seed %d changed the aggregate", seed)
 		}
-		// And the sharded path over the shuffle too.
-		agg, err := shardDay(context.Background(), sliceSource(shuffled), testDay, nil, 3, nil, 0, false, nil)
+		// And a 3-way client-hash merge over the shuffle too.
+		agg, err := MergePartials(testDay, shardPartials(shuffled, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := canon(t, agg); !bytes.Equal(got, want) {
-			t.Errorf("shuffle seed %d changed the 3-shard aggregate", seed)
+			t.Errorf("shuffle seed %d changed the 3-shard merge", seed)
 		}
 	}
 }
@@ -347,22 +374,6 @@ func TestRTTPartialOverCap(t *testing.T) {
 	}
 	if fmt.Sprint(lp.Hash) != fmt.Sprint(want.Hash) || fmt.Sprint(lp.Ms) != fmt.Sprint(want.Ms) {
 		t.Errorf("merged bottom-%d differs from union bottom-%d", cap, cap)
-	}
-}
-
-// TestResolveShards pins the auto-sizing contract.
-func TestResolveShards(t *testing.T) {
-	if got := ResolveShards(4, 1); got != 4 {
-		t.Errorf("explicit 4 -> %d", got)
-	}
-	if got := ResolveShards(1, 1); got != 1 {
-		t.Errorf("explicit 1 -> %d", got)
-	}
-	if got := ResolveShards(0, 1<<20); got != 1 {
-		t.Errorf("auto with huge worker pool -> %d, want 1", got)
-	}
-	if got := ResolveShards(0, 1); got < 1 || got > maxAutoShards {
-		t.Errorf("auto -> %d, want within [1,%d]", got, maxAutoShards)
 	}
 }
 

@@ -78,12 +78,13 @@ func (f FuncSource) Records(ctx context.Context, day time.Time, sc flowrec.ColSc
 	return err
 }
 
-// scanFor builds the ColScan for a run's column contract: zero cols
-// means no projection at all (a plain full read), anything else is
-// normalised and decoded with the given block-decode parallelism.
+// scanFor builds the ColScan for a run's column contract, decoded with
+// the given block-decode parallelism: zero cols means no projection at
+// all (a plain full read), anything else is normalised.
 func scanFor(cols flowrec.ColumnSet, workers int) flowrec.ColScan {
-	if cols == 0 {
-		return flowrec.ColScan{}
+	sc := flowrec.ColScan{Workers: workers}
+	if cols != 0 {
+		sc.Cols = NormalizeCols(cols)
 	}
-	return flowrec.ColScan{Cols: NormalizeCols(cols), Workers: workers}
+	return sc
 }

@@ -10,16 +10,14 @@ package analytics
 // every derived file) and restarts empty. Spilled partials merge
 // back in bounded fan-in passes, so aggregation memory is O(budget +
 // final aggregate), not O(day's working state) — and because the merge
-// is the same associative fold the sharded path uses, the result is
-// byte-identical to the unbounded in-memory run.
+// is the same associative fold every partial goes through, the result
+// is byte-identical to the unbounded in-memory run.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/framefile"
@@ -34,8 +32,8 @@ var (
 	mSpillMergePass = metrics.GetCounter("analytics.spill_merge_passes")
 )
 
-// spillCheckEvery is how many records the serial fold accumulates
-// between budget checks (the sharded path checks per fan-out batch).
+// spillCheckEvery is how many records the fold accumulates between
+// budget checks.
 const spillCheckEvery = 2048
 
 // defaultSpillFanIn bounds how many spill files one merge pass opens.
@@ -74,24 +72,20 @@ func (a *Aggregator) LiveBytes() int64 {
 }
 
 // spiller owns one day-attempt's spill state: a private temp directory
-// of partial files, the per-aggregator budget share, and the fan-in
-// for merge passes. Safe for concurrent spill calls from shard
-// workers; merge runs after they join.
+// of partial files, the budget, and the fan-in for merge passes. Only
+// the day's one fold goroutine touches it.
 type spiller struct {
 	dir    string
 	budget int64
 	fanIn  int
-	seq    atomic.Int64
-	n      atomic.Int64
-
-	mu  sync.Mutex
-	err error
+	seq    int
+	n      int
+	err    error
 }
 
 // newSpiller builds a spiller for one day attempt, or nil when the
-// config sets no budget (the unbounded path pays nothing). shares is
-// how many concurrent aggregators split the budget.
-func newSpiller(cfg RunConfig, day time.Time, shares int) (*spiller, error) {
+// config sets no budget (the unbounded path pays nothing).
+func newSpiller(cfg RunConfig, day time.Time) (*spiller, error) {
 	if cfg.MemBudget <= 0 {
 		return nil, nil
 	}
@@ -105,22 +99,15 @@ func newSpiller(cfg RunConfig, day time.Time, shares int) (*spiller, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analytics: spill dir: %w", err)
 	}
-	if shares < 1 {
-		shares = 1
-	}
-	budget := cfg.MemBudget / int64(shares)
-	if budget < 1 {
-		budget = 1
-	}
 	fanIn := cfg.SpillFanIn
 	if fanIn < 2 {
 		fanIn = defaultSpillFanIn
 	}
-	return &spiller{dir: dir, budget: budget, fanIn: fanIn}, nil
+	return &spiller{dir: dir, budget: cfg.MemBudget, fanIn: fanIn}, nil
 }
 
 // over reports whether an aggregator's live estimate crossed the
-// per-aggregator budget share.
+// budget.
 func (sp *spiller) over(a *Aggregator) bool {
 	return sp != nil && a.LiveBytes() > sp.budget
 }
@@ -132,14 +119,12 @@ func (sp *spiller) over(a *Aggregator) bool {
 func (sp *spiller) spill(p *Partial) {
 	n, err := writeSpill(sp.nextPath(), p)
 	if err != nil {
-		sp.mu.Lock()
 		if sp.err == nil {
 			sp.err = err
 		}
-		sp.mu.Unlock()
 		return
 	}
-	sp.n.Add(1)
+	sp.n++
 	mSpills.Inc()
 	mSpillBytes.Add(uint64(n))
 }
@@ -147,19 +132,18 @@ func (sp *spiller) spill(p *Partial) {
 // nextPath names the next spill file; zero-padded so the lexical sort
 // in files() is the write order.
 func (sp *spiller) nextPath() string {
-	return filepath.Join(sp.dir, fmt.Sprintf("parts-%06d.frames", sp.seq.Add(1)))
+	sp.seq++
+	return filepath.Join(sp.dir, fmt.Sprintf("parts-%06d.frames", sp.seq))
 }
 
 // spilled reports whether any partial reached disk.
-func (sp *spiller) spilled() bool { return sp != nil && sp.n.Load() > 0 }
+func (sp *spiller) spilled() bool { return sp != nil && sp.n > 0 }
 
 // firstErr returns the first spill failure, if any.
 func (sp *spiller) firstErr() error {
 	if sp == nil {
 		return nil
 	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
 	return sp.err
 }
 
@@ -186,14 +170,14 @@ func (sp *spiller) files() ([]string, error) {
 	return out, nil
 }
 
-// merge folds every spilled partial plus the still-in-memory finals
+// merge folds every spilled partial plus the still-in-memory tail
 // into the day's aggregate. While more than fanIn files remain, groups
 // of fanIn merge into new spill files — each pass holds one group's
 // accumulator plus a single loaded partial, keeping the peak at
 // O(budget + merged output) however many partials a day produced. The
 // fold is Partial.Merge throughout, so the result is byte-identical
 // to MergePartials over an in-memory run.
-func (sp *spiller) merge(day time.Time, finals []*Partial) (*DayAgg, error) {
+func (sp *spiller) merge(day time.Time, tail *Partial) (*DayAgg, error) {
 	files, err := sp.files()
 	if err != nil {
 		return nil, err
@@ -240,12 +224,10 @@ func (sp *spiller) merge(day time.Time, finals []*Partial) (*DayAgg, error) {
 		}
 		mShardMerges.Inc()
 	}
-	for _, p := range finals {
-		if err := acc.Merge(p); err != nil {
-			return nil, err
-		}
-		mShardMerges.Inc()
+	if err := acc.Merge(tail); err != nil {
+		return nil, err
 	}
+	mShardMerges.Inc()
 	return acc.Finish(), nil
 }
 

@@ -12,32 +12,33 @@ import (
 // Bounded-memory external merge tests: a tiny budget must force
 // spills (and, with a tiny fan-in, multi-pass merges) while the final
 // aggregate stays byte-identical to the unbounded in-memory run —
-// serial and sharded alike. Spill failures must surface as day
-// errors, never as silently different numbers.
+// over a serial and a parallel block decode alike. Spill failures must
+// surface as day errors, never as silently different numbers.
 
 func TestSpillEquivalence(t *testing.T) {
 	recs := genDayRecords(17, 4*spillCheckEvery+500)
 	want := canon(t, foldSerial(recs))
+	src := v3Source(t, recs)
 
 	for _, tc := range []struct {
 		name   string
-		shards int
+		width  int
 		budget int64
 		fanIn  int
 	}{
 		{"serial tiny budget", 1, 1, 2}, // spill at every check, fan-in 2 forces passes
 		{"serial small budget", 1, 16 << 10, 0},
-		{"sharded tiny budget", 3, 1, 2},
-		{"sharded small budget", 3, 16 << 10, 0},
+		{"parallel decode tiny budget", 3, 1, 2},
+		{"parallel decode small budget", 3, 16 << 10, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spills0, passes0 := mSpills.Load(), mSpillMergePass.Load()
-			aggs, dayErrs, err := RunReport(context.Background(), sliceSource(recs),
+			aggs, dayErrs, err := RunReport(context.Background(), src,
 				[]time.Time{testDay}, nil, RunConfig{
-					ShardsPerDay: tc.shards,
-					MemBudget:    tc.budget,
-					SpillDir:     t.TempDir(),
-					SpillFanIn:   tc.fanIn,
+					DecodeWidth: tc.width,
+					MemBudget:   tc.budget,
+					SpillDir:    t.TempDir(),
+					SpillFanIn:  tc.fanIn,
 				})
 			if err != nil || len(dayErrs) > 0 {
 				t.Fatalf("RunReport: err=%v dayErrs=%v", err, dayErrs)
@@ -59,7 +60,7 @@ func TestSpillEquivalence(t *testing.T) {
 }
 
 // TestSpillSketchEquivalence: the spill path must carry sketches
-// through gob like the shard-partial cache does.
+// through gob like the partial cache does.
 func TestSpillSketchEquivalence(t *testing.T) {
 	recs := genDayRecords(19, 4000)
 	base, dayErrs, err := RunReport(context.Background(), sliceSource(recs),
@@ -89,7 +90,7 @@ func TestSpillCleansUp(t *testing.T) {
 	recs := genDayRecords(21, 4000)
 	_, dayErrs, err := RunReport(context.Background(), sliceSource(recs),
 		[]time.Time{testDay}, nil, RunConfig{
-			MemBudget: 1, SpillDir: dir, ShardsPerDay: 2,
+			MemBudget: 1, SpillDir: dir,
 		})
 	if err != nil || len(dayErrs) > 0 {
 		t.Fatalf("RunReport: err=%v dayErrs=%v", err, dayErrs)

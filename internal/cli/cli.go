@@ -61,7 +61,7 @@ var surfaces = map[string][]spec{
 		{"stride", 7, "day sampling stride for full-span experiments"},
 		{"scale", "default", "population scale: small, default, large"},
 		{"workers", 0, "parallel aggregation workers (0 = NumCPU)"},
-		{"shards", 0, "per-day shard aggregators; results are byte-identical for any value (0 = auto, 1 = serial fold)"},
+		{"shards", 0, "per-day block-decode workers; results are byte-identical for any value (0 = GOMAXPROCS, 1 = serial decode)"},
 		{"store", "", "read records from this flow store instead of simulating (v1/v3 day files auto-detected, experiments decode only the columns they declare)"},
 		{"rules", "", "classification rules file (default: built-in list)"},
 		{"aggcache", "", "persist per-day aggregates to this directory across runs"},
@@ -80,7 +80,7 @@ var surfaces = map[string][]spec{
 		{"stride", 7, "default day sampling stride for full-span figures"},
 		{"scale", "default", "population scale: small, default, large"},
 		{"workers", 0, "pipeline aggregation workers per query (0 = NumCPU)"},
-		{"shards", 0, "per-day shard aggregators (0 = auto, 1 = serial fold)"},
+		{"shards", 0, "per-day block-decode workers; results are byte-identical for any value (0 = GOMAXPROCS, 1 = serial decode)"},
 		{"store", "", "serve this flow store (v1/v3 day files auto-detected)"},
 		{"rules", "", "classification rules file (default: built-in list)"},
 		{"aggcache", "", "per-day aggregate cache directory (shared with edged for hot-day serving)"},
@@ -97,7 +97,7 @@ var surfaces = map[string][]spec{
 	"edgegen": {
 		{"seed", uint64(1), "world seed"},
 		{"stride", 1, "generate every Nth day"},
-		{"shards", 0, "per-day shard aggregators for the -agg prewarm (0 = auto, 1 = serial fold)"},
+		{"shards", 0, "per-day block-decode workers; results are byte-identical for any value (0 = GOMAXPROCS, 1 = serial decode)"},
 		{"rollup", "", "after generating, prewarm week/month/year rollups in this directory"},
 		{"sketch", false, "carry mergeable sketches in the prewarmed aggregates and rollups"},
 		{"memlimit", "", `stage-one memory budget for the -agg prewarm, e.g. "512M" (0 = unbounded; over budget, aggregation spills partials to disk)`},

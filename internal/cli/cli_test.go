@@ -17,9 +17,11 @@ import (
 
 // testdata/help/<binary>.txt is the binary's -h output (minus the
 // path-bearing "Usage of" line) captured at the commit before the flag
-// surface moved into this package. One deliberate edit since: edgequery
+// surface moved into this package. Deliberate edits since: edgequery
 // -shards, whose old text ("CSV output forces 1") stopped being true
-// when the flag became the ordered block-decode width.
+// when the flag became the ordered block-decode width; and -shards on
+// edgereport, edgeserve and edgegen, which became that same width when
+// the per-day shard aggregators went.
 func helpGolden(t *testing.T, bin string) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", "help", bin+".txt"))

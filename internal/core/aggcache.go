@@ -46,17 +46,17 @@ func saveAgg(dir string, agg *analytics.DayAgg) error {
 	return nil
 }
 
-// Shard-partial cache files. A sharded run persists each day's
-// unmerged shard partials instead of the final aggregate, so an
-// incremental re-run — possibly with a different worker or shard
-// count — merges the cached shards (cheap) instead of re-reading the
-// day's records (expensive). The merge is the same monoid the live
-// path uses, so replayed days stay byte-identical.
+// Partial cache files. The live ingester checkpoints each open day as
+// unmerged partials instead of a final aggregate, so a query merges
+// the cached partials (cheap) instead of waiting for the day to seal;
+// parts-* files written by older batch runs replay the same way. The
+// merge is the same monoid stage one's spill path uses, so replayed
+// days stay byte-identical.
 //
 // The file is a sequence of framefile frames, [base][delta]…[delta],
-// each holding one cachedPartials envelope. The batch path writes the
+// each holding one cachedPartials envelope. SavePartials writes the
 // whole file as one frame (savePartials); the live ingester writes its
-// open day's merged partial the same way and then appends what each
+// open day's merged partial that way and then appends what each
 // later checkpoint folded as a further frame (appendPartial), so a
 // checkpoint costs the records since the last one rather than the
 // whole day. A reader takes every frame up to the first that is short,
@@ -75,7 +75,7 @@ type cachedPartials struct {
 	Parts []*analytics.Partial
 }
 
-// partialCachePath names the shard-partial file for a day.
+// partialCachePath names the partial file for a day.
 func partialCachePath(dir string, day time.Time) string {
 	return filepath.Join(dir, fmt.Sprintf("parts-%s-v%d.frames", day.Format("20060102"), partialCacheVersion))
 }

@@ -14,7 +14,9 @@ import (
 // Store-format equivalence: the columnar format prunes columns, skips
 // blocks and inflates per block, so the proof obligation is that no
 // experiment can tell v1 and v3 apart — same seed, same days,
-// byte-identical canonical aggregates, serial and sharded alike. The
+// byte-identical canonical aggregates, at decode widths 1 and 3 (at
+// colsEqScale days are mostly one v3 block, so the width-3 legs mainly
+// guard the single-block path; shard_test.go runs multi-block days). The
 // second test closes the gap byte-identity cannot see: a column missing
 // from analytics.AggregateColumns would make both formats equally
 // wrong, so the pipeline's aggregates are compared against a stage one
@@ -76,7 +78,7 @@ func TestFormatCanonicalEquivalence(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	for _, shards := range []int{1, 3} {
+	for _, width := range []int{1, 3} {
 		// Every experiment's days are a subset of colsEqDays and every
 		// aggregate is folded at the one pipeline width, so one
 		// Aggregate over the union per store is what a report run's day
@@ -85,10 +87,10 @@ func TestFormatCanonicalEquivalence(t *testing.T) {
 		var want [][]byte
 		for i, format := range formats {
 			p := New(Config{Seed: colsEqSeed, Scale: colsEqScale, Stride: colsEqStride,
-				Workers: 4, ShardsPerDay: shards, Store: stores[i]})
+				Workers: 4, ShardsPerDay: width, Store: stores[i]})
 			aggs, err := p.Aggregate(ctx, days)
 			if err != nil {
-				t.Fatalf("shards=%d: %s aggregate: %v", shards, format, err)
+				t.Fatalf("width=%d: %s aggregate: %v", width, format, err)
 			}
 			got := canonicalAll(t, aggs)
 			if i == 0 {
@@ -96,12 +98,12 @@ func TestFormatCanonicalEquivalence(t *testing.T) {
 				continue
 			}
 			if len(got) != len(want) {
-				t.Fatalf("shards=%d: v1 has %d days, %s has %d", shards, len(want), format, len(got))
+				t.Fatalf("width=%d: v1 has %d days, %s has %d", width, len(want), format, len(got))
 			}
 			for d := range got {
 				if !bytes.Equal(got[d], want[d]) {
-					t.Errorf("shards=%d: day %s aggregates diverge between v1 and %s",
-						shards, aggs[d].Day.Format("2006-01-02"), format)
+					t.Errorf("width=%d: day %s aggregates diverge between v1 and %s",
+						width, aggs[d].Day.Format("2006-01-02"), format)
 				}
 			}
 		}
@@ -110,9 +112,9 @@ func TestFormatCanonicalEquivalence(t *testing.T) {
 
 // TestAggregateColumnsLoseNothing is the width contract: the pipeline
 // folds every day at analytics.AggregateColumns, so no accumulator may
-// read a column outside it. Over both formats and at 1 and 3 shards,
-// Pipeline.Aggregate must be byte-identical to a stage one that decodes
-// every column of the same store. v1 always decodes everything, so it
+// read a column outside it. Over both formats and at decode widths 1
+// and 3, Pipeline.Aggregate must be byte-identical to a stage one that
+// decodes every column of the same store. v1 always decodes everything, so it
 // catches an accumulator gated off by a missing column; v3 decodes
 // only the requested columns, so it catches an accumulator fed a
 // zeroed field.
@@ -121,27 +123,27 @@ func TestAggregateColumnsLoseNothing(t *testing.T) {
 	ctx := context.Background()
 	for _, format := range []flowrec.Format{flowrec.FormatV1, flowrec.FormatV3} {
 		store := buildStoreFormat(t, t.TempDir(), format, days)
-		for _, shards := range []int{1, 3} {
+		for _, width := range []int{1, 3} {
 			p := New(Config{Seed: colsEqSeed, Scale: colsEqScale, Stride: colsEqStride,
-				Workers: 4, ShardsPerDay: shards, Store: store})
+				Workers: 4, ShardsPerDay: width, Store: store})
 			got, err := p.Aggregate(ctx, days)
 			if err != nil {
-				t.Fatalf("%s shards=%d: pipeline aggregate: %v", format, shards, err)
+				t.Fatalf("%s width=%d: pipeline aggregate: %v", format, width, err)
 			}
 			full, dayErrs, err := analytics.RunReport(ctx, analytics.StoreSource{Store: store}, days, p.Cls,
-				analytics.RunConfig{Workers: 4, ShardsPerDay: shards, Cols: flowrec.AllColumns})
+				analytics.RunConfig{Workers: 4, DecodeWidth: width, Cols: flowrec.AllColumns})
 			if err != nil || len(dayErrs) > 0 {
-				t.Fatalf("%s shards=%d: full-width stage one: %v %v", format, shards, err, dayErrs)
+				t.Fatalf("%s width=%d: full-width stage one: %v %v", format, width, err, dayErrs)
 			}
 			if len(got) != len(full) || len(got) != len(days) {
-				t.Fatalf("%s shards=%d: pipeline has %d days, full-width %d, lake %d",
-					format, shards, len(got), len(full), len(days))
+				t.Fatalf("%s width=%d: pipeline has %d days, full-width %d, lake %d",
+					format, width, len(got), len(full), len(days))
 			}
 			gb, fb := canonicalAll(t, got), canonicalAll(t, full)
 			for i := range gb {
 				if !bytes.Equal(gb[i], fb[i]) {
-					t.Errorf("%s shards=%d: day %s differs from the full-width fold; an accumulator reads a column outside AggregateColumns",
-						format, shards, got[i].Day.Format("2006-01-02"))
+					t.Errorf("%s width=%d: day %s differs from the full-width fold; an accumulator reads a column outside AggregateColumns",
+						format, width, got[i].Day.Format("2006-01-02"))
 				}
 			}
 		}

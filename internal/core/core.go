@@ -62,13 +62,12 @@ type Config struct {
 	Stride int
 	// Workers bounds stage-one parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// ShardsPerDay splits each day's records across this many
-	// concurrent shard aggregators and merges the partials — within-
-	// day parallelism on top of the across-day worker pool, with
-	// byte-identical results for any value (the analytics merge
-	// monoid guarantees it). 0 auto-sizes from GOMAXPROCS and
-	// Workers; 1 forces the serial per-day fold. Exposed as -shards
-	// on the binaries.
+	// ShardsPerDay is the per-day block-decode width: how many
+	// goroutines decode one day's v3 blocks for stage one — within-day
+	// parallelism on top of the across-day worker pool. Blocks reach
+	// the day's one aggregator in file order, so results are
+	// byte-identical for any value. 0 means GOMAXPROCS; 1 decodes
+	// serially. Exposed as -shards on the binaries.
 	ShardsPerDay int
 	// Store, when set, reads flow records from an on-disk lake
 	// instead of generating them on the fly. Days missing from the
@@ -89,9 +88,9 @@ type Config struct {
 	// coarsest tier that fits instead of re-folding every day. Exposed
 	// as -rollup on the binaries.
 	RollupDir string
-	// MemBudget bounds stage one's live accumulator memory in bytes
-	// (an accounting estimate, split across a day's concurrent shard
-	// aggregators). Over budget, an aggregator seals its state into a
+	// MemBudget bounds stage one's live accumulator memory per day in
+	// bytes (an accounting estimate). Over budget, a day's aggregator
+	// seals its state into a
 	// partial, spills it to disk and restarts empty; spilled partials
 	// external-merge after the scan with results byte-identical to the
 	// unbounded run. 0 (the default) disables spilling. Exposed as
@@ -503,10 +502,10 @@ func (p *Pipeline) computeDays(ctx context.Context, owned []time.Time, entryOf m
 				loaded[i] = agg
 				return
 			}
-			// Final-aggregate miss: a sharded run may have cached the
-			// day as unmerged shard partials instead — merging them is
-			// the same reduce step the live path runs, minus reading
-			// the records.
+			// Final-aggregate miss: the ingester checkpoints an open
+			// day as partials (and older runs cached some days that
+			// way) — merging them is the same reduce step spilling
+			// runs, minus reading the records.
 			if parts, lerr := p.storage.LoadPartials(owned[i]); lerr == nil && len(parts) > 0 {
 				if agg, merr := analytics.MergePartials(owned[i], parts); merr == nil && p.usable(agg) {
 					loaded[i] = agg
@@ -534,33 +533,7 @@ func (p *Pipeline) computeDays(ctx context.Context, owned []time.Time, entryOf m
 	}
 
 	if len(missing) > 0 {
-		runCfg := analytics.RunConfig{
-			Workers:      p.cfg.Workers,
-			ShardsPerDay: p.cfg.ShardsPerDay,
-			Retry:        p.retry,
-			DayTimeout:   p.cfg.DayTimeout,
-			Cols:         analytics.AggregateColumns,
-			Sketch:       p.cfg.Sketch,
-			MemBudget:    p.cfg.MemBudget,
-			SpillDir:     p.cfg.SpillDir,
-			SpillFanIn:   p.cfg.SpillFanIn,
-		}
-		// When a day aggregates sharded, cache its unmerged partials;
-		// the final SaveAgg below is skipped for those days. Save
-		// failures degrade to the SaveAgg fallback, never to a lost
-		// aggregate.
-		var partialsSaved sync.Map
-		if p.cacheAggs() {
-			runCfg.OnDayPartials = func(day time.Time, parts []*analytics.Partial) {
-				serr := p.retry.Do(ctx, uint64(day.Unix()), func() error {
-					return p.storage.SavePartials(day, parts)
-				})
-				if serr == nil {
-					partialsSaved.Store(day, true)
-				}
-			}
-		}
-		aggs, dayErrs, runErr := analytics.RunReport(ctx, p.Source(), missing, p.Cls, runCfg)
+		aggs, dayErrs, runErr := analytics.RunReport(ctx, p.Source(), missing, p.Cls, p.runConfig())
 		if runErr != nil {
 			return runErr
 		}
@@ -590,9 +563,6 @@ func (p *Pipeline) computeDays(ctx context.Context, owned []time.Time, entryOf m
 		if p.cacheAggs() {
 			saveErrs := make([]error, len(aggs))
 			p.eachIndex(len(aggs), func(i int) {
-				if _, ok := partialsSaved.Load(aggs[i].Day); ok {
-					return // cached as shard partials already
-				}
 				saveErrs[i] = p.retry.Do(ctx, uint64(aggs[i].Day.Unix()), func() error {
 					return p.storage.SaveAgg(aggs[i])
 				})
@@ -647,16 +617,31 @@ func (p *Pipeline) eachIndex(n int, fn func(int)) {
 	wg.Wait()
 }
 
+// runConfig is the stage-one configuration every pipeline run uses:
+// the pipeline's worker pool, decode width, retry, deadline, budget and
+// sketch settings over AggregateColumns.
+func (p *Pipeline) runConfig() analytics.RunConfig {
+	return analytics.RunConfig{
+		Workers:     p.cfg.Workers,
+		DecodeWidth: p.cfg.ShardsPerDay,
+		Retry:       p.retry,
+		DayTimeout:  p.cfg.DayTimeout,
+		Cols:        analytics.AggregateColumns,
+		Sketch:      p.cfg.Sketch,
+		MemBudget:   p.cfg.MemBudget,
+		SpillDir:    p.cfg.SpillDir,
+		SpillFanIn:  p.cfg.SpillFanIn,
+	}
+}
+
 // runStage1 runs stage one outside the day cache (the counterfactual
 // worlds of the what-if analysis build their own sources), honouring
-// the pipeline's retry, deadline and degrade configuration. Degraded
-// day failures land in the DayErrors report.
-func (p *Pipeline) runStage1(ctx context.Context, src analytics.Source, days []time.Time, workers int) ([]*analytics.DayAgg, error) {
-	aggs, dayErrs, err := analytics.RunReport(ctx, src, days, p.Cls,
-		analytics.RunConfig{Workers: workers, ShardsPerDay: p.cfg.ShardsPerDay,
-			Retry: p.retry, DayTimeout: p.cfg.DayTimeout, Cols: analytics.AggregateColumns,
-			MemBudget: p.cfg.MemBudget, SpillDir: p.cfg.SpillDir,
-			SpillFanIn: p.cfg.SpillFanIn})
+// the pipeline's workers, retry, deadline and degrade configuration.
+// Degraded day failures land in the DayErrors report.
+func (p *Pipeline) runStage1(ctx context.Context, src analytics.Source, days []time.Time) ([]*analytics.DayAgg, error) {
+	cfg := p.runConfig()
+	cfg.Sketch = false // the counterfactual worlds read exact fields only
+	aggs, dayErrs, err := analytics.RunReport(ctx, src, days, p.Cls, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -62,7 +62,7 @@ func runWhatIf(ctx context.Context, p *Pipeline, w io.Writer) error {
 			world.EmitDay(day, fn)
 			return nil
 		})
-		aggs, err := p.runStage1(ctx, src, days, 4)
+		aggs, err := p.runStage1(ctx, src, days)
 		if err != nil {
 			return nil, err
 		}

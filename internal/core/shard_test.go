@@ -1,157 +1,230 @@
 package core
 
-// Merge-equivalence at the pipeline level: every experiment of the
-// paper registry must render byte-identical reports whatever
-// ShardsPerDay is, and the shard-partial cache must replay a day
-// byte-identically to the run that wrote it.
+// Decode-width equivalence at the pipeline level: every experiment of
+// the paper registry must render byte-identical reports whatever
+// ShardsPerDay (the per-day block-decode width) is, over a v3 store so
+// the parallel reader really runs; ordered delivery must keep sketches
+// and spill points identical too; and the persisted form of a day must
+// not depend on the width or the host.
 
 import (
 	"bytes"
 	"context"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/analytics"
+	"repro/internal/flowrec"
+	"repro/internal/metrics"
 	"repro/internal/simnet"
 )
 
-// shardTestConfig is the smallest population that still exercises
-// every figure, on a sparse stride so the full registry stays fast.
-func shardTestConfig(shards int) Config {
-	return Config{
-		Seed: 99, Scale: simnet.Scale{ADSL: 10, FTTH: 5},
-		Stride: 180, Workers: 2, ShardsPerDay: shards,
+// buildWorldStore materialises days of the (seed, scale) world into a
+// fresh v3 store.
+func buildWorldStore(t *testing.T, seed uint64, scale simnet.Scale, days []time.Time) *flowrec.Store {
+	t.Helper()
+	store, err := flowrec.OpenStoreFormat(t.TempDir(), flowrec.FormatV3)
+	if err != nil {
+		t.Fatal(err)
 	}
+	p := New(Config{Seed: seed, Scale: scale, Workers: 8})
+	if _, err := p.GenerateStore(context.Background(), NewDiskStorage(store, ""), days); err != nil {
+		t.Fatal(err)
+	}
+	return store
 }
 
+// widthTestScale is large enough that an April 2017 day spans several
+// v3 blocks, so the reorder buffer has blocks to reorder.
+var widthTestScale = simnet.Scale{ADSL: 60, FTTH: 30}
+
 // TestShardEquivalenceAllExperiments renders every experiment in
-// Experiments() at 1 and 3 shards per day and byte-compares the
-// reports — the acceptance property of the merge monoid: sharding is
-// invisible in every table and figure.
+// Experiments() over a v3 lake at decode widths 1 and 3 and
+// byte-compares the reports: the decode width is invisible in every
+// table and figure. The lake holds a few of the days the experiments
+// sample, at widthTestScale, so days span several blocks and the
+// reorder buffer runs under every experiment; the rest are skipped as
+// missing.
 func TestShardEquivalenceAllExperiments(t *testing.T) {
-	p1 := New(shardTestConfig(1))
-	p3 := New(shardTestConfig(3))
+	all := colsEqDays()
+	days := []time.Time{all[0], all[len(all)/2], all[len(all)-2], all[len(all)-1]}
+	store := buildWorldStore(t, colsEqSeed, widthTestScale, days)
+	mk := func(width int) *Pipeline {
+		return New(Config{Seed: colsEqSeed, Scale: widthTestScale, Stride: colsEqStride,
+			Workers: 2, ShardsPerDay: width, Store: store})
+	}
+	blocks, read := metrics.GetCounter("store.blocks_read"), metrics.GetCounter("store.days_read")
+	blocks0, read0 := blocks.Load(), read.Load()
+	p1, p3 := mk(1), mk(3)
 	for _, e := range Experiments() {
 		var b1, b3 bytes.Buffer
 		if err := e.Run(context.Background(), p1, &b1); err != nil {
-			t.Fatalf("%s (1 shard): %v", e.ID, err)
+			t.Fatalf("%s (width 1): %v", e.ID, err)
 		}
 		if err := e.Run(context.Background(), p3, &b3); err != nil {
-			t.Fatalf("%s (3 shards): %v", e.ID, err)
+			t.Fatalf("%s (width 3): %v", e.ID, err)
 		}
 		if !bytes.Equal(b1.Bytes(), b3.Bytes()) {
-			t.Errorf("%s: report differs between 1 and 3 shards per day", e.ID)
+			t.Errorf("%s: report differs between decode widths 1 and 3", e.ID)
 		}
+	}
+	if blocks.Load()-blocks0 <= read.Load()-read0 {
+		t.Fatal("every day read was a single block: the reorder buffer never ran")
 	}
 }
 
 // TestShardEquivalenceAggregates compares the aggregates themselves
-// (canonical bytes, stronger than rendered text) across shard counts.
+// (canonical bytes, stronger than rendered text) across decode widths,
+// over multi-block v3 days.
 func TestShardEquivalenceAggregates(t *testing.T) {
 	days := MonthDays(2017, time.April)[:6]
-	p1 := New(shardTestConfig(1))
-	p4 := New(shardTestConfig(4))
-	a1, err := p1.Aggregate(context.Background(), days)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a4, err := p4.Aggregate(context.Background(), days)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a1) != len(a4) {
-		t.Fatalf("day counts differ: %d vs %d", len(a1), len(a4))
-	}
-	for i := range a1 {
-		b1, err := analytics.CanonicalBytes(a1[i])
+	store := buildWorldStore(t, 99, widthTestScale, days)
+	var want [][]byte
+	for _, width := range []int{1, 4} {
+		p := New(Config{Seed: 99, Scale: widthTestScale, Workers: 2, ShardsPerDay: width, Store: store})
+		aggs, err := p.Aggregate(context.Background(), days)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b4, err := analytics.CanonicalBytes(a4[i])
-		if err != nil {
-			t.Fatal(err)
+		got := canonicalAll(t, aggs)
+		if want == nil {
+			want = got
+			continue
 		}
-		if !bytes.Equal(b1, b4) {
-			t.Errorf("%s: 4-shard aggregate differs from serial fold", a1[i].Day.Format("2006-01-02"))
+		if len(got) != len(want) {
+			t.Fatalf("day counts differ: %d vs %d", len(want), len(got))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("%s: width-%d aggregate differs from serial decode", aggs[i].Day.Format("2006-01-02"), width)
+			}
 		}
 	}
 }
 
-// TestPartialCacheRoundTrip: a sharded cached run persists per-day
-// shard partials; a later pipeline (even one running serial folds)
-// must replay them into byte-identical aggregates without re-reading
-// the days.
+// TestDecodeWidthKeepsFoldOrder pins ordered delivery. Exact mode is
+// order-insensitive, so it alone would not notice blocks reaching the
+// aggregator out of file order; sketches (t-digest, SpaceSaving) and
+// the points where a memory budget spills are not. With both on, every
+// day's canonical bytes and sketches must be identical at widths 1, 2
+// and 8.
+func TestDecodeWidthKeepsFoldOrder(t *testing.T) {
+	days := MonthDays(2017, time.April)[:3]
+	store := buildWorldStore(t, 99, widthTestScale, days)
+	spills := metrics.GetCounter("analytics.spills")
+	var want []*analytics.DayAgg
+	for _, width := range []int{1, 2, 8} {
+		spills0 := spills.Load()
+		p := New(Config{Seed: 99, Scale: widthTestScale, Workers: 2, ShardsPerDay: width, Store: store,
+			Sketch: true, MemBudget: 64 << 10, SpillDir: t.TempDir()})
+		got, err := p.Aggregate(context.Background(), days)
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		if spills.Load() == spills0 {
+			t.Fatalf("width %d: the budget never forced a spill", width)
+		}
+		if len(got) != len(days) {
+			t.Fatalf("width %d: %d days, want %d", width, len(got), len(days))
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range got {
+			day := got[i].Day.Format("2006-01-02")
+			if !bytes.Equal(canonicalAll(t, got[i:i+1])[0], canonicalAll(t, want[i:i+1])[0]) {
+				t.Errorf("width %d: day %s canonical bytes differ from the serial decode", width, day)
+			}
+			if got[i].Sketches == nil || !reflect.DeepEqual(got[i].Sketches, want[i].Sketches) {
+				t.Errorf("width %d: day %s sketches differ from the serial decode", width, day)
+			}
+		}
+	}
+}
+
+// TestPartialCacheRoundTrip: a cold cached run persists each day once
+// as a final aggregate, whatever the decode width — the representation
+// no longer depends on the host. Partials written through SavePartials
+// (the ingester's form) still replay byte-identically without reading
+// the day, and a damaged partial file reads as a miss.
 func TestPartialCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
 	days := MonthDays(2014, time.April)[:4]
-
-	cfg := shardTestConfig(3)
-	cfg.AggCacheDir = dir
-	warm := New(cfg)
-	want, err := warm.Aggregate(context.Background(), days)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parts, finals int
-	for _, e := range entries {
-		switch {
-		case strings.HasPrefix(e.Name(), "parts-"):
-			parts++
-		case strings.HasPrefix(e.Name(), "agg-"):
-			finals++
-		}
-	}
-	if parts != len(days) {
-		t.Fatalf("%d partial files for %d days (finals: %d)", parts, len(days), finals)
-	}
-	if finals != 0 {
-		t.Errorf("%d final agg files written alongside partials", finals)
-	}
-
-	// Replay with a serial-fold pipeline over the same cache dir.
-	cold := shardTestConfig(1)
-	cold.AggCacheDir = dir
-	replay := New(cold)
-	got, err := replay.Aggregate(context.Background(), days)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d days, want %d", len(got), len(want))
-	}
-	for i := range want {
-		wb, err := analytics.CanonicalBytes(want[i])
+	store := buildWorldStore(t, 99, widthTestScale, days)
+	var want [][]byte
+	for _, width := range []int{1, 2, 8} {
+		dir := t.TempDir()
+		p := New(Config{Seed: 99, Scale: widthTestScale, Workers: 2, ShardsPerDay: width,
+			Store: store, AggCacheDir: dir})
+		aggs, err := p.Aggregate(context.Background(), days)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gb, err := analytics.CanonicalBytes(got[i])
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(wb, gb) {
-			t.Errorf("%s: cached-partial replay differs", want[i].Day.Format("2006-01-02"))
+		var parts, finals int
+		for _, e := range entries {
+			switch {
+			case strings.HasPrefix(e.Name(), "parts-"):
+				parts++
+			case strings.HasPrefix(e.Name(), "agg-"):
+				finals++
+			}
 		}
+		if finals != len(days) || parts != 0 {
+			t.Errorf("width %d: %d agg files and %d partial files for %d days, want one agg file per day",
+				width, finals, parts, len(days))
+		}
+		got := canonicalAll(t, aggs)
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("width %d: cached aggregates differ from width 1", width)
+		}
+	}
+
+	// The ingester's form: partials saved per day, no final aggregate.
+	// The replaying pipeline simulates a different world, so only the
+	// partials can reproduce the cold simulated run's bytes.
+	cfg := Config{Seed: 99, Scale: widthTestScale, Workers: 2}
+	cold, err := New(cfg).Aggregate(context.Background(), days)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = canonicalAll(t, cold)
+	dir := t.TempDir()
+	stor := NewDiskStorage(nil, dir)
+	for _, day := range days {
+		if err := stor.SavePartials(day, shardPartialsForDay(t, cfg, day)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poisoned := cfg
+	poisoned.Seed, poisoned.AggCacheDir = 12345, dir
+	replayed, err := New(poisoned).Aggregate(context.Background(), days)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(canonicalAll(t, replayed), want) {
+		t.Error("partials saved through SavePartials replay differently from the cold run")
 	}
 
 	// A damaged partial file must read as a miss, not poison the run.
 	if err := os.WriteFile(partialCachePath(dir, days[0]), []byte("not a frame"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	again := shardTestConfig(2)
+	again := cfg
 	again.AggCacheDir = dir
-	p := New(again)
-	re, err := p.Aggregate(context.Background(), days)
+	re, err := New(again).Aggregate(context.Background(), days)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(re) != len(days) {
-		t.Fatalf("damaged partial file lost days: %d of %d", len(re), len(days))
+	if !reflect.DeepEqual(canonicalAll(t, re), want) {
+		t.Error("a damaged partial file changed the answer")
 	}
 }

@@ -40,21 +40,21 @@ func TestSpillPipelineEquivalence(t *testing.T) {
 	}
 
 	mSpills := metrics.GetCounter("analytics.spills")
-	for _, shards := range []int{1, 3} {
+	for _, width := range []int{1, 3} {
 		spills0 := mSpills.Load()
 		p := New(Config{
 			Seed: chaosSeed, Scale: chaosScale, Workers: 4, Store: store,
-			ShardsPerDay: shards, MemBudget: 1, SpillDir: t.TempDir(), SpillFanIn: 2,
+			ShardsPerDay: width, MemBudget: 1, SpillDir: t.TempDir(), SpillFanIn: 2,
 		})
 		got, err := p.Aggregate(context.Background(), days)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("width=%d: %v", width, err)
 		}
 		if mSpills.Load() == spills0 {
-			t.Fatalf("shards=%d: budget never forced a spill; the test exercised nothing", shards)
+			t.Fatalf("width=%d: budget never forced a spill; the test exercised nothing", width)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d days, want %d", shards, len(got), len(want))
+			t.Fatalf("width=%d: %d days, want %d", width, len(got), len(want))
 		}
 		for i := range want {
 			bw, err := analytics.CanonicalBytes(want[i])
@@ -66,8 +66,8 @@ func TestSpillPipelineEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(bw, bg) {
-				t.Errorf("shards=%d: day %s diverges from the unbounded run",
-					shards, want[i].Day.Format("2006-01-02"))
+				t.Errorf("width=%d: day %s diverges from the unbounded run",
+					width, want[i].Day.Format("2006-01-02"))
 			}
 		}
 	}
@@ -159,7 +159,7 @@ func TestSpillUnderChaos(t *testing.T) {
 func TestConcurrentCacheLoads(t *testing.T) {
 	dir := t.TempDir()
 	day := time.Date(2016, 4, 12, 0, 0, 0, 0, time.UTC)
-	cfg := Config{Seed: 5, Scale: simnet.Scale{ADSL: 10, FTTH: 5}, Workers: 2, ShardsPerDay: 1,
+	cfg := Config{Seed: 5, Scale: simnet.Scale{ADSL: 10, FTTH: 5}, Workers: 2,
 		AggCacheDir: dir, RollupDir: t.TempDir()}
 	p := New(cfg)
 	aggs, err := p.Aggregate(context.Background(), []time.Time{day})
@@ -203,8 +203,9 @@ func TestConcurrentCacheLoads(t *testing.T) {
 	wg.Wait()
 }
 
-// shardPartialsForDay builds a day's shard partials the way a sharded
-// run would, for seeding the partial cache.
+// shardPartialsForDay splits a day's records over two client-hash
+// partials, for seeding the partial cache the way the ingester's
+// multi-frame checkpoints do.
 func shardPartialsForDay(t *testing.T, cfg Config, day time.Time) []*analytics.Partial {
 	t.Helper()
 	world := simnet.NewWorld(cfg.Seed, cfg.Scale)

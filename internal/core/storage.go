@@ -51,11 +51,11 @@ type Storage interface {
 	LoadAgg(day time.Time) (*analytics.DayAgg, error)
 	// SaveAgg persists one day's aggregate; a no-op without a cache.
 	SaveAgg(agg *analytics.DayAgg) error
-	// LoadPartials returns a day's cached shard partials, (nil, nil)
-	// on a miss. A sharded incremental re-run merges these instead of
-	// re-reading the day's records.
+	// LoadPartials returns a day's cached partials, (nil, nil) on a
+	// miss. A run merges these instead of re-reading the day's records
+	// (the ingester's hot days have no records to read yet).
 	LoadPartials(day time.Time) ([]*analytics.Partial, error)
-	// SavePartials persists a day's shard partials, replacing whatever
+	// SavePartials persists a day's partials, replacing whatever
 	// the day's file held; a no-op without a cache.
 	SavePartials(day time.Time, parts []*analytics.Partial) error
 	// AppendPartial adds p behind the partials SavePartials last wrote
@@ -174,7 +174,7 @@ func (d *DiskStorage) WriteDay(day time.Time, emit func(write func(*flowrec.Reco
 	werr = w.Close()
 	if werr == nil {
 		// The day's bytes changed: every cached derivation of the old
-		// bytes — the aggregate, the shard partials, the covering
+		// bytes — the aggregate, the partials, the covering
 		// rollups — must go, or a repaired day keeps serving stale
 		// merges. Absent files are fine; anything else surfaces.
 		werr = d.invalidateDerived(day)
@@ -183,8 +183,8 @@ func (d *DiskStorage) WriteDay(day time.Time, emit func(write func(*flowrec.Reco
 	return n, werr
 }
 
-// invalidateDerived drops the day's cached aggregate and shard
-// partials — the whole framed file, base and deltas — with any temp
+// invalidateDerived drops the day's cached aggregate and partials —
+// the whole framed file, base and deltas — with any temp
 // siblings a killed save left, plus the rollups covering it.
 func (d *DiskStorage) invalidateDerived(day time.Time) error {
 	var firstErr error

@@ -19,7 +19,8 @@ import (
 // Streamed≡batch at the experiment tier: a lake built by the live
 // ingest loop — record stream, WAL, incremental checkpoints, rollover
 // seals, background compaction to v3 — must be indistinguishable from
-// a batch-generated lake to every experiment, serial and sharded,
+// a batch-generated lake to every experiment, at decode widths 1 and 3
+// (mostly single-block days at colsEqScale; shard_test.go runs multi-block ones),
 // byte for byte in canonical aggregates. The streamed build here runs
 // the full gauntlet on the way: a chaos schedule faulting checkpoint,
 // seal and storage writes (absorbed by retries or degraded and
@@ -127,11 +128,11 @@ func TestStreamedEqualsBatchExperiments(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	for _, shards := range []int{1, 3} {
+	for _, width := range []int{1, 3} {
 		pb := New(Config{Seed: colsEqSeed, Scale: colsEqScale, Stride: colsEqStride,
-			Workers: 4, ShardsPerDay: shards, Store: batch})
+			Workers: 4, ShardsPerDay: width, Store: batch})
 		ps := New(Config{Seed: colsEqSeed, Scale: colsEqScale, Stride: colsEqStride,
-			Workers: 4, ShardsPerDay: shards, Store: streamed})
+			Workers: 4, ShardsPerDay: width, Store: streamed})
 		for _, e := range AllExperiments() {
 			edays := e.Days(colsEqStride)
 			if len(edays) == 0 {
@@ -139,14 +140,14 @@ func TestStreamedEqualsBatchExperiments(t *testing.T) {
 			}
 			ab, err := pb.Aggregate(ctx, edays)
 			if err != nil {
-				t.Fatalf("%s shards=%d: batch aggregate: %v", e.ID, shards, err)
+				t.Fatalf("%s width=%d: batch aggregate: %v", e.ID, width, err)
 			}
 			as, err := ps.Aggregate(ctx, edays)
 			if err != nil {
-				t.Fatalf("%s shards=%d: streamed aggregate: %v", e.ID, shards, err)
+				t.Fatalf("%s width=%d: streamed aggregate: %v", e.ID, width, err)
 			}
 			if len(as) != len(ab) {
-				t.Fatalf("%s shards=%d: batch has %d days, streamed %d", e.ID, shards, len(ab), len(as))
+				t.Fatalf("%s width=%d: batch has %d days, streamed %d", e.ID, width, len(ab), len(as))
 			}
 			for i := range ab {
 				wb, err := analytics.CanonicalBytes(ab[i])
@@ -158,8 +159,8 @@ func TestStreamedEqualsBatchExperiments(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(wb, ws) {
-					t.Errorf("%s shards=%d: day %s streamed lake diverges from batch",
-						e.ID, shards, ab[i].Day.Format("2006-01-02"))
+					t.Errorf("%s width=%d: day %s streamed lake diverges from batch",
+						e.ID, width, ab[i].Day.Format("2006-01-02"))
 					break
 				}
 			}

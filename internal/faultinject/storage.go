@@ -29,9 +29,9 @@ type Storage interface {
 	// LoadAgg and SaveAgg access the per-day aggregate cache.
 	LoadAgg(day time.Time) (*analytics.DayAgg, error)
 	SaveAgg(agg *analytics.DayAgg) error
-	// LoadPartials and SavePartials access the shard-partial side of
-	// the aggregate cache (sharded stage-one runs persist unmerged
-	// shard partials; incremental re-runs merge them back).
+	// LoadPartials and SavePartials access the partial side of the
+	// aggregate cache (the ingester checkpoints open days as unmerged
+	// partials; pipeline runs merge them back).
 	// AppendPartial, PartialsSize and SweepTemps are the live
 	// ingester's delta-checkpoint surface (see core.Storage).
 	LoadPartials(day time.Time) ([]*analytics.Partial, error)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -313,19 +314,23 @@ func (s *Store) scanBlocks(cr *colReader, sc ColScan, fn func(*Record) error, nR
 	}
 }
 
-// seqBlock pairs a raw block with its delivery sequence number.
+// seqBlock pairs a raw block with its delivery sequence number and
+// the decode slot it holds until its records are delivered.
 type seqBlock struct {
-	seq int
-	b   *colBlock
+	seq  int
+	b    *colBlock
+	slot chan struct{}
 }
 
 // decoded is one worker's output: the block's records (backed by the
-// pooled slice rp, returned once delivered), or its error.
+// pooled slice rp, returned once delivered), or its error, and the
+// block's decode slot.
 type decoded struct {
 	seq  int
 	recs []Record
 	rp   *[]Record
 	err  error
+	slot chan struct{}
 }
 
 // prodEnd is the producer's final word: how many blocks it enqueued,
@@ -341,10 +346,32 @@ type prodEnd struct {
 // keep and recycling the slices is safe.
 var recsPool = sync.Pool{New: func() any { s := make([]Record, 0, colBlockRows); return &s }}
 
+// Decode slots bound the blocks every parallel scan in the process
+// holds at once — dispatched, decoding, decoded or being delivered.
+// Each scan has one slot of its own, so it always makes progress, and
+// shares GOMAXPROCS more with every other scan: stage one running
+// Workers days at width GOMAXPROCS then holds about Workers+GOMAXPROCS
+// decoded blocks, not Workers×GOMAXPROCS×3. Taking a slot is a send,
+// giving it back a receive. The shared pool is sized on first use, so
+// a process that sets GOMAXPROCS in main sees its own value.
+var (
+	sharedSlotsOnce sync.Once
+	sharedSlots     chan struct{}
+)
+
+func sharedDecodeSlots() chan struct{} {
+	sharedSlotsOnce.Do(func() { sharedSlots = make(chan struct{}, runtime.GOMAXPROCS(0)) })
+	return sharedSlots
+}
+
 // readColsParallel reads raw blocks serially, in file order, and fans
 // block decoding — per-column inflation included — out over workers
 // goroutines. A reorder buffer on the consuming side delivers records
 // in exact file order, so parallelism never changes what fn observes.
+// A block is dispatched only once it holds a decode slot, and gives
+// the slot back when delivered or dropped. Blocks dispatch in file
+// order, so the block the consumer waits for always holds one: the
+// scan's own slot is free whenever everything before it is delivered.
 // Records decoded before a mid-stream failure are delivered, then the
 // failure is returned — the same prefix-delivery contract as the
 // serial scan.
@@ -357,6 +384,7 @@ func (s *Store) readColsParallel(cr *colReader, workers int, deliver func([]Reco
 	abort := func() { closeDone.Do(func() { close(done) }) }
 	defer abort()
 
+	own, shared := make(chan struct{}, 1), sharedDecodeSlots()
 	go func() { // producer: the only goroutine touching the raw stream
 		defer close(jobs)
 		seq := 0
@@ -369,10 +397,22 @@ func (s *Store) readColsParallel(cr *colReader, workers int, deliver func([]Reco
 				end <- prodEnd{n: seq, err: err}
 				return
 			}
+			var slot chan struct{}
 			select {
-			case jobs <- seqBlock{seq: seq, b: b}:
+			case own <- struct{}{}:
+				slot = own
+			case shared <- struct{}{}:
+				slot = shared
+			case <-done:
+				b.release()
+				end <- prodEnd{n: seq, err: nil}
+				return
+			}
+			select {
+			case jobs <- seqBlock{seq: seq, b: b, slot: slot}:
 				seq++
 			case <-done:
+				<-slot
 				b.release()
 				end <- prodEnd{n: seq, err: nil}
 				return
@@ -400,8 +440,9 @@ func (s *Store) readColsParallel(cr *colReader, workers int, deliver func([]Reco
 				err := decodeBlock(j.b, cr.need, recs, strs, &inf)
 				j.b.release()
 				select {
-				case out <- decoded{seq: j.seq, recs: recs, rp: rp, err: err}:
+				case out <- decoded{seq: j.seq, recs: recs, rp: rp, err: err, slot: j.slot}:
 				case <-done:
+					<-j.slot
 					return
 				}
 			}
@@ -411,14 +452,25 @@ func (s *Store) readColsParallel(cr *colReader, workers int, deliver func([]Reco
 	pending := make(map[int]decoded)
 	next, total := 0, -1
 	var endErr error
-	drain := func() {
+	drain := func() { // give back every slot this scan still holds
 		abort()
+		reaped := make(chan struct{})
 		go func() { // unblock any worker mid-send, then reap them
-			for range out {
+			for d := range out {
+				<-d.slot
 			}
+			close(reaped)
 		}()
 		wg.Wait()
 		close(out)
+		<-reaped
+		for j := range jobs { // left behind by workers that quit
+			j.b.release()
+			<-j.slot
+		}
+		for _, d := range pending {
+			<-d.slot
+		}
 		if total < 0 {
 			<-end // producer's final word was never consumed
 		}
@@ -438,6 +490,7 @@ func (s *Store) readColsParallel(cr *colReader, workers int, deliver func([]Reco
 		select {
 		case d := <-out:
 			if d.err != nil {
+				<-d.slot
 				drain()
 				return d.err
 			}
@@ -452,6 +505,7 @@ func (s *Store) readColsParallel(cr *colReader, workers int, deliver func([]Reco
 			}
 			err := deliver(d.recs)
 			recsPool.Put(d.rp)
+			<-d.slot
 			if err != nil {
 				drain()
 				return err
@@ -463,6 +517,7 @@ func (s *Store) readColsParallel(cr *colReader, workers int, deliver func([]Reco
 		err := deliver(d.recs)
 		if d.rp != nil {
 			recsPool.Put(d.rp)
+			<-d.slot
 		}
 		if err != nil {
 			drain()

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -266,6 +267,120 @@ func TestColsFnErrorsPropagateUnwrapped(t *testing.T) {
 			t.Errorf("workers=%d: callback ran %d times, want 5", workers, n)
 		}
 	}
+}
+
+// TestDecodeSlotsComeBack: parallel scans share GOMAXPROCS decode
+// slots on top of one each. A scan stalled in its callback with every
+// shared slot held does not stop another scan, many scans at once
+// still deliver file order, and every slot comes back whether a scan
+// ends cleanly, stops at a callback error or hits damage.
+func TestDecodeSlotsComeBack(t *testing.T) {
+	s, err := OpenStoreFormat(t.TempDir(), FormatV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := sharedDecodeSlots()
+	recs := dayRecords(rand.New(rand.NewSource(8)), colTestDay, (cap(shared)+3)*colBlockRows+11)
+	writeDayRecords(t, s, colTestDay, recs)
+	serial := readAll(t, s, colTestDay, ColScan{Workers: 1})
+	idle := func(when string) {
+		t.Helper()
+		if n := len(shared); n != 0 {
+			t.Fatalf("%s: %d shared decode slots still held", when, n)
+		}
+	}
+
+	release, stalled := make(chan struct{}), make(chan error, 1)
+	go func() {
+		first := true
+		stalled <- s.ReadDayCols(colTestDay, ColScan{Workers: cap(shared) + 1}, func(*Record) error {
+			if first {
+				first = false
+				<-release
+			}
+			return nil
+		})
+	}()
+	for deadline := time.Now().Add(10 * time.Second); len(shared) < cap(shared); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled scan took %d of %d shared slots", len(shared), cap(shared))
+		}
+	}
+	var beside []Record
+	besideErr := make(chan error, 1)
+	go func() {
+		besideErr <- s.ReadDayCols(colTestDay, ColScan{Workers: 4}, func(r *Record) error {
+			beside = append(beside, *r)
+			return nil
+		})
+	}()
+	select {
+	case err := <-besideErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a scan beside a stalled one made no progress")
+	}
+	if !reflect.DeepEqual(beside, serial) {
+		t.Fatal("scan beside a stalled one delivered different records or order")
+	}
+	close(release)
+	if err := <-stalled; err != nil {
+		t.Fatal(err)
+	}
+	idle("after a stalled scan")
+
+	var wg sync.WaitGroup
+	mismatch := make(chan int, 3*cap(shared))
+	for i := 0; i < cap(mismatch); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var got []Record
+			err := s.ReadDayCols(colTestDay, ColScan{Workers: 2 + i%3}, func(r *Record) error {
+				got = append(got, *r)
+				return nil
+			})
+			if err != nil || !reflect.DeepEqual(got, serial) {
+				mismatch <- i
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(mismatch)
+	for i := range mismatch {
+		t.Errorf("concurrent scan %d failed or delivered different records", i)
+	}
+	idle("after concurrent scans")
+
+	sentinel := errors.New("stop here")
+	for _, at := range []int{1, colBlockRows + 3, len(recs)} {
+		n := 0
+		err := s.ReadDayCols(colTestDay, ColScan{Workers: 4}, func(*Record) error {
+			if n++; n == at {
+				return sentinel
+			}
+			return nil
+		})
+		if err != sentinel {
+			t.Fatalf("stop at %d: err = %v, want the sentinel", at, err)
+		}
+		idle("after a callback error")
+	}
+
+	path := s.dayPath(colTestDay)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)*2/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReadDayCols(colTestDay, ColScan{Workers: 4}, func(*Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated day: err = %v, want ErrCorrupt", err)
+	}
+	idle("after a damaged day")
 }
 
 // TestV3OversizeStringRejected: the columnar encoder applies the same

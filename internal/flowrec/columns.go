@@ -182,6 +182,8 @@ type ColScan struct {
 	Pred *Pred
 	// Workers >1 decodes v3 blocks on that many goroutines (delivery
 	// order is still the file's record order). <=1 decodes serially.
-	// v1 files always decode serially.
+	// v1 files always decode serially. Blocks in flight are bounded
+	// process-wide by decode slots (see readColsParallel), so a width
+	// above GOMAXPROCS adds goroutines, not decoded blocks.
 	Workers int
 }

@@ -1,13 +1,12 @@
 package flowrec
 
-// Shard-key derivation for parallel stage-one aggregation. A day's
-// records split across K shard aggregators by a hash of the anonymized
-// client address, so every record of a subscription lands on the same
-// shard — per-subscription accumulators never straddle shards, and the
-// sharded reduction merges back into exactly the single-fold result.
-// The hash must be seed-free and stable across runs, machines and
-// worker counts: the shard assignment is part of what makes a sharded
-// run reproducible.
+// Shard-key derivation: a stable split of a day's records into K
+// groups by a hash of the anonymized client address, so every record
+// of a subscription lands in the same group. The merge-monoid property
+// tests and the benchmark's merge measurement fold each group into its
+// own partial and merge the partials back into exactly the one-fold
+// result. The hash must be seed-free and stable across runs, machines
+// and worker counts, so a split is reproducible.
 
 // ShardKey returns the record's stable shard-assignment hash, derived
 // from the anonymized client address only. Records of one subscriber

@@ -1,5 +1,5 @@
 // Package framefile is the one codec for derived-state files: day
-// aggregates, shard and checkpoint partials, rollups, spill runs and
+// aggregates, checkpoint partials, rollups, spill runs and
 // the ingest cursor. Those files are the pipeline's second dataset —
 // everything stage two reads instead of the raw flows — so they share
 // one layout, one checksum, one atomic publish and one temp-file name,

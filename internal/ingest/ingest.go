@@ -5,8 +5,8 @@
 // today was still happening (sections 2.2–2.3). The Ingester is that
 // loop: records enter in export order, land in a per-day write-ahead
 // log, fold into a live analytics.Partial that is checkpointed
-// incrementally through the same parts-* files the batch pipeline's
-// shard cache uses (so Pipeline serves hot days with zero extra
+// incrementally through the parts-* files the pipeline's aggregate
+// cache reads (so Pipeline serves hot days with zero extra
 // machinery) — each checkpoint appends only what was folded since the
 // last one, and the appended deltas are folded back into one base on
 // a size rule — and seal into ordinary lake day files at rollover
