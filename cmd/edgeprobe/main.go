@@ -92,7 +92,7 @@ func main() {
 		if err := replayPcap(world, store, *pcapIn); err != nil {
 			sf.Fatal(err)
 		}
-		if err := prewarmRollups(ctx, store, sf.Rollup, sf.Sketch); err != nil {
+		if err := prewarmRollups(ctx, store, sf.Rollup); err != nil {
 			sf.Fatal(err)
 		}
 		return
@@ -183,7 +183,7 @@ func main() {
 	}
 	fmt.Printf("probe path done: %d packets -> %d flows in %v\n",
 		totalPkts, totalFlows, time.Since(t0).Round(time.Millisecond))
-	if err := prewarmRollups(ctx, store, sf.Rollup, sf.Sketch); err != nil {
+	if err := prewarmRollups(ctx, store, sf.Rollup); err != nil {
 		sf.Fatal(err)
 	}
 }
@@ -193,7 +193,7 @@ func main() {
 // first analysis run against the capture answers from the tier instead
 // of re-folding day aggregates. The probe pipeline carries no analytics
 // wiring of its own; a second, read-side pipeline does the folding.
-func prewarmRollups(ctx context.Context, store *flowrec.Store, dir string, sketch bool) error {
+func prewarmRollups(ctx context.Context, store *flowrec.Store, dir string) error {
 	if dir == "" {
 		return nil
 	}
@@ -202,7 +202,7 @@ func prewarmRollups(ctx context.Context, store *flowrec.Store, dir string, sketc
 	if err != nil {
 		return fmt.Errorf("rollup prewarm: %w", err)
 	}
-	p := core.New(core.Config{Store: store, RollupDir: dir, Sketch: sketch})
+	p := core.New(core.Config{Store: store, RollupDir: dir})
 	nw, err := p.BuildRollups(ctx, days)
 	if err != nil {
 		return fmt.Errorf("rollup prewarm: %w", err)

@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if filtered {
 			return fail(cli.Usagef("-rollup prints whole-window totals; it cannot be combined with -service, -proto, -sub, -tech or -srvport"))
 		}
-		if err := rollupQuery(ctx, stdout, stderr, p, q.Days, sf.Sketch); err != nil {
+		if err := rollupQuery(ctx, stdout, stderr, p, q.Days); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -147,11 +147,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // rollupQuery prints the rollup-tier answer for days: one row per
-// calendar window (grain, start, source days, totals), and in sketch
-// mode the window's estimated distinct clients and top services by
-// downloaded bytes. Edge days outside any whole calendar window are
-// counted on stderr rather than silently folded away.
-func rollupQuery(ctx context.Context, stdout, stderr io.Writer, p *core.Pipeline, days []time.Time, sketch bool) error {
+// calendar window (grain, start, source days, and the flow and byte
+// totals summed over its day rows). Edge days outside any whole
+// calendar window are counted on stderr rather than silently folded
+// away.
+func rollupQuery(ctx context.Context, stdout, stderr io.Writer, p *core.Pipeline, days []time.Time) error {
 	rolls, err := p.Rollups(ctx, days)
 	if err != nil {
 		return err
@@ -160,32 +160,18 @@ func rollupQuery(ctx context.Context, stdout, stderr io.Writer, p *core.Pipeline
 	var cells [][]string
 	for _, r := range rolls {
 		covered += len(r.Requested)
-		row := []string{
-			string(r.Grain), report.Day(r.Start), fmt.Sprint(len(r.SourceDays)), fmt.Sprint(r.Agg.Flows),
-			report.MB(float64(r.Agg.TotalDown)), report.MB(float64(r.Agg.TotalUp)),
+		var flows, down, up uint64
+		for _, s := range r.Stats {
+			flows += s.Flows
+			down += s.TotalDown
+			up += s.TotalUp
 		}
-		if sketch {
-			clients, topSvc := "-", "-"
-			if s := r.Agg.Sketches; s != nil {
-				clients = fmt.Sprintf("%.0f ±%.1f%%", s.Clients.Estimate(), 100*s.Clients.RelErr())
-				var names []string
-				for _, c := range s.Services.Top(3) {
-					if c.Key == "" {
-						c.Key = "(unclassified)"
-					}
-					names = append(names, c.Key)
-				}
-				topSvc = strings.Join(names, " ")
-			}
-			row = append(row, clients, topSvc)
-		}
-		cells = append(cells, row)
+		cells = append(cells, []string{
+			string(r.Grain), report.Day(r.Start), fmt.Sprint(len(r.SourceDays)), fmt.Sprint(flows),
+			report.MB(float64(down)), report.MB(float64(up)),
+		})
 	}
-	headers := []string{"window", "start", "days", "flows", "down MB", "up MB"}
-	if sketch {
-		headers = append(headers, "est clients", "top services")
-	}
-	if err := report.Table(stdout, headers, cells); err != nil {
+	if err := report.Table(stdout, []string{"window", "start", "days", "flows", "down MB", "up MB"}, cells); err != nil {
 		return err
 	}
 	if leftover := len(days) - covered; leftover > 0 {

@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -268,8 +269,11 @@ func TestBadCommandLines(t *testing.T) {
 	}
 }
 
-// TestRollupQuery: the tier answer still works through the shared
-// config builder, unfiltered.
+// TestRollupQuery: the tier answer works through the shared config
+// builder, unfiltered. Each window's flows and byte columns are the
+// sums of a flat day fold over its source days, and the whole table is
+// held to testdata/rollup_week.txt — the output of the build that still
+// kept a merged window aggregate, so summing day rows changed no digit.
 func TestRollupQuery(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "lake")
 	store, err := flowrec.OpenStoreFormat(dir, flowrec.FormatV3)
@@ -281,14 +285,33 @@ func TestRollupQuery(t *testing.T) {
 	if _, err := gen.GenerateStore(context.Background(), core.NewDiskStorage(store, ""), week); err != nil {
 		t.Fatal(err)
 	}
-	status, stdout, stderr := edgequery("-store", dir, "-from", "2016-04-03", "-to", "2016-04-10", "-rollup", t.TempDir(), "-sketch")
+	status, stdout, stderr := edgequery("-store", dir, "-from", "2016-04-03", "-to", "2016-04-10", "-rollup", t.TempDir())
 	if status != 0 {
 		t.Fatalf("exit %d: %s", status, stderr)
 	}
-	if !strings.Contains(stdout, "week") || !strings.Contains(stdout, "2016-04-04") || !strings.Contains(stdout, "est clients") {
-		t.Errorf("rollup table:\n%s", stdout)
-	}
 	if !strings.Contains(stderr, "1 edge day(s)") {
 		t.Errorf("stderr %q does not count the edge day", stderr)
+	}
+
+	aggs, err := core.New(core.Config{Store: store}).Aggregate(context.Background(), week)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flows, down, up uint64
+	for _, a := range aggs {
+		flows += a.Flows
+		down += a.TotalDown
+		up += a.TotalUp
+	}
+	row := strings.Fields(strings.Split(stdout, "\n")[2])
+	if want := []string{"week", "2016-04-04", "7", fmt.Sprint(flows), report.MB(float64(down)), report.MB(float64(up))}; !reflect.DeepEqual(row, want) {
+		t.Errorf("rollup row %q, want the flat fold's %q", row, want)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "rollup_week.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout != string(golden) {
+		t.Errorf("rollup table changed:\n%s\nwant:\n%s", stdout, golden)
 	}
 }

@@ -115,12 +115,6 @@ type DayAgg struct {
 	// AggregateColumns; a narrower one is a miss. Cols is bookkeeping,
 	// not data: CanonicalBytes deliberately excludes it.
 	Cols flowrec.ColumnSet
-
-	// Sketches carries the approximate summaries when the run was in
-	// sketch mode, nil otherwise (exact mode — the default). Like Cols
-	// it is excluded from CanonicalBytes: byte-identity is an
-	// exact-state contract.
-	Sketches *SketchSet
 }
 
 // rttServices are the Figure 10 subjects.
@@ -185,10 +179,6 @@ type Aggregator struct {
 	rttWant  []bool
 	finished bool
 
-	// sk, when non-nil, shadows the exact accumulators with mergeable
-	// sketches (EnableSketches).
-	sk *SketchSet
-
 	// cols is the column contract this aggregator was built for;
 	// accumulators whose input columns are outside it stay off (see
 	// the want* gates). Always normalised: never zero.
@@ -246,15 +236,6 @@ func NewAggregatorCols(day time.Time, cls *classify.Classifier, cols flowrec.Col
 	return a
 }
 
-// EnableSketches turns on sketch mode for this aggregation: records
-// additionally feed a SketchSet that rides in the resulting DayAgg.
-// Must be called before the first Add.
-func (a *Aggregator) EnableSketches() {
-	if a.sk == nil {
-		a.sk = NewSketchSet()
-	}
-}
-
 // ServiceOf classifies a record: P2P by probe label, everything else
 // by server name.
 func ServiceOf(cls *classify.Classifier, rec *flowrec.Record) classify.Service {
@@ -289,10 +270,6 @@ func (a *Aggregator) serviceIDOf(rec *flowrec.Record) classify.ServiceID {
 func (a *Aggregator) Add(rec *flowrec.Record) {
 	agg := a.agg
 	id := a.serviceIDOf(rec)
-
-	if a.sk != nil {
-		a.sk.observe(a, rec, a.cls.ServiceName(id), id)
-	}
 
 	if a.wantSubs {
 		sa := a.subs[rec.SubID]
@@ -515,10 +492,6 @@ type RunConfig struct {
 	// are byte-identical whether or not the source actually prunes.
 	// Zero means all columns.
 	Cols flowrec.ColumnSet
-	// Sketch additionally feeds mergeable sketches (DayAgg.Sketches)
-	// during aggregation. Exact accumulators still run; figures stay
-	// byte-identical. Off by default.
-	Sketch bool
 	// MemBudget caps the live accumulator footprint of one day's
 	// aggregation, in bytes. When the day's aggregator's LiveBytes
 	// estimate crosses it, the aggregator seals
@@ -678,9 +651,6 @@ func runDay(ctx context.Context, src Source, day time.Time, cls *classify.Classi
 		}
 		defer sp.cleanup()
 		a := NewAggregatorCols(day, cls, cfg.Cols)
-		if cfg.Sketch {
-			a.EnableSketches()
-		}
 		add := a.Add
 		if sp != nil {
 			n := 0
@@ -691,9 +661,6 @@ func runDay(ctx context.Context, src Source, day time.Time, cls *classify.Classi
 					// starts regardless of whether the spill landed.
 					sp.spill(a.Partial())
 					a = NewAggregatorCols(day, cls, cfg.Cols)
-					if cfg.Sketch {
-						a.EnableSketches()
-					}
 				}
 			}
 		}

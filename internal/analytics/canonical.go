@@ -59,9 +59,8 @@ type canonDomain struct {
 }
 
 // CanonicalVersion is the canonical-encoding schema epoch. Version 2
-// marks the DayAgg that can carry sketches: Sketches, like Cols, is
-// deliberately excluded from the projection (approximation state never
-// participates in byte-identity), and the explicit version field makes
+// marks the DayAgg that grew bookkeeping fields the projection
+// deliberately excludes (Cols), and the explicit version field makes
 // encodings from different epochs compare unequal instead of
 // accidentally equal.
 const CanonicalVersion = 2

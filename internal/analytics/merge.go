@@ -212,8 +212,6 @@ func (a *Aggregator) Partial() *Partial {
 	a.domainBytes = nil
 
 	agg.Cols = a.cols
-	agg.Sketches = a.sk
-	a.sk = nil
 	p := &Partial{Agg: agg}
 	for id, res := range a.rtt {
 		if res != nil {
@@ -330,24 +328,6 @@ func (p *Partial) Merge(q *Partial) error {
 	}
 	for ver, n := range b.QUICVersions {
 		a.QUICVersions[ver] += n
-	}
-
-	// Sketches merge ahead of the scalar adds because the identity
-	// rules need the pre-add Flows counts to tell an empty part from a
-	// non-empty exact one.
-	switch {
-	case b.Sketches == nil && b.Flows == 0:
-		// Merging an identity/empty partial changes nothing.
-	case a.Sketches == nil && a.Flows == 0:
-		// An identity partial adopts the other side's mode.
-		a.Sketches = b.Sketches.Clone()
-	case a.Sketches != nil && b.Sketches != nil:
-		a.Sketches.Merge(b.Sketches)
-	default:
-		// One non-empty side is exact, the other sketched: the union
-		// cannot be summarised faithfully, so drop the sketches rather
-		// than silently under-count.
-		a.Sketches = nil
 	}
 
 	a.TotalDown += b.TotalDown

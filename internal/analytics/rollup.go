@@ -2,21 +2,15 @@ package analytics
 
 // Multi-resolution rollups. Every figure so far is a fold over ~1,800
 // per-day aggregates; the paper's headline results are 5-year trends,
-// so the same days are re-folded by every query. A rollup is that fold
-// done once per calendar window and persisted: week, month or year of
-// days reduced through the Partial merge monoid (merge.go), plus a
-// per-source-day row of the scalar counters the monthly/daily figures
-// group by. The two layers answer different shapes of question:
-//
-//   - Rollup.Agg is the cross-day coarse merge — window totals, the
-//     pooled RTT samples, and (in sketch mode) the window's mergeable
-//     sketches. Day identity is gone; this is the "how big was 2016"
-//     layer.
-//   - Rollup.Stats keeps one small DayStat per source day, because
-//     Figure 3 and Figure 8 group by *month* and ActiveSeries by day —
-//     a year-grain merge would collapse exactly the axis those figures
-//     plot. DayStats are ~200 bytes/day, so a year rollup still reads
-//     in one file instead of ~365.
+// so the same days are re-folded by every query. A rollup is the part
+// of that fold the trend figures read, done once per calendar window
+// and persisted: a week, month or year of days projected onto one
+// small DayStat row per source day, under a manifest naming the exact
+// day grid it covers. Rows stay at day resolution because Figure 3 and
+// Figure 8 group by *month* and ActiveSeries by day — a cross-day merge
+// would collapse exactly the axis those figures plot. DayStats are
+// ~200 bytes/day, so a year rollup reads in one file instead of ~365
+// day aggregates.
 //
 // The *FromStats folds reproduce the corresponding figures.go
 // arithmetic exactly — same grouping, same accumulation order per day,
@@ -33,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/asn"
-	"repro/internal/classify"
 	"repro/internal/flowrec"
 )
 
@@ -120,8 +113,8 @@ func NewDayStat(agg *DayAgg) DayStat {
 	return s
 }
 
-// Rollup is one persisted window: the manifest (Requested/SourceDays),
-// the per-day stat rows, and the coarse cross-day merge.
+// Rollup is one persisted window: the manifest (Requested/SourceDays)
+// and the per-day stat rows.
 type Rollup struct {
 	Grain Grain
 	// Start is the window's first calendar day.
@@ -134,22 +127,18 @@ type Rollup struct {
 	SourceDays []time.Time
 	// Stats holds one row per source day, ascending.
 	Stats []DayStat
-	// Agg is the coarse merge of the source days, Day = Start. Its
-	// RTTMinMs pools the source days' samples in day order; in sketch
-	// mode it carries the window's merged SketchSet.
-	Agg *DayAgg
 }
 
-// BuildRollup folds the day aggregates for one window. aggs must be
-// ascending by day, each inside [start, NextWindow(g, start)), and be
-// the aggregates of exactly the requested days that had data.
+// BuildRollup projects the day aggregates of one window onto its rows.
+// aggs must be ascending by day, each inside [start, NextWindow(g,
+// start)), and be the aggregates of exactly the requested days that had
+// data.
 func BuildRollup(g Grain, start time.Time, requested []time.Time, aggs []*DayAgg) (*Rollup, error) {
 	end := NextWindow(g, start)
 	r := &Rollup{Grain: g, Start: start}
 	for _, d := range requested {
 		r.Requested = append(r.Requested, d.UTC().Truncate(24*time.Hour))
 	}
-	merged := NewPartial(start)
 	for i, agg := range aggs {
 		if agg.Day.Before(start) || !agg.Day.Before(end) {
 			return nil, fmt.Errorf("analytics: day %s outside %s window %s",
@@ -161,36 +150,6 @@ func BuildRollup(g Grain, start time.Time, requested []time.Time, aggs []*DayAgg
 		}
 		r.SourceDays = append(r.SourceDays, agg.Day)
 		r.Stats = append(r.Stats, NewDayStat(agg))
-		// Cross-day merge: Merge only reads its argument and requires
-		// equal days, so a shallow copy with Day forced to the window
-		// start folds the day in without touching the original.
-		shallow := *agg
-		shallow.Day = start
-		if err := merged.Merge(&Partial{Agg: &shallow}); err != nil {
-			return nil, err
-		}
-	}
-	r.Agg = merged.Finish()
-	// Finish materialises RTTMinMs from reservoir partials, which the
-	// shallow copies did not carry (reservoir state lives only in live
-	// Partials). Pool the source days' samples directly, in day order —
-	// the same sequence RTTDist sees folding the flat day list.
-	r.Agg.RTTMinMs = make(map[classify.Service][]float64)
-	for _, agg := range aggs {
-		for svc, ms := range agg.RTTMinMs {
-			r.Agg.RTTMinMs[svc] = append(r.Agg.RTTMinMs[svc], ms...)
-		}
-	}
-	// In sketch mode the window drops the unbounded exact pools the
-	// sketches summarise — RTT sample pools (t-digests), the server-IP
-	// inventory (HLL) and per-domain bytes (SpaceSaving). That is the
-	// compression half of the sketch trade: day aggregates stay exact
-	// and full-width (they are the rebuild source), only the coarse
-	// window compacts.
-	if r.Agg.Sketches != nil {
-		r.Agg.RTTMinMs = nil
-		r.Agg.ServerIPs = nil
-		r.Agg.DomainBytes = nil
 	}
 	return r, nil
 }

@@ -1,23 +1,17 @@
 package analytics
 
 import (
-	"math"
 	"reflect"
 	"testing"
 	"time"
-
-	"repro/internal/classify"
 )
 
 // genAggForDay aggregates a deterministic synthetic day (seed varies
 // with the date, so days differ) anchored at day instead of testDay.
-func genAggForDay(day time.Time, n int, sketch bool) *DayAgg {
+func genAggForDay(day time.Time, n int) *DayAgg {
 	recs := genDayRecords(uint64(day.Unix()), n)
 	shift := day.Sub(testDay)
 	a := NewAggregator(day, nil)
-	if sketch {
-		a.EnableSketches()
-	}
 	for i := range recs {
 		r := recs[i]
 		r.Start = r.Start.Add(shift)
@@ -69,7 +63,7 @@ func TestFromStatsEquivalence(t *testing.T) {
 	var aggs []*DayAgg
 	var rows []DayStat
 	for _, d := range days {
-		agg := genAggForDay(d, 800, false)
+		agg := genAggForDay(d, 800)
 		aggs = append(aggs, agg)
 		rows = append(rows, NewDayStat(agg))
 	}
@@ -90,7 +84,7 @@ func TestBuildRollupWindow(t *testing.T) {
 	days := consecutiveDays(start, 7)
 	var aggs []*DayAgg
 	for _, d := range days {
-		aggs = append(aggs, genAggForDay(d, 500, false))
+		aggs = append(aggs, genAggForDay(d, 500))
 	}
 	r, err := BuildRollup(GrainWeek, start, days, aggs)
 	if err != nil {
@@ -110,89 +104,27 @@ func TestBuildRollupWindow(t *testing.T) {
 		t.Error("CoversExactly(different grid) = true")
 	}
 
-	// Coarse merge: totals add, RTT samples pool in day order.
-	var wantDown, wantFlows uint64
-	wantRTT := map[string]int{}
-	for _, a := range aggs {
-		wantDown += a.TotalDown
-		wantFlows += a.Flows
-		for svc, ms := range a.RTTMinMs {
-			wantRTT[string(svc)] += len(ms)
+	// One row per source day, in day order: the day's projection, so the
+	// rows sum to the window's totals.
+	var wantDown, wantUp, wantFlows, gotDown, gotUp, gotFlows uint64
+	for i, a := range aggs {
+		row := r.Stats[i]
+		if row != NewDayStat(a) {
+			t.Errorf("row %d = %+v, want the projection of %s", i, row, a.Day.Format("2006-01-02"))
 		}
+		wantDown, wantUp, wantFlows = wantDown+a.TotalDown, wantUp+a.TotalUp, wantFlows+a.Flows
+		gotDown, gotUp, gotFlows = gotDown+row.TotalDown, gotUp+row.TotalUp, gotFlows+row.Flows
 	}
-	if r.Agg.TotalDown != wantDown || r.Agg.Flows != wantFlows {
-		t.Errorf("coarse totals: down=%d flows=%d want %d/%d",
-			r.Agg.TotalDown, r.Agg.Flows, wantDown, wantFlows)
-	}
-	if !r.Agg.Day.Equal(start) {
-		t.Errorf("coarse agg day %v want %v", r.Agg.Day, start)
-	}
-	for svc, n := range wantRTT {
-		if got := len(r.Agg.RTTMinMs[classify.Service(svc)]); got != n {
-			t.Errorf("pooled RTT %s: %d samples want %d", svc, got, n)
-		}
+	if gotDown != wantDown || gotUp != wantUp || gotFlows != wantFlows {
+		t.Errorf("row totals: down=%d up=%d flows=%d want %d/%d/%d",
+			gotDown, gotUp, gotFlows, wantDown, wantUp, wantFlows)
 	}
 
 	// A day outside the window must refuse to fold.
-	if _, err := BuildRollup(GrainWeek, start, days, []*DayAgg{genAggForDay(start.AddDate(0, 0, 7), 100, false)}); err == nil {
+	if _, err := BuildRollup(GrainWeek, start, days, []*DayAgg{genAggForDay(start.AddDate(0, 0, 7), 100)}); err == nil {
 		t.Error("BuildRollup accepted a day outside the window")
 	}
-}
-
-// TestRollupSketchMode folds sketch-built day aggregates and checks the
-// window sketches survive the merge with their documented accuracy.
-func TestRollupSketchMode(t *testing.T) {
-	start := time.Date(2016, 5, 2, 0, 0, 0, 0, time.UTC)
-	days := consecutiveDays(start, 7)
-	var aggs []*DayAgg
-	distinct := map[uint32]bool{}
-	svcBytes := map[string]uint64{}
-	for _, d := range days {
-		agg := genAggForDay(d, 800, true)
-		if agg.Sketches == nil {
-			t.Fatal("sketch-mode day aggregate carries no sketches")
-		}
-		aggs = append(aggs, agg)
-		for id := range agg.Subs {
-			distinct[id] = true
-		}
-		for svc, b := range agg.ServiceBytes {
-			svcBytes[string(svc)] += b
-		}
-	}
-	r, err := BuildRollup(GrainWeek, start, days, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk := r.Agg.Sketches
-	if sk == nil {
-		t.Fatal("rollup of sketch-mode days lost the sketches")
-	}
-	est := sk.Clients.Estimate()
-	n := float64(len(distinct))
-	if tol := 3*sk.Clients.RelErr()*n + 3; math.Abs(est-n) > tol {
-		t.Errorf("window distinct clients: estimate %.0f truth %.0f (tol %.0f)", est, n, tol)
-	}
-	// The heaviest service by bytes must be a tracked heavy hitter with
-	// an upper-bound count at or above the truth.
-	var heavy string
-	var heavyB uint64
-	for s, b := range svcBytes {
-		if b > heavyB {
-			heavy, heavyB = s, b
-		}
-	}
-	if got := sk.Services.Count(heavy); got < heavyB {
-		t.Errorf("heavy hitter %s: sketch count %d below truth %d", heavy, got, heavyB)
-	}
-
-	// Exact-mode rollups must not conjure sketches.
-	exact, err := BuildRollup(GrainWeek, start, days[:2], []*DayAgg{
-		genAggForDay(days[0], 300, false), genAggForDay(days[1], 300, false)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Agg.Sketches != nil {
-		t.Error("exact-mode rollup carries sketches")
+	if _, err := BuildRollup(GrainWeek, start, days, []*DayAgg{aggs[1], aggs[0]}); err == nil {
+		t.Error("BuildRollup accepted days out of order")
 	}
 }

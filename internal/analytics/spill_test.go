@@ -59,29 +59,6 @@ func TestSpillEquivalence(t *testing.T) {
 	}
 }
 
-// TestSpillSketchEquivalence: the spill path must carry sketches
-// through gob like the partial cache does.
-func TestSpillSketchEquivalence(t *testing.T) {
-	recs := genDayRecords(19, 4000)
-	base, dayErrs, err := RunReport(context.Background(), sliceSource(recs),
-		[]time.Time{testDay}, nil, RunConfig{Sketch: true})
-	if err != nil || len(dayErrs) > 0 || len(base) != 1 {
-		t.Fatalf("baseline: err=%v dayErrs=%v n=%d", err, dayErrs, len(base))
-	}
-	want := canon(t, base[0])
-
-	spilled, dayErrs, err := RunReport(context.Background(), sliceSource(recs),
-		[]time.Time{testDay}, nil, RunConfig{
-			Sketch: true, MemBudget: 8 << 10, SpillDir: t.TempDir(), SpillFanIn: 2,
-		})
-	if err != nil || len(dayErrs) > 0 || len(spilled) != 1 {
-		t.Fatalf("spilled: err=%v dayErrs=%v n=%d", err, dayErrs, len(spilled))
-	}
-	if got := canon(t, spilled[0]); !bytes.Equal(got, want) {
-		t.Error("spilled sketch aggregate differs from the in-memory run")
-	}
-}
-
 // TestSpillCleansUp: the per-attempt temp directories vanish after the
 // run, success or not — a five-year pipeline must not leak a spill
 // directory per day.

@@ -37,7 +37,7 @@ type Flags struct {
 	Scale, Store, Rules     string
 	AggCache, Rollup        string
 	MemLimit, Faults        string
-	Sketch, Degrade         bool
+	Degrade                 bool
 	DayTimeout              time.Duration
 
 	Stats                  bool
@@ -66,7 +66,6 @@ var surfaces = map[string][]spec{
 		{"rules", "", "classification rules file (default: built-in list)"},
 		{"aggcache", "", "persist per-day aggregates to this directory across runs"},
 		{"rollup", "", "persist week/month/year rollups to this directory; long-span experiments answer from the coarsest tier that fits"},
-		{"sketch", false, "carry mergeable sketches (HLL clients/server IPs, SpaceSaving services/domains, t-digest RTT) in aggregates and rollups"},
 		{"degrade", true, "report failed days and continue instead of aborting the run"},
 		{"day-timeout", time.Duration(0), "deadline per aggregated day, all retries included (0 = none)"},
 		{"memlimit", "", `stage-one memory budget, e.g. "512M" (0 = unbounded; over budget, aggregation spills partials to disk and external-merges them)`},
@@ -85,7 +84,6 @@ var surfaces = map[string][]spec{
 		{"rules", "", "classification rules file (default: built-in list)"},
 		{"aggcache", "", "per-day aggregate cache directory (shared with edged for hot-day serving)"},
 		{"rollup", "", "rollup directory; coarse queries answer from the coarsest tier that fits"},
-		{"sketch", false, "carry mergeable sketches in aggregates and rollups"},
 		{"degrade", true, "serve partial figures past damaged days instead of failing the query"},
 		{"day-timeout", time.Duration(0), "deadline per aggregated day inside a query (0 = none)"},
 		{"memlimit", "", `stage-one memory budget per query, e.g. "512M" (0 = unbounded)`},
@@ -99,7 +97,6 @@ var surfaces = map[string][]spec{
 		{"stride", 1, "generate every Nth day"},
 		{"shards", 0, "per-day block-decode workers; results are byte-identical for any value (0 = GOMAXPROCS, 1 = serial decode)"},
 		{"rollup", "", "after generating, prewarm week/month/year rollups in this directory"},
-		{"sketch", false, "carry mergeable sketches in the prewarmed aggregates and rollups"},
 		{"memlimit", "", `stage-one memory budget for the -agg prewarm, e.g. "512M" (0 = unbounded; over budget, aggregation spills partials to disk)`},
 		{"faults", "", `fault-injection spec, e.g. "writeday:p=0.1,torn" (see README)`},
 		{"stats", false, "print the pipeline metrics table after the run"},
@@ -110,7 +107,6 @@ var surfaces = map[string][]spec{
 		{"seed", uint64(1), "world seed"},
 		{"shards", 1, "parallel probe workers per day (flow-hash packet fan-out); record order in the store varies with the count, record content does not"},
 		{"rollup", "", "after the capture, prewarm week/month/year rollups over the store into this directory"},
-		{"sketch", false, "carry mergeable sketches in the prewarmed rollups"},
 		{"faults", "", `fault-injection spec for the output store, e.g. "writeday:p=0.1,transient" (see README)`},
 		{"stats", false, "print the pipeline metrics table after the run"},
 		{"cpuprofile", "", "write a CPU profile to this file"},
@@ -121,7 +117,6 @@ var surfaces = map[string][]spec{
 		{"rules", "", "classification rules file (default: built-in list)"},
 		{"shards", 1, "parallel block-decode workers per day; summaries and CSV (row order included) are identical for any value"},
 		{"rollup", "", "answer from week/month/year rollups in this directory (built on demand) instead of scanning records; prints one row per window"},
-		{"sketch", false, "with -rollup: carry mergeable sketches and print per-window distinct-client estimates and top services"},
 		{"faults", "", `fault-injection spec, e.g. "readday:p=0.2,transient" (see README)`},
 		{"stats", false, "print the pipeline metrics table after the run"},
 	},
@@ -153,7 +148,7 @@ func Register(fs *flag.FlagSet, bin string) *Flags {
 		"seed": &f.Seed, "stride": &f.Stride, "scale": &f.Scale,
 		"workers": &f.Workers, "shards": &f.Shards, "store": &f.Store,
 		"rules": &f.Rules, "aggcache": &f.AggCache, "rollup": &f.Rollup,
-		"sketch": &f.Sketch, "degrade": &f.Degrade, "day-timeout": &f.DayTimeout,
+		"degrade": &f.Degrade, "day-timeout": &f.DayTimeout,
 		"memlimit": &f.MemLimit, "faults": &f.Faults, "stats": &f.Stats,
 		"cpuprofile": &f.CPUProfile, "memprofile": &f.MemProfile,
 	}
@@ -184,7 +179,7 @@ func Register(fs *flag.FlagSet, bin string) *Flags {
 func (f *Flags) Config() (core.Config, error) {
 	cfg := core.Config{
 		Seed: f.Seed, Stride: f.Stride, Workers: f.Workers, ShardsPerDay: f.Shards,
-		AggCacheDir: f.AggCache, RollupDir: f.Rollup, Sketch: f.Sketch,
+		AggCacheDir: f.AggCache, RollupDir: f.Rollup,
 		Degrade: f.Degrade, DayTimeout: f.DayTimeout,
 	}
 	var err error

@@ -133,14 +133,14 @@ func TestConfig(t *testing.T) {
 
 	lake := filepath.Join(t.TempDir(), "lake")
 	cfg, err = parse("edgeserve", "-seed", "9", "-stride", "30", "-scale", "small", "-workers", "3", "-shards", "2",
-		"-store", lake, "-rules", rules, "-aggcache", "/a", "-rollup", "/r", "-sketch", "-degrade=false",
+		"-store", lake, "-rules", rules, "-aggcache", "/a", "-rollup", "/r", "-degrade=false",
 		"-day-timeout", "2s", "-memlimit", "1M", "-faults", "readday:p=0.5,transient").Config()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Seed != 9 || cfg.Stride != 30 || cfg.Scale != (simnet.Scale{ADSL: 60, FTTH: 30}) || cfg.Workers != 3 ||
 		cfg.ShardsPerDay != 2 || cfg.Store == nil || cfg.Classifier == nil || cfg.AggCacheDir != "/a" ||
-		cfg.RollupDir != "/r" || !cfg.Sketch || cfg.Degrade || cfg.DayTimeout != 2*time.Second ||
+		cfg.RollupDir != "/r" || cfg.Degrade || cfg.DayTimeout != 2*time.Second ||
 		cfg.MemBudget != 1<<20 || cfg.Faults == nil {
 		t.Errorf("edgeserve full command line: %+v", cfg)
 	}

@@ -105,14 +105,6 @@ type Config struct {
 	// byte-identical results — it only trades merge passes for peak
 	// open partials.
 	SpillFanIn int
-	// Sketch switches day aggregation into sketch mode: each day (and
-	// therefore each rollup) additionally carries mergeable sketches —
-	// HyperLogLog distinct clients/server IPs, SpaceSaving service and
-	// domain heavy hitters, t-digest RTT quantiles — trading bounded
-	// approximation error for constant-size window summaries. Exact
-	// mode (the default) leaves figures byte-identical to the seed.
-	Sketch bool
-
 	// Storage overrides the Store/AggCacheDir wiring with an explicit
 	// storage backend — how tests interpose the fault injector. When
 	// set, flow records are read through it; the aggregate cache is
@@ -155,8 +147,8 @@ type Pipeline struct {
 	mu      sync.Mutex
 	cache   map[time.Time]*aggEntry
 	dayErrs map[time.Time]error
-	// rollRows is the rollup tier's memory half (see windowStats).
-	rollRows map[rollupKey]*rollupRows
+	// rollups is the rollup tier's memory half (see windowRollup).
+	rollups map[rollupKey]*heldRollup
 }
 
 // aggEntry is one day's slot in the in-memory aggregate cache. The
@@ -238,7 +230,7 @@ func New(cfg Config) *Pipeline {
 		retry:     pol,
 		cache:     make(map[time.Time]*aggEntry),
 		dayErrs:   make(map[time.Time]error),
-		rollRows:  make(map[rollupKey]*rollupRows),
+		rollups:   make(map[rollupKey]*heldRollup),
 	}
 }
 
@@ -279,7 +271,7 @@ func (p *Pipeline) DayStamps(days []time.Time) []uint64 {
 }
 
 // BumpGeneration advances the lake generation and drops the pipeline's
-// in-memory tiers — resolved day aggregates and rollup rows — so the
+// in-memory tiers — resolved day aggregates and held rollups — so the
 // next call reloads them from storage. Mutations name their days
 // through Storage.BumpDays and invalidate only those; this is the
 // blunt form, which the benchmark's reload ladder times. The
@@ -291,7 +283,7 @@ func (p *Pipeline) BumpGeneration() uint64 {
 			delete(p.cache, d)
 		}
 	}
-	clear(p.rollRows)
+	clear(p.rollups)
 	p.mu.Unlock()
 	if p.storage == nil {
 		return 0
@@ -454,10 +446,9 @@ func (p *Pipeline) AggregateCols(ctx context.Context, days []time.Time, _ flowre
 
 // usable reports whether a persisted aggregate can answer for this
 // pipeline: it was folded at full aggregation width — a narrower file
-// from an older, column-pruning run reads as a miss — and, in sketch
-// mode, it carries the sketches to merge.
+// from an older, column-pruning run reads as a miss.
 func (p *Pipeline) usable(agg *analytics.DayAgg) bool {
-	return agg != nil && agg.Cols.Covers(analytics.AggregateColumns) && (!p.cfg.Sketch || agg.Sketches != nil)
+	return agg != nil && agg.Cols.Covers(analytics.AggregateColumns)
 }
 
 // computeDays produces the aggregates for the days this caller claimed
@@ -618,8 +609,8 @@ func (p *Pipeline) eachIndex(n int, fn func(int)) {
 }
 
 // runConfig is the stage-one configuration every pipeline run uses:
-// the pipeline's worker pool, decode width, retry, deadline, budget and
-// sketch settings over AggregateColumns.
+// the pipeline's worker pool, decode width, retry, deadline and budget
+// settings over AggregateColumns.
 func (p *Pipeline) runConfig() analytics.RunConfig {
 	return analytics.RunConfig{
 		Workers:     p.cfg.Workers,
@@ -627,7 +618,6 @@ func (p *Pipeline) runConfig() analytics.RunConfig {
 		Retry:       p.retry,
 		DayTimeout:  p.cfg.DayTimeout,
 		Cols:        analytics.AggregateColumns,
-		Sketch:      p.cfg.Sketch,
 		MemBudget:   p.cfg.MemBudget,
 		SpillDir:    p.cfg.SpillDir,
 		SpillFanIn:  p.cfg.SpillFanIn,
@@ -639,9 +629,7 @@ func (p *Pipeline) runConfig() analytics.RunConfig {
 // the pipeline's workers, retry, deadline and degrade configuration.
 // Degraded day failures land in the DayErrors report.
 func (p *Pipeline) runStage1(ctx context.Context, src analytics.Source, days []time.Time) ([]*analytics.DayAgg, error) {
-	cfg := p.runConfig()
-	cfg.Sketch = false // the counterfactual worlds read exact fields only
-	aggs, dayErrs, err := analytics.RunReport(ctx, src, days, p.Cls, cfg)
+	aggs, dayErrs, err := analytics.RunReport(ctx, src, days, p.Cls, p.runConfig())
 	if err != nil {
 		return nil, err
 	}

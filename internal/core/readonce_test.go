@@ -124,9 +124,8 @@ func TestEachDayReadOnce(t *testing.T) {
 	}
 }
 
-// TestWarmRollupsHit guards the rollup tier's hit test: rollups are
-// built from aggregates at the pipeline's one width, so a persisted
-// window must read as usable at that width, or every run rebuilds
+// TestWarmRollupsHit guards the rollup tier's hit test: a persisted
+// window whose manifest matches must answer, or every run rebuilds
 // every window. A fresh pipeline over primed rollup and agg caches must
 // answer the tier-served experiments from persisted windows, build
 // none, and read no day file.

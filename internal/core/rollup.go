@@ -3,20 +3,24 @@ package core
 // The rollup tier. Every long-span experiment so far folds ~1,800
 // per-day aggregates on every query; with a rollup directory configured
 // (Config.RollupDir, -rollup on the binaries) the pipeline persists
-// week/month/year windows pre-folded through the analytics merge
-// monoid and answers from the coarsest tier that fits:
+// week/month/year windows of per-day rows (analytics.Rollup) and
+// answers from the coarsest tier that fits:
 //
 //   - planTiers assigns the requested days to the coarsest calendar
 //     windows lying entirely inside the requested span (year first,
 //     then month, then week); days at the range edges fall back to the
 //     day tier.
-//   - Each window is one rollups/<grain>-<start>-v2.frames file whose
+//   - Each window is one rollups/<grain>-<start>-v3.frames file whose
 //     manifest (Rollup.Requested) names the exact source-day grid; a
 //     query with a different stride or span misses and rebuilds.
 //   - A rewritten or quarantined day invalidates the rollups covering
 //     it (DiskStorage.InvalidateRollups), so repaired days recompute
-//     instead of serving stale merges.
-//   - DayStats holds each window's rows in memory once read, valid while
+//     instead of serving stale rows.
+//   - A window with a hot source day — answered from ingester partials
+//     because its day file is not sealed yet — is never persisted: the
+//     next checkpoint moves the day without touching the rollup
+//     directory, so a file would keep serving the old rows.
+//   - The pipeline holds each window in memory once read, valid while
 //     the stamps of the window's requested days are unchanged, so a
 //     long-lived pipeline re-reads a window's file only after one of
 //     its days mutated.
@@ -53,10 +57,10 @@ var (
 
 // rollupCacheVersion invalidates persisted rollups when the Rollup
 // schema or the file format changes.
-const rollupCacheVersion = 2
+const rollupCacheVersion = 3
 
 // rollupCachePath names the file for one window, e.g.
-// week-2016-05-09-v2.frames.
+// week-2016-05-09-v3.frames.
 func rollupCachePath(dir string, g analytics.Grain, start time.Time) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%s-v%d.frames", g, start.Format("2006-01-02"), rollupCacheVersion))
 }
@@ -65,7 +69,7 @@ func rollupCachePath(dir string, g analytics.Grain, start time.Time) string {
 // the same never-trust-a-damaged-cache model as loadAgg.
 func loadRollup(dir string, g analytics.Grain, start time.Time) *analytics.Rollup {
 	var r analytics.Rollup
-	if framefile.Load(rollupCachePath(dir, g, start), &r) != nil || r.Agg == nil ||
+	if framefile.Load(rollupCachePath(dir, g, start), &r) != nil ||
 		r.Grain != g || !r.Start.Equal(start) {
 		return nil
 	}
@@ -133,18 +137,20 @@ func (p *Pipeline) RollupsEnabled() bool {
 }
 
 // rollupFor serves one planned window: a persisted rollup when its
-// manifest matches the request exactly and its aggregate is usable
-// (folded at AggregateColumns width, sketch-bearing in sketch mode), a
-// rebuild from day aggregates otherwise. Save failures are fatal in
-// strict mode and tolerated in Degrade (the rollup still answers from
-// memory; the next run rebuilds).
+// manifest matches the request exactly, a rebuild from day aggregates
+// otherwise. A rebuilt window is persisted unless one of its source
+// days is hot (see the file comment); the unsealed days are listed
+// before the build, so a day that seals meanwhile still counts as hot.
+// Save failures are fatal in strict mode and tolerated in Degrade (the
+// rollup still answers from memory; the next run rebuilds).
 func (p *Pipeline) rollupFor(ctx context.Context, win tierWindow) (*analytics.Rollup, error) {
 	r, err := p.storage.LoadRollup(win.Grain, win.Start)
-	if err == nil && r != nil && r.CoversExactly(win.Days) && p.usable(r.Agg) {
+	if err == nil && r != nil && r.CoversExactly(win.Days) {
 		mRollupHits.Inc()
 		return r, nil
 	}
 	mRollupMisses.Inc()
+	unsealed := p.unsealedDays(win.Days)
 	aggs, err := p.Aggregate(ctx, win.Days)
 	if err != nil {
 		return nil, err
@@ -154,6 +160,11 @@ func (p *Pipeline) rollupFor(ctx context.Context, win tierWindow) (*analytics.Ro
 		return nil, err
 	}
 	mRollupBuilds.Inc()
+	for _, d := range r.SourceDays {
+		if unsealed[d.Unix()] {
+			return r, nil
+		}
+	}
 	if serr := p.retry.Do(ctx, uint64(win.Start.Unix()), func() error {
 		return p.storage.SaveRollup(r)
 	}); serr != nil && !p.cfg.Degrade {
@@ -162,52 +173,66 @@ func (p *Pipeline) rollupFor(ctx context.Context, win tierWindow) (*analytics.Ro
 	return r, nil
 }
 
+// unsealedDays returns, keyed by Unix seconds, the days a store-fed
+// pipeline finds no sealed day file for: a day among them that has data
+// is answered from ingester partials.
+func (p *Pipeline) unsealedDays(days []time.Time) map[int64]bool {
+	out := make(map[int64]bool)
+	if !p.fromStore {
+		return out
+	}
+	for _, d := range days {
+		if !p.storage.HasDay(d) {
+			out[d.Unix()] = true
+		}
+	}
+	return out
+}
+
 // rollupKey names one rollup window in the memory tier.
 type rollupKey struct {
 	grain analytics.Grain
 	start int64 // window start, Unix seconds
 }
 
-// rollupRows is one window in the memory tier: a rollup carrying only
-// its manifest and per-source-day rows, and the stamps its requested
-// days had when they were read. Agg stays on disk, so an entry is a few
+// heldRollup is one window in the memory tier: the rollup and the
+// stamps its requested days had when it was read. A rollup is a few
 // hundred bytes per source day, and with one entry per window the tier
 // is bounded by the calendar, not by a budget.
-type rollupRows struct {
+type heldRollup struct {
 	r      *analytics.Rollup
 	stamps []uint64
 }
 
-// windowStats serves one planned window's rows: from memory when the
-// held manifest covers the request exactly and none of its days'
-// stamps moved, through rollupFor otherwise — which then refreshes the
-// held rows. The stamps are read before rollupFor, so a day mutated
-// while the window loads leaves the entry stale.
-func (p *Pipeline) windowStats(ctx context.Context, win tierWindow) ([]analytics.DayStat, error) {
+// windowRollup serves one planned window: from memory when the held
+// manifest covers the request exactly and none of its days' stamps
+// moved, through rollupFor otherwise — which then refreshes the held
+// entry. The stamps are read before rollupFor, so a day mutated while
+// the window loads leaves the entry stale.
+func (p *Pipeline) windowRollup(ctx context.Context, win tierWindow) (*analytics.Rollup, error) {
 	key := rollupKey{win.Grain, win.Start.Unix()}
 	stamps := p.DayStamps(win.Days)
 	p.mu.Lock()
-	e := p.rollRows[key]
+	e := p.rollups[key]
 	p.mu.Unlock()
 	if e != nil && e.r.CoversExactly(win.Days) && slices.Equal(e.stamps, stamps) {
 		mRollupHits.Inc()
 		mRollupMemHits.Inc()
-		return e.r.Stats, nil
+		return e.r, nil
 	}
 	r, err := p.rollupFor(ctx, win)
 	if err != nil {
 		return nil, err
 	}
-	rows := &analytics.Rollup{Grain: r.Grain, Start: r.Start, Requested: r.Requested, Stats: r.Stats}
 	p.mu.Lock()
-	p.rollRows[key] = &rollupRows{r: rows, stamps: stamps}
+	p.rollups[key] = &heldRollup{r: r, stamps: stamps}
 	p.mu.Unlock()
-	return r.Stats, nil
+	return r, nil
 }
 
 // DayStats returns one scalar row per requested day that has data,
 // ascending. With the rollup tier enabled, rows come from the coarsest
-// covering rollups (held in memory once read, see windowStats) and
+// covering rollups (held in memory once read, see windowRollup) and
 // only edge days touch per-day aggregates; without it, the rows
 // project straight off the day aggregates.
 func (p *Pipeline) DayStats(ctx context.Context, days []time.Time) ([]analytics.DayStat, error) {
@@ -234,11 +259,11 @@ func (p *Pipeline) DayStats(ctx context.Context, days []time.Time) ([]analytics.
 			}
 			continue
 		}
-		stats, err := p.windowStats(ctx, win)
+		r, err := p.windowRollup(ctx, win)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, stats...)
+		rows = append(rows, r.Stats...)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Day.Before(rows[j].Day) })
 	return rows, nil
@@ -265,9 +290,9 @@ func (p *Pipeline) BuildRollups(ctx context.Context, days []time.Time) (int, err
 	return n, nil
 }
 
-// Rollups returns the planned rollups for days, loading or building
-// each — the query-path variant of BuildRollups for callers that want
-// the coarse aggregates themselves (window totals, sketches).
+// Rollups returns the planned rollups for days through the memory tier
+// (see windowRollup) — the query-path variant of BuildRollups for
+// callers that want the windows themselves (edgequery -rollup).
 func (p *Pipeline) Rollups(ctx context.Context, days []time.Time) ([]*analytics.Rollup, error) {
 	if !p.RollupsEnabled() {
 		return nil, fmt.Errorf("core: no rollup directory configured")
@@ -277,7 +302,7 @@ func (p *Pipeline) Rollups(ctx context.Context, days []time.Time) ([]*analytics.
 		if win.Grain == "" {
 			continue
 		}
-		r, err := p.rollupFor(ctx, win)
+		r, err := p.windowRollup(ctx, win)
 		if err != nil {
 			return nil, err
 		}

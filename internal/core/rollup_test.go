@@ -281,55 +281,81 @@ func TestRollupManifestMismatchRebuilds(t *testing.T) {
 	}
 }
 
-// TestRollupSketchModePipeline: with Config.Sketch the tier's windows
-// carry merged sketches, and an exact-mode rollup on disk is not good
-// enough for a sketch-mode query.
-func TestRollupSketchModePipeline(t *testing.T) {
-	storeDir, rollDir := t.TempDir(), t.TempDir()
-	store := buildRollupStore(t, storeDir)
-	week := RangeDays(time.Date(2016, 6, 6, 0, 0, 0, 0, time.UTC),
-		time.Date(2016, 6, 12, 0, 0, 0, 0, time.UTC), 1)
-	base := Config{Seed: 11, Scale: simnet.Scale{ADSL: 8, FTTH: 4}, Workers: 4,
-		Store: store, RollupDir: rollDir}
-
-	// Exact-mode pass persists sketch-free windows.
-	if _, err := New(base).Rollups(context.Background(), week); err != nil {
-		t.Fatal(err)
-	}
-
-	sketchCfg := base
-	sketchCfg.Sketch = true
-	mBuilds := metrics.GetCounter("rollup.builds")
-	builds0 := mBuilds.Load()
-	rolls, err := New(sketchCfg).Rollups(context.Background(), week)
+// TestHotDayRollupNotPersisted: a week whose Wednesday is still live —
+// no day file, answered from the ingester's checkpoint — must not leave
+// a rollup file behind. The next checkpoint moves the day's stamp but
+// not the rollup directory, so a persisted window would keep serving
+// the old rows to the long-lived pipeline and to a fresh one alike.
+func TestHotDayRollupNotPersisted(t *testing.T) {
+	ctx := context.Background()
+	week := RangeDays(time.Date(2016, 5, 2, 0, 0, 0, 0, time.UTC),
+		time.Date(2016, 5, 8, 0, 0, 0, 0, time.UTC), 1)
+	hot := week[2]
+	scale := simnet.Scale{ADSL: 8, FTTH: 4}
+	store, err := flowrec.OpenStoreFormat(t.TempDir(), flowrec.FormatV3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rolls) != 1 {
-		t.Fatalf("got %d rollups, want 1 week window", len(rolls))
-	}
-	if mBuilds.Load() == builds0 {
-		t.Error("sketch-mode query served an exact-mode rollup without rebuilding")
-	}
-	sk := rolls[0].Agg.Sketches
-	if sk == nil {
-		t.Fatal("sketch-mode rollup carries no sketches")
-	}
-	// The HLL must agree with the exact distinct-subscriber count within
-	// its documented bound (tiny population: allow ±3 absolute as well).
-	aggs, err := New(base).Aggregate(context.Background(), week)
-	if err != nil {
+	sealed := append(append([]time.Time(nil), week[:2]...), week[3:]...)
+	if _, err := New(Config{Seed: 11, Scale: scale, Workers: 4}).GenerateStore(ctx, NewDiskStorage(store, ""), sealed); err != nil {
 		t.Fatal(err)
 	}
-	distinct := make(map[uint32]bool)
-	for _, a := range aggs {
-		for id := range a.Subs {
-			distinct[id] = true
+	aggDir, rollDir := t.TempDir(), t.TempDir()
+	cfg := Config{Seed: 11, Scale: scale, Workers: 4, Store: store, AggCacheDir: aggDir, RollupDir: rollDir}
+	p := New(cfg)
+
+	// The ingester's side: a base checkpoint of the first half of the
+	// hot day's records, later a delta with the rest.
+	var recs []flowrec.Record
+	simnet.NewWorld(11, scale).EmitDay(hot, func(r *flowrec.Record) { recs = append(recs, *r) })
+	partial := func(recs []flowrec.Record) *analytics.Partial {
+		a := analytics.NewAggregator(hot, p.Cls)
+		for i := range recs {
+			a.Add(&recs[i])
 		}
+		return a.Partial()
 	}
-	est, n := sk.Clients.Estimate(), float64(len(distinct))
-	if tol := 3*sk.Clients.RelErr()*n + 3; est < n-tol || est > n+tol {
-		t.Errorf("window distinct clients: estimate %.1f, truth %.0f", est, n)
+	full := analytics.NewAggregator(hot, p.Cls)
+	for i := range recs {
+		full.Add(&recs[i])
+	}
+	want := analytics.NewDayStat(full.Result())
+	edged := NewDiskStorage(store, aggDir)
+	if err := edged.SavePartials(hot, []*analytics.Partial{partial(recs[:len(recs)/2])}); err != nil {
+		t.Fatal(err)
+	}
+	edged.BumpDays(hot)
+
+	hotRow := func(p *Pipeline) analytics.DayStat {
+		t.Helper()
+		rows, err := p.DayStats(ctx, week)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if r.Day.Equal(hot) {
+				return r
+			}
+		}
+		t.Fatal("the hot day is missing from the week's rows")
+		return analytics.DayStat{}
+	}
+	if got := hotRow(p); got.Flows == 0 || got.Flows >= want.Flows {
+		t.Fatalf("before the delta the hot day shows %d flows, want a part of %d", got.Flows, want.Flows)
+	}
+	if _, err := os.Stat(rollupCachePath(rollDir, analytics.GrainWeek, week[0])); !os.IsNotExist(err) {
+		t.Errorf("a window over a hot day was persisted (stat err=%v)", err)
+	}
+
+	if err := edged.AppendPartial(hot, partial(recs[len(recs)/2:])); err != nil {
+		t.Fatal(err)
+	}
+	edged.BumpDays(hot)
+	for name, q := range map[string]*Pipeline{"long-lived": p, "fresh": New(cfg)} {
+		if got := hotRow(q); got.Flows != want.Flows || got.Observed != want.Observed {
+			t.Errorf("%s pipeline after the delta: hot day flows %d observed %v, want %d %v",
+				name, got.Flows, got.Observed, want.Flows, want.Observed)
+		}
 	}
 }
 

@@ -3,9 +3,9 @@ package core
 // Decode-width equivalence at the pipeline level: every experiment of
 // the paper registry must render byte-identical reports whatever
 // ShardsPerDay (the per-day block-decode width) is, over a v3 store so
-// the parallel reader really runs; ordered delivery must keep sketches
-// and spill points identical too; and the persisted form of a day must
-// not depend on the width or the host.
+// the parallel reader really runs; a day that spills must fold to the
+// same bytes at any width; and the persisted form of a day must not
+// depend on the width or the host.
 
 import (
 	"bytes"
@@ -105,12 +105,11 @@ func TestShardEquivalenceAggregates(t *testing.T) {
 	}
 }
 
-// TestDecodeWidthKeepsFoldOrder pins ordered delivery. Exact mode is
-// order-insensitive, so it alone would not notice blocks reaching the
-// aggregator out of file order; sketches (t-digest, SpaceSaving) and
-// the points where a memory budget spills are not. With both on, every
-// day's canonical bytes and sketches must be identical at widths 1, 2
-// and 8.
+// TestDecodeWidthKeepsFoldOrder runs the decode widths under a memory
+// budget that spills: every day's canonical bytes must be identical at
+// widths 1, 2 and 8. Exact mode does not depend on fold order, so this
+// cannot see blocks delivered out of file order; file order itself is
+// pinned by flowrec's parallel-order tests and `make scanequiv`.
 func TestDecodeWidthKeepsFoldOrder(t *testing.T) {
 	days := MonthDays(2017, time.April)[:3]
 	store := buildWorldStore(t, 99, widthTestScale, days)
@@ -119,7 +118,7 @@ func TestDecodeWidthKeepsFoldOrder(t *testing.T) {
 	for _, width := range []int{1, 2, 8} {
 		spills0 := spills.Load()
 		p := New(Config{Seed: 99, Scale: widthTestScale, Workers: 2, ShardsPerDay: width, Store: store,
-			Sketch: true, MemBudget: 64 << 10, SpillDir: t.TempDir()})
+			MemBudget: 64 << 10, SpillDir: t.TempDir()})
 		got, err := p.Aggregate(context.Background(), days)
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
@@ -135,12 +134,8 @@ func TestDecodeWidthKeepsFoldOrder(t *testing.T) {
 			continue
 		}
 		for i := range got {
-			day := got[i].Day.Format("2006-01-02")
 			if !bytes.Equal(canonicalAll(t, got[i:i+1])[0], canonicalAll(t, want[i:i+1])[0]) {
-				t.Errorf("width %d: day %s canonical bytes differ from the serial decode", width, day)
-			}
-			if got[i].Sketches == nil || !reflect.DeepEqual(got[i].Sketches, want[i].Sketches) {
-				t.Errorf("width %d: day %s sketches differ from the serial decode", width, day)
+				t.Errorf("width %d: day %s canonical bytes differ from the serial decode", width, got[i].Day.Format("2006-01-02"))
 			}
 		}
 	}

@@ -136,7 +136,7 @@ func TestServeEquivalenceGolden(t *testing.T) {
 
 // TestServedFiguresMatchBatchNumbers holds the served numbers exactly
 // equal to an independent batch derivation. The served pipeline runs
-// with the agg cache, rollup tier and sketches enabled — the full
+// with the agg cache and rollup tier enabled — the full
 // production read path — while the batch pipeline folds days flat in
 // memory. Equality here means tier selection changed nothing on the
 // way to the wire.
@@ -145,7 +145,6 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 	cfg := servequivConfig()
 	cfg.AggCacheDir = filepath.Join(t.TempDir(), "agg")
 	cfg.RollupDir = filepath.Join(t.TempDir(), "rollup")
-	cfg.Sketch = true
 	_, ts := newEquivServer(t, cfg, Options{})
 	batch := core.New(servequivConfig())
 
