@@ -47,6 +47,7 @@ func main() {
 		format  = flag.String("format", "v1", "day-file format: v1 (row codec) or v3 (columnar, per-block compression); readers auto-detect")
 		pcapIn  = flag.String("pcap-in", "", "replay packets from this pcap file instead of simulating")
 		pcapOut = flag.String("pcap-out", "", "also dump the simulated packet stream to this pcap file")
+		probes  = flag.Int("probes", 1, "parallel probe workers per day (flow-hash packet fan-out); record order in the store varies with the count, record content does not")
 	)
 	flag.Parse()
 	ctx, stop := sf.Start()
@@ -59,8 +60,7 @@ func main() {
 		sf.Fatal(err)
 	}
 	// Of the shared configuration the probe path uses the fault plan
-	// (output-store chaos) and the rollup prewarm settings; -shards here
-	// counts probe workers, not block-decode workers.
+	// (output-store chaos) and the rollup prewarm settings.
 	shared, err := sf.Config()
 	if err != nil {
 		sf.Fatal(err)
@@ -110,8 +110,8 @@ func main() {
 		var dayStats probe.Stats
 		err := pol.Do(ctx, uint64(day.Unix()), func() error {
 			_, werr := dst.WriteDay(day, func(write func(*flowrec.Record) error) error {
-				// With -shards > 1 records arrive concurrently from the
-				// shard workers, but the day writer is single-lane: the
+				// With -probes > 1 records arrive concurrently from the
+				// probe workers, but the day writer is single-lane: the
 				// mutex funnels them back into one stream.
 				var mu sync.Mutex
 				var recErr error
@@ -132,11 +132,11 @@ func main() {
 				}
 				var feed func(probe.Packet)
 				var finish func()
-				if sf.Shards > 1 {
+				if *probes > 1 {
 					// Flow-hash packet fan-out across independent probes,
 					// the deployment's DPDK-queue layout. Safe here: the
 					// simulator hands every packet its own buffer.
-					sp := probe.NewSharded(sf.Shards, cfg)
+					sp := probe.NewSharded(*probes, cfg)
 					feed = sp.Feed
 					finish = func() { sp.Close(); dayStats = sp.Stats() }
 				} else {

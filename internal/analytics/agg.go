@@ -492,21 +492,6 @@ type RunConfig struct {
 	// are byte-identical whether or not the source actually prunes.
 	// Zero means all columns.
 	Cols flowrec.ColumnSet
-	// MemBudget caps the live accumulator footprint of one day's
-	// aggregation, in bytes. When the day's aggregator's LiveBytes
-	// estimate crosses it, the aggregator seals
-	// its state into a Partial, spills it to disk and restarts empty;
-	// the spilled partials merge back in bounded fan-in passes. The
-	// result is byte-identical to the unbounded run for any budget.
-	// 0 means unbounded (no spilling).
-	MemBudget int64
-	// SpillDir is where spilled partials land while a budgeted day is
-	// in flight (a private temp directory per day attempt). Empty means
-	// the OS temp dir.
-	SpillDir string
-	// SpillFanIn bounds how many spill files one merge pass opens;
-	// values below 2 mean 8.
-	SpillFanIn int
 }
 
 // Run aggregates the given days with a bounded pool of workers
@@ -643,40 +628,9 @@ func runDay(ctx context.Context, src Source, day time.Time, cls *classify.Classi
 	}
 	var agg *DayAgg
 	err := cfg.Retry.Do(dctx, uint64(day.Unix()), func() error {
-		// Each attempt gets a fresh spill directory: a half-spilled
-		// attempt must never leak partials into the next one.
-		sp, serr := newSpiller(cfg, day)
-		if serr != nil {
-			return serr
-		}
-		defer sp.cleanup()
 		a := NewAggregatorCols(day, cls, cfg.Cols)
-		add := a.Add
-		if sp != nil {
-			n := 0
-			add = func(r *flowrec.Record) {
-				a.Add(r)
-				if n++; n%spillCheckEvery == 0 && sp.over(a) {
-					// Partial consumes the aggregator, so a fresh one
-					// starts regardless of whether the spill landed.
-					sp.spill(a.Partial())
-					a = NewAggregatorCols(day, cls, cfg.Cols)
-				}
-			}
-		}
-		if rerr := src.Records(dctx, day, scanFor(cfg.Cols, width), add); rerr != nil {
+		if rerr := src.Records(dctx, day, scanFor(cfg.Cols, width), a.Add); rerr != nil {
 			return rerr
-		}
-		if rerr := sp.firstErr(); rerr != nil {
-			return rerr
-		}
-		if sp.spilled() {
-			merged, rerr := sp.merge(day, a.Partial())
-			if rerr != nil {
-				return rerr
-			}
-			agg = merged
-			return nil
 		}
 		agg = a.Result()
 		return nil

@@ -11,8 +11,8 @@ package analytics
 // construction — counters add, key sets union, the RTT bottom-k
 // reservoir re-trims after concatenation (bottom-k of a union is a
 // function of the per-part bottom-ks) — so any grouping of a day's
-// records (a spill run, an ingest checkpoint, a K-way client-hash
-// split) reduces to bytes identical to the one-aggregator fold.
+// records (an ingest checkpoint, a K-way client-hash split) reduces
+// to bytes identical to the one-aggregator fold.
 // merge_test.go holds the property tests.
 
 import (
@@ -79,8 +79,8 @@ func (p *RTTPartial) clone() *RTTPartial {
 	return c
 }
 
-// Partial is one part of a day — a spill run, an ingest checkpoint: a
-// DayAgg plus the reservoir state a byte-identical merge needs. It is
+// Partial is one part of a day (an ingest checkpoint): a DayAgg plus
+// the reservoir state a byte-identical merge needs. It is
 // gob-encodable, so the agg cache can persist partials and a later run
 // merges them instead of re-reading the day.
 type Partial struct {
@@ -99,8 +99,7 @@ func NewPartial(day time.Time) *Partial {
 	return &Partial{Agg: &DayAgg{Day: time.Date(y, m, d, 0, 0, 0, 0, time.UTC)}}
 }
 
-// mShardMerges counts partials folded by MergePartials and the spill
-// merge.
+// mShardMerges counts partials folded by MergePartials.
 var mShardMerges = metrics.GetCounter("analytics.shard_merges")
 
 // MergePartials folds a day's partials into the final DayAgg — the

@@ -32,13 +32,12 @@ import (
 type Flags struct {
 	bin string
 
-	Seed                    uint64
-	Stride, Workers, Shards int
-	Scale, Store, Rules     string
-	AggCache, Rollup        string
-	MemLimit, Faults        string
-	Degrade                 bool
-	DayTimeout              time.Duration
+	Seed                     uint64
+	Stride, Workers, Shards  int
+	Scale, Store, Rules      string
+	AggCache, Rollup, Faults string
+	Degrade                  bool
+	DayTimeout               time.Duration
 
 	Stats                  bool
 	CPUProfile, MemProfile string
@@ -68,7 +67,6 @@ var surfaces = map[string][]spec{
 		{"rollup", "", "persist week/month/year rollups to this directory; long-span experiments answer from the coarsest tier that fits"},
 		{"degrade", true, "report failed days and continue instead of aborting the run"},
 		{"day-timeout", time.Duration(0), "deadline per aggregated day, all retries included (0 = none)"},
-		{"memlimit", "", `stage-one memory budget, e.g. "512M" (0 = unbounded; over budget, aggregation spills partials to disk and external-merges them)`},
 		{"faults", "", `fault-injection spec, e.g. "readday:p=0.01,transient" (see README)`},
 		{"stats", false, "print the pipeline metrics table after the run"},
 		{"cpuprofile", "", "write a CPU profile to this file"},
@@ -86,7 +84,6 @@ var surfaces = map[string][]spec{
 		{"rollup", "", "rollup directory; coarse queries answer from the coarsest tier that fits"},
 		{"degrade", true, "serve partial figures past damaged days instead of failing the query"},
 		{"day-timeout", time.Duration(0), "deadline per aggregated day inside a query (0 = none)"},
-		{"memlimit", "", `stage-one memory budget per query, e.g. "512M" (0 = unbounded)`},
 		{"faults", "", `fault-injection spec, e.g. "readday:p=0.01,transient" (see README)`},
 		{"stats", false, "print the metrics table on shutdown"},
 		{"cpuprofile", "", "write a CPU profile to this file"},
@@ -97,7 +94,6 @@ var surfaces = map[string][]spec{
 		{"stride", 1, "generate every Nth day"},
 		{"shards", 0, "per-day block-decode workers; results are byte-identical for any value (0 = GOMAXPROCS, 1 = serial decode)"},
 		{"rollup", "", "after generating, prewarm week/month/year rollups in this directory"},
-		{"memlimit", "", `stage-one memory budget for the -agg prewarm, e.g. "512M" (0 = unbounded; over budget, aggregation spills partials to disk)`},
 		{"faults", "", `fault-injection spec, e.g. "writeday:p=0.1,torn" (see README)`},
 		{"stats", false, "print the pipeline metrics table after the run"},
 		{"cpuprofile", "", "write a CPU profile to this file"},
@@ -105,7 +101,6 @@ var surfaces = map[string][]spec{
 	},
 	"edgeprobe": {
 		{"seed", uint64(1), "world seed"},
-		{"shards", 1, "parallel probe workers per day (flow-hash packet fan-out); record order in the store varies with the count, record content does not"},
 		{"rollup", "", "after the capture, prewarm week/month/year rollups over the store into this directory"},
 		{"faults", "", `fault-injection spec for the output store, e.g. "writeday:p=0.1,transient" (see README)`},
 		{"stats", false, "print the pipeline metrics table after the run"},
@@ -149,7 +144,7 @@ func Register(fs *flag.FlagSet, bin string) *Flags {
 		"workers": &f.Workers, "shards": &f.Shards, "store": &f.Store,
 		"rules": &f.Rules, "aggcache": &f.AggCache, "rollup": &f.Rollup,
 		"degrade": &f.Degrade, "day-timeout": &f.DayTimeout,
-		"memlimit": &f.MemLimit, "faults": &f.Faults, "stats": &f.Stats,
+		"faults": &f.Faults, "stats": &f.Stats,
 		"cpuprofile": &f.CPUProfile, "memprofile": &f.MemProfile,
 	}
 	for _, s := range specs {
@@ -172,10 +167,9 @@ func Register(fs *flag.FlagSet, bin string) *Flags {
 }
 
 // Config builds the pipeline configuration the parsed flags describe:
-// it opens -store, loads -rules, parses -faults and -memlimit and maps
-// -scale. A bad flag value comes back as a usage error (exit status 2
-// through Fatal), a store or rules file that cannot be read as a plain
-// one.
+// it opens -store, loads -rules, parses -faults and maps -scale. A bad
+// flag value comes back as a usage error (exit status 2 through Fatal),
+// a store or rules file that cannot be read as a plain one.
 func (f *Flags) Config() (core.Config, error) {
 	cfg := core.Config{
 		Seed: f.Seed, Stride: f.Stride, Workers: f.Workers, ShardsPerDay: f.Shards,
@@ -184,9 +178,6 @@ func (f *Flags) Config() (core.Config, error) {
 	}
 	var err error
 	var ok bool
-	if cfg.MemBudget, err = core.ParseMemLimit(f.MemLimit); err != nil {
-		return cfg, usageError{err}
-	}
 	if cfg.Scale, ok = scales[f.Scale]; !ok {
 		return cfg, Usagef("unknown scale %q", f.Scale)
 	}

@@ -21,7 +21,10 @@ import (
 // -shards, whose old text ("CSV output forces 1") stopped being true
 // when the flag became the ordered block-decode width; and -shards on
 // edgereport, edgeserve and edgegen, which became that same width when
-// the per-day shard aggregators went.
+// the per-day shard aggregators went; the stage-one memory-budget flag,
+// gone from those three with the spill path; and edgeprobe's probe
+// fan-out, renamed from -shards to -probes so -shards is the decode
+// width everywhere.
 func helpGolden(t *testing.T, bin string) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", "help", bin+".txt"))
@@ -107,7 +110,6 @@ func TestConfig(t *testing.T) {
 	}{
 		{[]string{"-scale", "huge"}, 2},
 		{[]string{"-scale", ""}, 2},
-		{[]string{"-memlimit", "lots"}, 2},
 		{[]string{"-faults", "readday:p=2"}, 2},
 		{[]string{"-faults", "nonsense"}, 2},
 		{[]string{"-rules", filepath.Join(t.TempDir(), "missing")}, 1},
@@ -127,21 +129,20 @@ func TestConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Seed != 1 || cfg.Stride != 7 || !cfg.Degrade || cfg.Scale != (simnet.Scale{}) ||
-		cfg.Store != nil || cfg.Classifier != nil || cfg.Faults != nil || cfg.MemBudget != 0 {
+		cfg.Store != nil || cfg.Classifier != nil || cfg.Faults != nil {
 		t.Errorf("edgereport defaults: %+v", cfg)
 	}
 
 	lake := filepath.Join(t.TempDir(), "lake")
 	cfg, err = parse("edgeserve", "-seed", "9", "-stride", "30", "-scale", "small", "-workers", "3", "-shards", "2",
 		"-store", lake, "-rules", rules, "-aggcache", "/a", "-rollup", "/r", "-degrade=false",
-		"-day-timeout", "2s", "-memlimit", "1M", "-faults", "readday:p=0.5,transient").Config()
+		"-day-timeout", "2s", "-faults", "readday:p=0.5,transient").Config()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Seed != 9 || cfg.Stride != 30 || cfg.Scale != (simnet.Scale{ADSL: 60, FTTH: 30}) || cfg.Workers != 3 ||
 		cfg.ShardsPerDay != 2 || cfg.Store == nil || cfg.Classifier == nil || cfg.AggCacheDir != "/a" ||
-		cfg.RollupDir != "/r" || cfg.Degrade || cfg.DayTimeout != 2*time.Second ||
-		cfg.MemBudget != 1<<20 || cfg.Faults == nil {
+		cfg.RollupDir != "/r" || cfg.Degrade || cfg.DayTimeout != 2*time.Second || cfg.Faults == nil {
 		t.Errorf("edgeserve full command line: %+v", cfg)
 	}
 	if cfg, err = parse("edgereport", "-scale", "large").Config(); err != nil || cfg.Scale != (simnet.Scale{ADSL: 1000, FTTH: 500}) {

@@ -50,8 +50,8 @@ func saveAgg(dir string, agg *analytics.DayAgg) error {
 // unmerged partials instead of a final aggregate, so a query merges
 // the cached partials (cheap) instead of waiting for the day to seal;
 // parts-* files written by older batch runs replay the same way. The
-// merge is the same monoid stage one's spill path uses, so replayed
-// days stay byte-identical.
+// merge is the Partial monoid (analytics/merge.go), so replayed days
+// stay byte-identical to a one-aggregator fold.
 //
 // The file is a sequence of framefile frames, [base][delta]…[delta],
 // each holding one cachedPartials envelope. SavePartials writes the

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analytics"
 	"repro/internal/flowrec"
+	"repro/internal/simnet"
 )
 
 // TestAggregateConcurrentCallers hammers one pipeline's Aggregate
@@ -135,4 +137,75 @@ func TestGenerateStoreBoundedGoroutines(t *testing.T) {
 	if peak > before+4+6 {
 		t.Errorf("goroutines peaked at %d (baseline %d): pool not bounded", peak, before)
 	}
+}
+
+// TestConcurrentCacheLoads hammers the pooled gob+gzip cache codecs
+// from many goroutines at once — agg, partial and rollup loads share
+// the same zpool reader/writer pools, so any pooled-state aliasing
+// shows up here under -race (the ci race target runs this test).
+func TestConcurrentCacheLoads(t *testing.T) {
+	dir := t.TempDir()
+	day := time.Date(2016, 4, 12, 0, 0, 0, 0, time.UTC)
+	cfg := Config{Seed: 5, Scale: simnet.Scale{ADSL: 10, FTTH: 5}, Workers: 2,
+		AggCacheDir: dir, RollupDir: t.TempDir()}
+	p := New(cfg)
+	aggs, err := p.Aggregate(context.Background(), []time.Time{day})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := aggs[0].Flows
+	stor := NewDiskStorage(nil, dir)
+	parts := shardPartialsForDay(t, cfg, day)
+	if err := stor.SavePartials(day, parts); err != nil {
+		t.Fatal(err)
+	}
+
+	const loaders = 16
+	var wg sync.WaitGroup
+	for g := 0; g < loaders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				agg, err := stor.LoadAgg(day)
+				if err != nil || agg == nil || agg.Flows != want {
+					t.Errorf("concurrent LoadAgg: agg=%v err=%v", agg, err)
+					return
+				}
+				got, err := stor.LoadPartials(day)
+				if err != nil || len(got) == 0 {
+					t.Errorf("concurrent LoadPartials: n=%d err=%v", len(got), err)
+					return
+				}
+				// Writers share pools with readers; interleave saves.
+				if i%5 == 0 {
+					if err := stor.SaveAgg(agg); err != nil {
+						t.Errorf("concurrent SaveAgg: %v", err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// shardPartialsForDay splits a day's records over two client-hash
+// partials, for seeding the partial cache the way the ingester's
+// multi-frame checkpoints do.
+func shardPartialsForDay(t *testing.T, cfg Config, day time.Time) []*analytics.Partial {
+	t.Helper()
+	world := simnet.NewWorld(cfg.Seed, cfg.Scale)
+	aggs := []*analytics.Aggregator{
+		analytics.NewAggregator(day, nil),
+		analytics.NewAggregator(day, nil),
+	}
+	world.EmitDay(day, func(r *flowrec.Record) {
+		aggs[r.Shard(len(aggs))].Add(r)
+	})
+	parts := make([]*analytics.Partial, len(aggs))
+	for i, a := range aggs {
+		parts[i] = a.Partial()
+	}
+	return parts
 }

@@ -88,23 +88,6 @@ type Config struct {
 	// coarsest tier that fits instead of re-folding every day. Exposed
 	// as -rollup on the binaries.
 	RollupDir string
-	// MemBudget bounds stage one's live accumulator memory per day in
-	// bytes (an accounting estimate). Over budget, a day's aggregator
-	// seals its state into a
-	// partial, spills it to disk and restarts empty; spilled partials
-	// external-merge after the scan with results byte-identical to the
-	// unbounded run. 0 (the default) disables spilling. Exposed as
-	// -memlimit on the binaries.
-	MemBudget int64
-	// SpillDir is where over-budget partials spill (a private temp
-	// directory per day attempt is created beneath it). Empty means
-	// the OS temp dir.
-	SpillDir string
-	// SpillFanIn bounds how many spill files one external-merge pass
-	// opens; 0 means the analytics default. Any value produces
-	// byte-identical results — it only trades merge passes for peak
-	// open partials.
-	SpillFanIn int
 	// Storage overrides the Store/AggCacheDir wiring with an explicit
 	// storage backend — how tests interpose the fault injector. When
 	// set, flow records are read through it; the aggregate cache is
@@ -495,8 +478,8 @@ func (p *Pipeline) computeDays(ctx context.Context, owned []time.Time, entryOf m
 			}
 			// Final-aggregate miss: the ingester checkpoints an open
 			// day as partials (and older runs cached some days that
-			// way) — merging them is the same reduce step spilling
-			// runs, minus reading the records.
+			// way) — merging them gives the bytes a fold over the
+			// day's records would, without reading the records.
 			if parts, lerr := p.storage.LoadPartials(owned[i]); lerr == nil && len(parts) > 0 {
 				if agg, merr := analytics.MergePartials(owned[i], parts); merr == nil && p.usable(agg) {
 					loaded[i] = agg
@@ -609,8 +592,8 @@ func (p *Pipeline) eachIndex(n int, fn func(int)) {
 }
 
 // runConfig is the stage-one configuration every pipeline run uses:
-// the pipeline's worker pool, decode width, retry, deadline and budget
-// settings over AggregateColumns.
+// the pipeline's worker pool, decode width, retry and deadline settings
+// over AggregateColumns.
 func (p *Pipeline) runConfig() analytics.RunConfig {
 	return analytics.RunConfig{
 		Workers:     p.cfg.Workers,
@@ -618,9 +601,6 @@ func (p *Pipeline) runConfig() analytics.RunConfig {
 		Retry:       p.retry,
 		DayTimeout:  p.cfg.DayTimeout,
 		Cols:        analytics.AggregateColumns,
-		MemBudget:   p.cfg.MemBudget,
-		SpillDir:    p.cfg.SpillDir,
-		SpillFanIn:  p.cfg.SpillFanIn,
 	}
 }
 

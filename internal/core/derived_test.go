@@ -12,19 +12,17 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/flowrec"
-	"repro/internal/framefile"
 	"repro/internal/ingest"
 	"repro/internal/simnet"
 )
 
 // TestDerivedFilesRejectDamage: every kind of derived file — day
-// aggregate, shard partials, rollup, spill run, ingest cursor — with
-// one bit flipped or its tail cut off loads as a value its writer
-// saved or as nothing: a miss for the caches and the cursor, an error
-// for a spill run. Never as a different value. Damage is placed by
-// sample index, and subtests are named by it, not by byte offset: gob
-// writes maps in random order, so the bytes at an offset change from
-// run to run.
+// aggregate, shard partials, rollup, ingest cursor — with one bit
+// flipped or its tail cut off loads as a value its writer saved or as
+// nothing: a miss for the caches and the cursor. Never as a different
+// value. Damage is placed by sample index, and subtests are named by
+// it, not by byte offset: gob writes maps in random order, so the bytes
+// at an offset change from run to run.
 func TestDerivedFilesRejectDamage(t *testing.T) {
 	const flips, cuts = 40, 10
 	dir := t.TempDir()
@@ -49,7 +47,6 @@ func TestDerivedFilesRejectDamage(t *testing.T) {
 		return fmt.Sprintf("%v|%v|%v|%v|%v", r.Grain, r.Start, r.Requested, r.SourceDays, r.Stats)
 	}
 	cursorCfg, resume := cursorFixture(t, filepath.Join(dir, "live"))
-	spillPath := filepath.Join(dir, "spill", "parts-000001.frames")
 
 	// Each kind's load returns what the file reads as, "" for nothing;
 	// want lists what a load may read, the whole file's value last.
@@ -103,19 +100,6 @@ func TestDerivedFilesRejectDamage(t *testing.T) {
 				return ""
 			},
 			want: []string{rollPrint(roll)},
-		},
-		{
-			// The spill writer and reader are exactly these two calls.
-			name: "spill", path: spillPath,
-			save: func() error { _, err := framefile.Save(spillPath, parts[0]); return err },
-			load: func() string {
-				var p analytics.Partial
-				if framefile.Load(spillPath, &p) != nil {
-					return ""
-				}
-				return string(canonOf(t, []*analytics.Partial{&p}))
-			},
-			want: []string{string(canonOf(t, parts[:1]))},
 		},
 		{
 			// The ingester wrote its cursor as it closed; a fresh one

@@ -3,9 +3,8 @@ package core
 // Decode-width equivalence at the pipeline level: every experiment of
 // the paper registry must render byte-identical reports whatever
 // ShardsPerDay (the per-day block-decode width) is, over a v3 store so
-// the parallel reader really runs; a day that spills must fold to the
-// same bytes at any width; and the persisted form of a day must not
-// depend on the width or the host.
+// the parallel reader really runs; and the persisted form of a day
+// must not depend on the width or the host.
 
 import (
 	"bytes"
@@ -16,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/analytics"
 	"repro/internal/flowrec"
 	"repro/internal/metrics"
 	"repro/internal/simnet"
@@ -100,42 +98,6 @@ func TestShardEquivalenceAggregates(t *testing.T) {
 		for i := range got {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Errorf("%s: width-%d aggregate differs from serial decode", aggs[i].Day.Format("2006-01-02"), width)
-			}
-		}
-	}
-}
-
-// TestDecodeWidthKeepsFoldOrder runs the decode widths under a memory
-// budget that spills: every day's canonical bytes must be identical at
-// widths 1, 2 and 8. Exact mode does not depend on fold order, so this
-// cannot see blocks delivered out of file order; file order itself is
-// pinned by flowrec's parallel-order tests and `make scanequiv`.
-func TestDecodeWidthKeepsFoldOrder(t *testing.T) {
-	days := MonthDays(2017, time.April)[:3]
-	store := buildWorldStore(t, 99, widthTestScale, days)
-	spills := metrics.GetCounter("analytics.spills")
-	var want []*analytics.DayAgg
-	for _, width := range []int{1, 2, 8} {
-		spills0 := spills.Load()
-		p := New(Config{Seed: 99, Scale: widthTestScale, Workers: 2, ShardsPerDay: width, Store: store,
-			MemBudget: 64 << 10, SpillDir: t.TempDir()})
-		got, err := p.Aggregate(context.Background(), days)
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		if spills.Load() == spills0 {
-			t.Fatalf("width %d: the budget never forced a spill", width)
-		}
-		if len(got) != len(days) {
-			t.Fatalf("width %d: %d days, want %d", width, len(got), len(days))
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		for i := range got {
-			if !bytes.Equal(canonicalAll(t, got[i:i+1])[0], canonicalAll(t, want[i:i+1])[0]) {
-				t.Errorf("width %d: day %s canonical bytes differ from the serial decode", width, got[i].Day.Format("2006-01-02"))
 			}
 		}
 	}

@@ -1,6 +1,5 @@
 // Package framefile is the one codec for derived-state files: day
-// aggregates, checkpoint partials, rollups, spill runs and
-// the ingest cursor. Those files are the pipeline's second dataset —
+// aggregates, checkpoint partials, rollups and the ingest cursor. Those files are the pipeline's second dataset —
 // everything stage two reads instead of the raw flows — so they share
 // one layout, one checksum, one atomic publish and one temp-file name,
 // and every read verifies the checksum before it decodes. A file is a

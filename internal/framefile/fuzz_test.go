@@ -67,7 +67,7 @@ func onlyFile(f *testing.F, dir string) string {
 // derivedFiles writes one small file of every derived kind through its
 // real writer, each alone in its own directory under dir, and returns
 // each file's path and loader. A loader reports whether the file read
-// as a value (false: a miss, or for a spill run an error).
+// as a value (false: a miss).
 func derivedFiles(f *testing.F, dir string) (paths map[string]string, loaders map[string]func() (bool, error)) {
 	week := analytics.WindowStart(analytics.GrainWeek, fuzzDay)
 	aggs := core.NewDiskStorage(nil, filepath.Join(dir, "agg"))
@@ -84,10 +84,6 @@ func derivedFiles(f *testing.F, dir string) (paths map[string]string, loaders ma
 		f.Fatal(err)
 	}
 	if err := rollups.SaveRollup(roll); err != nil {
-		f.Fatal(err)
-	}
-	spill := filepath.Join(dir, "spill", "parts-000001.frames")
-	if _, err := framefile.Save(spill, analytics.NewPartial(fuzzDay)); err != nil {
 		f.Fatal(err)
 	}
 
@@ -114,11 +110,10 @@ func derivedFiles(f *testing.F, dir string) (paths map[string]string, loaders ma
 		f.Fatal(err)
 	}
 
-	paths = map[string]string{"spill": spill}
+	paths = map[string]string{"cursor": onlyFile(f, cfg.WALDir)}
 	for _, kind := range []string{"agg", "parts", "rollup"} {
 		paths[kind] = onlyFile(f, filepath.Join(dir, kind))
 	}
-	paths["cursor"] = onlyFile(f, cfg.WALDir)
 	loaders = map[string]func() (bool, error){
 		"agg": func() (bool, error) { a, err := aggs.LoadAgg(fuzzDay); return a != nil, err },
 		"parts": func() (bool, error) {
@@ -126,7 +121,6 @@ func derivedFiles(f *testing.F, dir string) (paths map[string]string, loaders ma
 			return p != nil, err
 		},
 		"rollup": func() (bool, error) { r, err := rollups.LoadRollup(analytics.GrainWeek, week); return r != nil, err },
-		"spill":  func() (bool, error) { return framefile.Load(spill, new(analytics.Partial)) == nil, nil },
 		"cursor": func() (bool, error) {
 			in, err := ingest.Open(cfg)
 			if err != nil {
@@ -140,7 +134,7 @@ func derivedFiles(f *testing.F, dir string) (paths map[string]string, loaders ma
 
 // FuzzLoadDerivedFiles sends arbitrary bytes through the frame reader
 // and through the loader of every derived file kind — day aggregate,
-// partials, rollup, spill run, ingest cursor. Nothing panics; every
+// partials, rollup, ingest cursor. Nothing panics; every
 // frame Scan yields lies whole inside the input and passes its
 // checksum; and no loader reads a value unless the bytes hold a frame
 // that passes its checksum: the whole file for the single-frame kinds,
@@ -155,7 +149,7 @@ func FuzzLoadDerivedFiles(f *testing.F) {
 	f.Add(whole[:frameHeaderLen+2])
 	f.Add([]byte("epf1\xff\xff\xff\xff\x00\x00\x00\x00"))
 	f.Add([]byte{})
-	for _, kind := range []string{"agg", "parts", "rollup", "spill", "cursor"} {
+	for _, kind := range []string{"agg", "parts", "rollup", "cursor"} {
 		b, err := os.ReadFile(paths[kind])
 		if err != nil {
 			f.Fatal(err)

@@ -13,9 +13,8 @@ import (
 // with every slot busy and the queue full is shed immediately with
 // 429 + Retry-After rather than buffered — under overload the service
 // degrades to fast rejections, never to an unbounded pile of
-// in-flight aggregations sharing one heap. This is the serving-side
-// twin of the pipeline's -memlimit: both bound how much of the lake
-// can be in memory at once.
+// in-flight aggregations sharing one heap: it bounds how much of the
+// lake can be in memory at once.
 var (
 	mInflight = metrics.GetGauge("serve.inflight")
 	mQueuedG  = metrics.GetGauge("serve.queued")
