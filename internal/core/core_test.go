@@ -141,25 +141,44 @@ func TestGenerateStoreAndReadBack(t *testing.T) {
 	}
 }
 
-func TestFig4PointsShape(t *testing.T) {
+func TestFig4RowsShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full months of aggregation")
 	}
 	p := testPipeline()
-	pts, err := Fig4Points(context.Background(), p, flowrec.TechADSL, 30)
+	rows, err := fig4Rows(context.Background(), p, FigureParams{Points: 30}, aprilDays(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 30 {
-		t.Fatalf("points = %d", len(pts))
+	if len(rows) != 30 {
+		t.Fatalf("points = %d", len(rows))
 	}
-	// The growth ratio should be clearly above 1 on average.
+	// The ADSL growth ratio should be clearly above 1 on average.
 	var sum float64
-	for _, pt := range pts {
-		sum += pt.Y
+	for _, r := range rows {
+		sum += r.ADSLRatio
 	}
-	if mean := sum / float64(len(pts)); mean < 1.3 {
+	if mean := sum / float64(len(rows)); mean < 1.3 {
 		t.Errorf("mean hourly ratio = %v, want growth", mean)
+	}
+}
+
+// TestEmptyStoreNotes: over a lake holding none of their days, the
+// active and fig4 figures print a no-data note, never a NaN.
+func TestEmptyStoreNotes(t *testing.T) {
+	store, err := flowrec.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(Config{Seed: 99, Store: store, Workers: 2})
+	for _, id := range []string{"active", "fig4"} {
+		var buf bytes.Buffer
+		if err := Lookup0(id).Run(context.Background(), p, &buf); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if out := buf.String(); strings.Contains(out, "NaN") || !strings.Contains(out, "(no data") {
+			t.Errorf("%s over an empty store:\n%s", id, out)
+		}
 	}
 }
 

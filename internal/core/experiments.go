@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/analytics"
@@ -12,7 +14,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/flowrec"
 	"repro/internal/report"
-	"repro/internal/stats"
 )
 
 // Experiment is one reproducible table or figure of the paper.
@@ -28,6 +29,10 @@ type Experiment struct {
 	// Run aggregates (through the pipeline cache) and writes the
 	// rendered result. Cancelling ctx aborts mid-aggregation.
 	Run func(ctx context.Context, p *Pipeline, w io.Writer) error
+	// Figure, when set, is the experiment's data table: served on
+	// /v1/figures/{id}, exported by edgereport -export, and for most
+	// figures also what Run renders.
+	Figure *Figure
 }
 
 // Experiments returns the registry in paper order.
@@ -44,30 +49,47 @@ func Experiments() []Experiment {
 			Title: "Section 3: share of active subscribers per day (~80%)",
 			Days:  func(stride int) []time.Time { return RangeDays(date(2016, 4, 1), date(2016, 4, 30), 1) },
 			Run:   runActive,
+			Figure: &Figure{
+				Title: "share of active subscribers per day", Tiered: true, Rows: rowsOf(activeRows),
+			},
 		},
 		{
 			ID:    "fig2",
 			Title: "Figure 2: CCDF of per-active-subscriber daily traffic, Apr 2014 vs Apr 2017",
 			Days:  aprilDays,
 			Run:   runFig2,
+			Figure: &Figure{
+				Title:     "per-active-subscriber daily traffic distribution",
+				Quantiles: true, Tech: true, Rows: rowsOf(fig2Rows),
+			},
 		},
 		{
 			ID:    "fig3",
 			Title: "Figure 3: average per-subscription daily traffic over 54 months",
 			Days:  spanDays,
 			Run:   runFig3,
+			Figure: &Figure{
+				Title: "average per-subscription daily traffic by month", Tiered: true, Rows: rowsOf(fig3Rows),
+			},
 		},
 		{
 			ID:    "fig4",
 			Title: "Figure 4: download growth ratio Apr 2017 / Apr 2014 by time of day",
 			Days:  aprilDays,
 			Run:   runFig4,
+			Figure: &Figure{
+				Title:      "download growth ratio Apr 2017 / Apr 2014 by time of day",
+				FixedRange: true, Points: true, Rows: rowsOf(fig4Rows),
+			},
 		},
 		{
 			ID:    "fig5",
 			Title: "Figure 5: service popularity and byte share over time",
 			Days:  spanDays,
 			Run:   runFig5,
+			Figure: &Figure{
+				Title: "service popularity and byte share per day", Services: true, Rows: rowsOf(fig5Rows),
+			},
 		},
 		{
 			ID:    "fig6",
@@ -86,6 +108,9 @@ func Experiments() []Experiment {
 			Title: "Figure 8: web protocol breakdown over 5 years (events A-F)",
 			Days:  spanDays,
 			Run:   runFig8,
+			Figure: &Figure{
+				Title: "web protocol share of web bytes, monthly", Tiered: true, Rows: rowsOf(fig8Rows),
+			},
 		},
 		{
 			ID:    "fig9",
@@ -104,6 +129,10 @@ func Experiments() []Experiment {
 			Title: "Figure 10: RTT CDFs 2014 vs 2017 (Facebook, Instagram, YouTube, Google)",
 			Days:  aprilDays,
 			Run:   runFig10,
+			Figure: &Figure{
+				Title:     "per-flow minimum RTT quantiles by service",
+				Quantiles: true, Services: true, Rows: rowsOf(fig10Rows),
+			},
 		},
 		{
 			ID:    "fig11",
@@ -186,23 +215,27 @@ func orDash(s string) string {
 // --- Section 3: active share ------------------------------------------------
 
 func runActive(ctx context.Context, p *Pipeline, w io.Writer) error {
-	pts, err := p.ActiveSeriesTier(ctx, Lookup0("active").Days(p.Stride()))
+	rs, err := activeRows(ctx, p, FigureParams{}, Lookup0("active").Days(p.Stride()))
 	if err != nil {
 		return err
 	}
 	if err := report.Section(w, "Active subscribers (section 3 filter: ≥10 flows, >15 kB down, >5 kB up)"); err != nil {
 		return err
 	}
+	if len(rs) == 0 {
+		_, err := fmt.Fprintln(w, "(no data: the lake holds no day of April 2016)")
+		return err
+	}
 	var sum float64
-	rows := make([][]string, 0, len(pts))
-	for _, pt := range pts {
-		sum += pt.ActivePct
-		rows = append(rows, []string{report.Day(pt.Day), fmt.Sprint(pt.Active), fmt.Sprint(pt.Observed), report.Pct(pt.ActivePct)})
+	rows := make([][]string, 0, len(rs))
+	for _, r := range rs {
+		sum += r.ActivePct
+		rows = append(rows, []string{r.Day, fmt.Sprint(r.Active), fmt.Sprint(r.Observed), report.Pct(r.ActivePct)})
 	}
 	if err := report.Table(w, []string{"day", "active", "observed", "active%"}, rows); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "\nmean active share: %s (paper: ~80%%)\n", report.Pct(sum/float64(len(pts))))
+	_, err = fmt.Fprintf(w, "\nmean active share: %s (paper: ~80%%)\n", report.Pct(sum/float64(len(rs))))
 	return err
 }
 
@@ -272,7 +305,7 @@ func runFig2(ctx context.Context, p *Pipeline, w io.Writer) error {
 // --- Figure 3 ----------------------------------------------------------------
 
 func runFig3(ctx context.Context, p *Pipeline, w io.Writer) error {
-	ms, err := p.MonthlySeriesTier(ctx, spanDays(p.Stride()))
+	ms, err := fig3Rows(ctx, p, FigureParams{}, spanDays(p.Stride()))
 	if err != nil {
 		return err
 	}
@@ -282,15 +315,13 @@ func runFig3(ctx context.Context, p *Pipeline, w io.Writer) error {
 	rows := make([][]string, 0, len(ms))
 	series := make([][]float64, 4)
 	for _, m := range ms {
-		rows = append(rows, []string{
-			report.Month(m.Month),
-			report.MB(m.Mean[0][analytics.Down]), report.MB(m.Mean[1][analytics.Down]),
-			report.MB(m.Mean[0][analytics.Up]), report.MB(m.Mean[1][analytics.Up]),
-		})
-		series[0] = append(series[0], m.Mean[0][analytics.Down]/(1<<20))
-		series[1] = append(series[1], m.Mean[1][analytics.Down]/(1<<20))
-		series[2] = append(series[2], m.Mean[0][analytics.Up]/(1<<20))
-		series[3] = append(series[3], m.Mean[1][analytics.Up]/(1<<20))
+		vals := []float64{m.ADSLDownBytes, m.FTTHDownBytes, m.ADSLUpBytes, m.FTTHUpBytes}
+		row := []string{m.Month}
+		for i, v := range vals {
+			row = append(row, report.MB(v))
+			series[i] = append(series[i], v/(1<<20))
+		}
+		rows = append(rows, row)
 	}
 	if err := report.Table(w, []string{"month", "ADSL down", "FTTH down", "ADSL up", "FTTH up"}, rows); err != nil {
 		return err
@@ -309,30 +340,20 @@ func runFig3(ctx context.Context, p *Pipeline, w io.Writer) error {
 // --- Figure 4 ----------------------------------------------------------------
 
 func runFig4(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.Aggregate(ctx, aprilDays(0))
+	rs, err := fig4Rows(ctx, p, FigureParams{}, aprilDays(0))
 	if err != nil {
 		return err
 	}
-	a14, a17 := splitAprils(aggs)
 	if err := report.Section(w, "Figure 4: download ratio Apr 2017 / Apr 2014 by hour (Bezier-smoothed)"); err != nil {
 		return err
 	}
-	const points = 25
-	adsl := analytics.HourlyRatio(a17, a14, flowrec.TechADSL, points)
-	ftth := analytics.HourlyRatio(a17, a14, flowrec.TechFTTH, points)
-	// A fully degraded run can lose both April windows; an empty curve
-	// is a report note, not an index panic.
-	if len(adsl) < points || len(ftth) < points {
+	if len(rs) == 0 {
 		_, err := fmt.Fprintln(w, "(no data: both comparison periods are empty)")
 		return err
 	}
-	rows := make([][]string, 0, points)
-	for i := 0; i < points; i++ {
-		rows = append(rows, []string{
-			fmt.Sprintf("%05.2f", adsl[i].X),
-			report.F(adsl[i].Y),
-			report.F(ftth[i].Y),
-		})
+	rows := make([][]string, 0, len(rs))
+	for _, r := range rs {
+		rows = append(rows, []string{fmt.Sprintf("%05.2f", r.Hour), report.F(r.ADSLRatio), report.F(r.FTTHRatio)})
 	}
 	return report.Table(w, []string{"hour", "ADSL ratio", "FTTH ratio"}, rows)
 }
@@ -340,7 +361,7 @@ func runFig4(ctx context.Context, p *Pipeline, w io.Writer) error {
 // --- Figure 5 ----------------------------------------------------------------
 
 func runFig5(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.Aggregate(ctx, spanDays(p.Stride()))
+	rs, err := fig5Rows(ctx, p, FigureParams{}, spanDays(p.Stride()))
 	if err != nil {
 		return err
 	}
@@ -360,27 +381,28 @@ func runFig5(ctx context.Context, p *Pipeline, w io.Writer) error {
 	popRows := make([][]float64, 0, len(classify.FigureServices))
 	shareRows := make([][]float64, 0, len(classify.FigureServices))
 	for _, svc := range classify.FigureServices {
-		series := analytics.ServiceSeries(aggs, svc)
-		share := analytics.ServiceByteShare(aggs, svcKey(svc))
+		var pop, share daySeries
+		for _, r := range rs.Popularity {
+			if r.Service == string(svc) {
+				pop.add(r.Day, r.ADSLPopPct)
+			}
+		}
+		for _, r := range rs.ByteShare {
+			if r.Service == string(svc) {
+				share.add(r.Day, r.SharePct)
+			}
+		}
 		row := []string{string(svc)}
 		for _, y := range years {
-			row = append(row, report.F(yearMean(series, y, func(p analytics.SvcDayPoint) float64 { return p.PopPct[0] })))
+			row = append(row, report.F(pop.yearMean(y)))
 		}
 		for _, y := range years {
-			row = append(row, report.F(yearMeanShare(share, y)))
+			row = append(row, report.F(share.yearMean(y)))
 		}
 		rows = append(rows, row)
-
 		labels = append(labels, string(svc))
-		var pops, shares []float64
-		for _, pt := range series {
-			pops = append(pops, pt.PopPct[0])
-		}
-		for _, pt := range share {
-			shares = append(shares, pt.SharePct)
-		}
-		popRows = append(popRows, pops)
-		shareRows = append(shareRows, shares)
+		popRows = append(popRows, pop.vals)
+		shareRows = append(shareRows, share.vals)
 	}
 	if err := report.Table(w, headers, rows); err != nil {
 		return err
@@ -400,31 +422,25 @@ func runFig5(ctx context.Context, p *Pipeline, w io.Writer) error {
 	return report.Heatmap(w, labels, shareRows, 10, "% of bytes")
 }
 
-// svcKey maps figure service labels to aggregation keys (identical,
-// but P2P flows classify by probe label).
-func svcKey(s classify.Service) classify.Service { return s }
-
-func yearMean(series []analytics.SvcDayPoint, year int, f func(analytics.SvcDayPoint) float64) float64 {
-	var sum float64
-	var n int
-	for _, p := range series {
-		if p.Day.Year() == year {
-			sum += f(p)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+// daySeries is one service's column of the fig5 rows, in day order.
+type daySeries struct {
+	days []string
+	vals []float64
 }
 
-func yearMeanShare(series []analytics.ShareDayPoint, year int) float64 {
+func (s *daySeries) add(day string, v float64) {
+	s.days = append(s.days, day)
+	s.vals = append(s.vals, v)
+}
+
+// yearMean averages the values of one year's days (0 when it has none).
+func (s daySeries) yearMean(year int) float64 {
+	prefix := strconv.Itoa(year) + "-"
 	var sum float64
 	var n int
-	for _, p := range series {
-		if p.Day.Year() == year {
-			sum += p.SharePct
+	for i, day := range s.days {
+		if strings.HasPrefix(day, prefix) {
+			sum += s.vals[i]
 			n++
 		}
 	}
@@ -573,7 +589,7 @@ func runFig9(ctx context.Context, p *Pipeline, w io.Writer) error {
 // --- Figure 8 ----------------------------------------------------------------
 
 func runFig8(ctx context.Context, p *Pipeline, w io.Writer) error {
-	shares, err := p.ProtoSharesTier(ctx, spanDays(p.Stride()))
+	shares, err := fig8Rows(ctx, p, FigureParams{}, spanDays(p.Stride()))
 	if err != nil {
 		return err
 	}
@@ -587,9 +603,9 @@ func runFig8(ctx context.Context, p *Pipeline, w io.Writer) error {
 	}
 	rows := make([][]string, 0, len(shares))
 	for _, s := range shares {
-		row := []string{report.Month(s.Month)}
+		row := []string{s.Month}
 		for _, proto := range protos {
-			row = append(row, report.F(s.SharePct[proto]))
+			row = append(row, report.F(s.SharePct[proto.String()]))
 		}
 		rows = append(rows, row)
 	}
@@ -602,7 +618,7 @@ func runFig8(ctx context.Context, p *Pipeline, w io.Writer) error {
 	for _, proto := range protos {
 		var vals []float64
 		for _, s := range shares {
-			vals = append(vals, s.SharePct[proto])
+			vals = append(vals, s.SharePct[proto.String()])
 		}
 		if err := report.SparkRow(w, proto.String(), vals, "%"); err != nil {
 			return err
@@ -770,14 +786,4 @@ func fig11Service(p *Pipeline, w io.Writer, aggs []*analytics.DayAgg, svc classi
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// Fig4Points exposes the smoothed fig4 curves for tests and examples.
-func Fig4Points(ctx context.Context, p *Pipeline, tech flowrec.AccessTech, points int) ([]stats.Point, error) {
-	aggs, err := p.Aggregate(ctx, aprilDays(0))
-	if err != nil {
-		return nil, err
-	}
-	a14, a17 := splitAprils(aggs)
-	return analytics.HourlyRatio(a17, a14, tech, points), nil
 }

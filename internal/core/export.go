@@ -2,15 +2,9 @@ package core
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-
-	"repro/internal/analytics"
-	"repro/internal/classify"
-	"repro/internal/report"
 )
 
 // Data-table export. The paper publishes the numbers behind its
@@ -18,162 +12,28 @@ import (
 // downloaded from smartdata.polito.it"); ExportData is this
 // repository's equivalent: machine-readable CSVs per figure.
 
-// ExportData writes the figure data tables into dir:
-//
-//	fig3_monthly.csv      month, tech, direction, mean_bytes
-//	fig5_popularity.csv   day, service, adsl_pop_pct, ftth_pop_pct
-//	fig5_byteshare.csv    day, service, share_pct
-//	fig6_7_services.csv   day, service, tech, pop_pct, bytes_per_user
-//	fig8_protocols.csv    month, protocol, share_pct
-//	active.csv            day, active, observed, active_pct
+// ExportData writes every experiment's Figure rows as {id}.csv into
+// dir, over the experiment's default days — byte for byte the body of
+// GET /v1/figures/{id}?format=csv on the same configuration.
 func (p *Pipeline) ExportData(ctx context.Context, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: export: %w", err)
 	}
-	aggs, err := p.Aggregate(ctx, spanDays(p.Stride()))
-	if err != nil {
-		return err
-	}
-
-	// fig3
-	err = writeCSV(dir, "fig3_monthly.csv",
-		[]string{"month", "tech", "direction", "mean_bytes"},
-		func(emit func([]string) error) error {
-			for _, m := range analytics.MonthlySeries(aggs) {
-				for ti, tech := range []string{"ADSL", "FTTH"} {
-					for di, dirName := range []string{"down", "up"} {
-						err := emit([]string{
-							report.Month(m.Month), tech, dirName,
-							strconv.FormatFloat(m.Mean[ti][di], 'f', 0, 64),
-						})
-						if err != nil {
-							return err
-						}
-					}
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-
-	// fig5 popularity + byte share, fig6/7 per-service series
-	err = writeCSV(dir, "fig5_popularity.csv",
-		[]string{"day", "service", "adsl_pop_pct", "ftth_pop_pct"},
-		func(emit func([]string) error) error {
-			for _, svc := range classify.FigureServices {
-				for _, pt := range analytics.ServiceSeries(aggs, svc) {
-					err := emit([]string{
-						report.Day(pt.Day), string(svc),
-						fmtF(pt.PopPct[0]), fmtF(pt.PopPct[1]),
-					})
-					if err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	err = writeCSV(dir, "fig5_byteshare.csv",
-		[]string{"day", "service", "share_pct"},
-		func(emit func([]string) error) error {
-			for _, svc := range classify.FigureServices {
-				for _, pt := range analytics.ServiceByteShare(aggs, svc) {
-					if err := emit([]string{report.Day(pt.Day), string(svc), fmtF(pt.SharePct)}); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	err = writeCSV(dir, "fig6_7_services.csv",
-		[]string{"day", "service", "tech", "pop_pct", "bytes_per_user"},
-		func(emit func([]string) error) error {
-			for _, svc := range []classify.Service{
-				analytics.P2PService, "Netflix", "YouTube", "SnapChat", "WhatsApp", "Instagram",
-			} {
-				for _, pt := range analytics.ServiceSeries(aggs, svc) {
-					for ti, tech := range []string{"ADSL", "FTTH"} {
-						err := emit([]string{
-							report.Day(pt.Day), string(svc), tech,
-							fmtF(pt.PopPct[ti]), fmtF(pt.VolPerUser[ti]),
-						})
-						if err != nil {
-							return err
-						}
-					}
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-
-	// fig8
-	err = writeCSV(dir, "fig8_protocols.csv",
-		[]string{"month", "protocol", "share_pct"},
-		func(emit func([]string) error) error {
-			for _, pt := range analytics.ProtocolShares(aggs) {
-				for _, proto := range analytics.WebProtos() {
-					if err := emit([]string{report.Month(pt.Month), proto.String(), fmtF(pt.SharePct[proto])}); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-
-	// active
-	return writeCSV(dir, "active.csv",
-		[]string{"day", "active", "observed", "active_pct"},
-		func(emit func([]string) error) error {
-			for _, pt := range analytics.ActiveSeries(aggs) {
-				err := emit([]string{
-					report.Day(pt.Day),
-					strconv.Itoa(pt.Active), strconv.Itoa(pt.Observed),
-					fmtF(pt.ActivePct),
-				})
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-}
-
-func fmtF(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-
-// writeCSV creates one table under dir.
-func writeCSV(dir, name string, header []string, fill func(emit func([]string) error) error) error {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return fmt.Errorf("core: export %s: %w", name, err)
-	}
-	w := csv.NewWriter(f)
-	werr := w.Write(header)
-	if werr == nil {
-		werr = fill(w.Write)
-	}
-	w.Flush()
-	if werr == nil {
-		werr = w.Error()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("core: export %s: %w", name, werr)
+	for _, e := range AllExperiments() {
+		if e.Figure == nil {
+			continue
+		}
+		rows, err := e.Figure.Rows(ctx, p, FigureParams{}, e.Days(p.Stride()))
+		var body []byte
+		if err == nil {
+			body, err = EncodeCSV(rows)
+		}
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, e.ID+".csv"), body, 0o644)
+		}
+		if err != nil {
+			return fmt.Errorf("core: export %s: %w", e.ID, err)
+		}
 	}
 	return nil
 }

@@ -12,17 +12,23 @@ import (
 	"repro/internal/simnet"
 )
 
+// exportFiles are the tables ExportData writes: one per served figure.
+var exportFiles = []string{"active.csv", "fig2.csv", "fig3.csv", "fig4.csv", "fig5.csv", "fig8.csv", "fig10.csv"}
+
 func TestExportData(t *testing.T) {
 	dir := t.TempDir()
 	p := New(Config{Seed: 99, Scale: simnet.Scale{ADSL: 10, FTTH: 5}, Stride: 180, Workers: 4})
 	if err := p.ExportData(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		"fig3_monthly.csv", "fig5_popularity.csv", "fig5_byteshare.csv",
-		"fig6_7_services.csv", "fig8_protocols.csv", "active.csv",
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range want {
+	if len(entries) != len(exportFiles) {
+		t.Errorf("export wrote %d files, want %d (%v)", len(entries), len(exportFiles), exportFiles)
+	}
+	for _, name := range exportFiles {
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -39,7 +45,7 @@ func TestExportData(t *testing.T) {
 
 	// Spot-check fig8: per-month shares sum to ~100 (or 0 for months
 	// before the web existed in the sample — there are none).
-	f, err := os.Open(filepath.Join(dir, "fig8_protocols.csv"))
+	f, err := os.Open(filepath.Join(dir, "fig8.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +82,7 @@ func TestExportByteIdentical(t *testing.T) {
 	if err := New(cfg).ExportData(context.Background(), dirB); err != nil {
 		t.Fatal(err)
 	}
-	names := []string{
-		"fig3_monthly.csv", "fig5_popularity.csv", "fig5_byteshare.csv",
-		"fig6_7_services.csv", "fig8_protocols.csv", "active.csv",
-	}
-	for _, name := range names {
+	for _, name := range exportFiles {
 		a, err := os.ReadFile(filepath.Join(dirA, name))
 		if err != nil {
 			t.Fatal(err)

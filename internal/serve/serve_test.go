@@ -225,7 +225,7 @@ func TestServeHotDayDuringIngest(t *testing.T) {
 					return
 				}
 				var resp struct {
-					Rows []ActiveRow `json:"rows"`
+					Rows []core.ActiveRow `json:"rows"`
 				}
 				if jerr := json.Unmarshal(body, &resp); jerr != nil {
 					t.Errorf("hot-day response: %v", jerr)
@@ -335,4 +335,41 @@ func TestDeadlineExpiresCleanly(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= g0+2
 	})
+}
+
+// TestFigureParams pins each figure's parameter surface: a parameter
+// the figure does not consume is a 400, never silently ignored, and
+// every parameter a figure does consume is accepted.
+func TestFigureParams(t *testing.T) {
+	_, ts := newEquivServer(t, servequivConfig(), Options{})
+	cases := []struct {
+		path string
+		want int
+	}{
+		{"/v1/figures/fig4?from=2014-04-01", http.StatusBadRequest},
+		{"/v1/figures/fig3?quantiles=0.5", http.StatusBadRequest},
+		{"/v1/figures/fig10?tech=adsl", http.StatusBadRequest},
+		{"/v1/figures/fig2?service=YouTube", http.StatusBadRequest},
+		{"/v1/figures/fig3?points=10", http.StatusBadRequest},
+		{"/v1/figures/fig3?proto=QUIC", http.StatusBadRequest},
+		{"/v1/figures/fig3?srvport=443", http.StatusBadRequest},
+		{"/v1/figures/fig3?format=csv&limit=3", http.StatusBadRequest},
+		{"/v1/figures/fig3?format=csv&stream=true", http.StatusBadRequest},
+		{"/v1/figures/fig3?stride=1", http.StatusBadRequest},
+		{"/v1/figures/fig4?stride=3", http.StatusBadRequest},
+		{"/v1/figures/table1", http.StatusNotFound},
+		{"/v1/figures/nosuchfigure", http.StatusNotFound},
+
+		{"/v1/figures/fig3?from=2016-01-01&to=2016-03-31&stride=30", http.StatusOK},
+		{"/v1/figures/fig2?quantiles=0.5&tech=ftth", http.StatusOK},
+		{"/v1/figures/fig4?points=10", http.StatusOK},
+		{"/v1/figures/fig5?from=2016-01-01&service=YouTube", http.StatusOK},
+		{"/v1/figures/fig10?quantiles=0.9&service=Google", http.StatusOK},
+	}
+	for _, c := range cases {
+		status, body := fetch(t, ts.URL+c.path)
+		if status != c.want {
+			t.Errorf("GET %s: status %d, want %d: %s", c.path, status, c.want, body)
+		}
+	}
 }

@@ -149,7 +149,7 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 	batch := core.New(servequivConfig())
 
 	t.Run("active", func(t *testing.T) {
-		var rows []ActiveRow
+		var rows []core.ActiveRow
 		getRows(t, ts.URL+"/v1/figures/active", &rows)
 		days := core.Lookup0("active").Days(batch.Stride())
 		pts, err := batch.ActiveSeriesTier(ctx, days)
@@ -169,7 +169,7 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 	})
 
 	t.Run("fig3", func(t *testing.T) {
-		var rows []MonthlyRow
+		var rows []core.MonthlyRow
 		getRows(t, ts.URL+"/v1/figures/fig3", &rows)
 		days := core.Lookup0("fig3").Days(batch.Stride())
 		ms, err := batch.MonthlySeriesTier(ctx, days)
@@ -192,7 +192,7 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 	})
 
 	t.Run("fig8", func(t *testing.T) {
-		var rows []ProtoRow
+		var rows []core.ProtoRow
 		getRows(t, ts.URL+"/v1/figures/fig8", &rows)
 		days := core.Lookup0("fig8").Days(batch.Stride())
 		shares, err := batch.ProtoSharesTier(ctx, days)
@@ -217,7 +217,7 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 	})
 
 	t.Run("fig2", func(t *testing.T) {
-		var rows []DistRow
+		var rows []core.DistRow
 		getRows(t, ts.URL+"/v1/figures/fig2", &rows)
 		days := core.Lookup0("fig2").Days(batch.Stride())
 		aggs, err := batch.Aggregate(ctx, days)
@@ -271,7 +271,7 @@ func TestServedFiguresAppearInBatchText(t *testing.T) {
 	}
 
 	t.Run("active", func(t *testing.T) {
-		var rows []ActiveRow
+		var rows []core.ActiveRow
 		getRows(t, ts.URL+"/v1/figures/active", &rows)
 		lines := render("active")
 		if len(rows) == 0 {
@@ -286,7 +286,7 @@ func TestServedFiguresAppearInBatchText(t *testing.T) {
 	})
 
 	t.Run("fig3", func(t *testing.T) {
-		var rows []MonthlyRow
+		var rows []core.MonthlyRow
 		getRows(t, ts.URL+"/v1/figures/fig3", &rows)
 		lines := render("fig3")
 		if len(rows) == 0 {
@@ -301,4 +301,40 @@ func TestServedFiguresAppearInBatchText(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestServedFiguresEqualExport holds edgereport -export to the served
+// CSV: every exported file equals its figure's ?format=csv body byte
+// for byte, and the export holds exactly the served figures.
+func TestServedFiguresEqualExport(t *testing.T) {
+	_, ts := newEquivServer(t, servequivConfig(), Options{})
+	dir := t.TempDir()
+	if err := core.New(servequivConfig()).ExportData(context.Background(), dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := 0
+	for _, e := range core.AllExperiments() {
+		if e.Figure == nil {
+			continue
+		}
+		served++
+		status, body := fetch(t, ts.URL+"/v1/figures/"+e.ID+"?format=csv")
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", e.ID, status, body)
+		}
+		file, err := os.ReadFile(filepath.Join(dir, e.ID+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file, body) {
+			t.Errorf("%s.csv diverges from the served CSV\nexport:\n%s\nserved:\n%s", e.ID, file, body)
+		}
+	}
+	if served != 7 || len(entries) != served {
+		t.Errorf("export wrote %d files for %d served figures, want 7", len(entries), served)
+	}
 }

@@ -2,13 +2,11 @@ package serve
 
 import (
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -152,25 +150,6 @@ func jsonResult(v any) (*result, error) {
 		return nil, err
 	}
 	return &result{contentType: "application/json", body: append(b, '\n')}, nil
-}
-
-// csvResult renders a header + rows table.
-func csvResult(headers []string, rows [][]string) (*result, error) {
-	var sb strings.Builder
-	w := csv.NewWriter(&sb)
-	if err := w.Write(headers); err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := w.Write(row); err != nil {
-			return nil, err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		return nil, err
-	}
-	return &result{contentType: "text/csv", body: []byte(sb.String())}, nil
 }
 
 // errNotFound marks an unknown figure name (HTTP 404).
@@ -332,7 +311,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 			ID:     e.ID,
 			Title:  e.Title,
 			Days:   len(e.Days(s.p.Stride())),
-			Served: figureSpecs[e.ID] != nil,
+			Served: e.Figure != nil,
 		})
 	}
 	res, err := jsonResult(rows)
