@@ -84,8 +84,9 @@ streamequiv:
 ## servequiv: the serve-equivalence gate — every /v1/figures response
 ## must match the golden HTTP corpus byte for byte, equal the batch
 ## derivation number for number, and appear in the rendered batch
-## figure text; and every edgereport -export file must equal its
-## figure's served CSV body byte for byte.
+## figure text, and its envelope must report the stride its window was
+## built at; edgereport -export must write one file per experiment, and
+## each served figure's file must equal its served CSV body byte for byte.
 servequiv:
 	$(GO) test ./internal/serve -run '^TestServeEquivalenceGolden$$|^TestServedFigures' -count=1
 

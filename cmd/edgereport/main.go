@@ -6,8 +6,9 @@
 //
 //	edgereport [flags] [experiment ...]
 //
-// With no experiment arguments it runs the full registry in paper
-// order. Available experiments: table1, active, fig2 ... fig11.
+// With no experiment arguments it runs the paper registry in order
+// (table1, active, fig2 ... fig11); the extensions weekly, quicver and
+// whatif run when named. -export writes every experiment's table.
 //
 //	edgereport -stride 7 fig3 fig8
 //	edgereport -store /data/lake fig2

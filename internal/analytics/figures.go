@@ -174,8 +174,6 @@ type SvcDayPoint struct {
 	// VolPerUser[tech] is mean exchanged bytes (down+up) per visiting
 	// subscriber.
 	VolPerUser [2]float64
-	// DownPerUser[tech] is the download-only mean.
-	DownPerUser [2]float64
 }
 
 // ServiceSeries extracts one service's daily series (Figures 6, 7 and,
@@ -187,7 +185,7 @@ func ServiceSeries(aggs []*DayAgg, svc classify.Service) []SvcDayPoint {
 		p := SvcDayPoint{Day: agg.Day}
 		var active [2]float64
 		var users [2]float64
-		var vol, down [2]float64
+		var vol [2]float64
 		for _, sd := range agg.Subs {
 			if !sd.Active() {
 				continue
@@ -200,7 +198,6 @@ func ServiceSeries(aggs []*DayAgg, svc classify.Service) []SvcDayPoint {
 			}
 			users[ti]++
 			vol[ti] += float64(use.Down + use.Up)
-			down[ti] += float64(use.Down)
 		}
 		for ti := 0; ti < 2; ti++ {
 			if active[ti] > 0 {
@@ -208,7 +205,6 @@ func ServiceSeries(aggs []*DayAgg, svc classify.Service) []SvcDayPoint {
 			}
 			if users[ti] > 0 {
 				p.VolPerUser[ti] = vol[ti] / users[ti]
-				p.DownPerUser[ti] = down[ti] / users[ti]
 			}
 		}
 		out = append(out, p)

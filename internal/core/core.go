@@ -2,11 +2,11 @@
 // ISP (the dataset substitute), the probe, the flow store, the
 // classifier and the analytics into a Pipeline, and exposes the
 // experiment registry — one entry per table and figure of the paper —
-// that cmd/edgereport, the benchmarks and the examples all share. The
-// registry is also the one figure registry: an experiment's Figure
-// builds its typed rows once (figures.go), and edgereport's text, the
-// query service's /v1/figures JSON and CSV and ExportData's files all
-// render those rows, so every view of a number has one derivation.
+// that cmd/edgereport, the benchmarks and the examples all share. Each
+// experiment is one typed table: its Rows builder derives the rows
+// once, and edgereport's text, ExportData's files and, for a served
+// figure, the query service's /v1/figures JSON and CSV all render those
+// rows, so every view of a number has one derivation.
 //
 // The pipeline is hardened for unattended runs the way the paper's
 // five-year deployment had to be: every experiment takes a

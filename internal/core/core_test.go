@@ -27,7 +27,7 @@ func TestExperimentRegistry(t *testing.T) {
 		if exps[i].ID != id {
 			t.Errorf("exps[%d] = %q, want %q", i, exps[i].ID, id)
 		}
-		if exps[i].Title == "" || exps[i].Run == nil || exps[i].Days == nil {
+		if exps[i].Title == "" || exps[i].Rows == nil || exps[i].Days == nil {
 			t.Errorf("experiment %q incomplete", id)
 		}
 		if _, ok := Lookup(id); !ok {

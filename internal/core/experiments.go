@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -16,129 +16,145 @@ import (
 	"repro/internal/report"
 )
 
-// Experiment is one reproducible table or figure of the paper.
+// Experiment is one reproducible table or figure of the paper: typed
+// rows built once over its days, which the text, the {id}.csv export
+// and, for a served figure, /v1/figures/{id} only render.
 type Experiment struct {
 	// ID is the handle used on the command line and in bench names
 	// ("table1", "fig2", ... "fig11", "active").
 	ID string
 	// Title cites what the paper shows.
 	Title string
+	// Heading heads the experiment's text section.
+	Heading string
 	// Days lists the days of data the experiment consumes under a
 	// given stride.
 	Days func(stride int) []time.Time
-	// Run aggregates (through the pipeline cache) and writes the
-	// rendered result. Cancelling ctx aborts mid-aggregation.
-	Run func(ctx context.Context, p *Pipeline, w io.Writer) error
-	// Figure, when set, is the experiment's data table: served on
-	// /v1/figures/{id}, exported by edgereport -export, and for most
-	// figures also what Run renders.
+	// Rows derives the experiment's table over days (through the
+	// pipeline cache). Cancelling ctx aborts mid-aggregation.
+	Rows func(ctx context.Context, p *Pipeline, fp FigureParams, days []time.Time) (Table, error)
+	// Figure, when set, serves the experiment on /v1/figures/{id}.
 	Figure *Figure
+}
+
+// Run builds the experiment's rows over its days and writes them as
+// text under the experiment's heading.
+func (e Experiment) Run(ctx context.Context, p *Pipeline, w io.Writer) error {
+	rows, err := e.Rows(ctx, p, FigureParams{}, e.Days(p.Stride()))
+	if err != nil {
+		return err
+	}
+	var b bytes.Buffer
+	report.Section(&b, e.Heading)
+	rows.Text(&b)
+	_, err = w.Write(b.Bytes())
+	return err
+}
+
+// DataRows derives the experiment's data table over days: the rows
+// /v1/figures/{id} serves and ExportData writes.
+func (e Experiment) DataRows(ctx context.Context, p *Pipeline, fp FigureParams, days []time.Time) (FigureRows, error) {
+	if e.Figure != nil && e.Figure.Rows != nil {
+		return e.Figure.Rows(ctx, p, fp, days)
+	}
+	return e.Rows(ctx, p, fp, days)
 }
 
 // Experiments returns the registry in paper order.
 func Experiments() []Experiment {
 	return []Experiment{
 		{
-			ID:    "table1",
-			Title: "Table 1: domain-to-service associations",
-			Days:  func(int) []time.Time { return nil },
-			Run:   runTable1,
+			ID:      "table1",
+			Title:   "Table 1: domain-to-service associations",
+			Heading: "Table 1: examples of domain-to-service associations",
+			Days:    func(int) []time.Time { return nil },
+			Rows:    tableOf(table1Rows),
 		},
 		{
-			ID:    "active",
-			Title: "Section 3: share of active subscribers per day (~80%)",
-			Days:  func(stride int) []time.Time { return RangeDays(date(2016, 4, 1), date(2016, 4, 30), 1) },
-			Run:   runActive,
-			Figure: &Figure{
-				Title: "share of active subscribers per day", Tiered: true, Rows: rowsOf(activeRows),
-			},
+			ID:      "active",
+			Title:   "Section 3: share of active subscribers per day (~80%)",
+			Heading: "Active subscribers (section 3 filter: ≥10 flows, >15 kB down, >5 kB up)",
+			Days:    func(stride int) []time.Time { return RangeDays(date(2016, 4, 1), date(2016, 4, 30), 1) },
+			Rows:    tableOf(activeRows),
+			Figure:  &Figure{Title: "share of active subscribers per day", Tiered: true},
 		},
 		{
-			ID:    "fig2",
-			Title: "Figure 2: CCDF of per-active-subscriber daily traffic, Apr 2014 vs Apr 2017",
-			Days:  aprilDays,
-			Run:   runFig2,
-			Figure: &Figure{
-				Title:     "per-active-subscriber daily traffic distribution",
-				Quantiles: true, Tech: true, Rows: rowsOf(fig2Rows),
-			},
+			ID:      "fig2",
+			Title:   "Figure 2: CCDF of per-active-subscriber daily traffic, Apr 2014 vs Apr 2017",
+			Heading: "Figure 2: CCDF of daily traffic per active subscriber",
+			Days:    aprilDays,
+			Rows:    tableOf(fig2Text),
+			Figure:  &Figure{Title: "per-active-subscriber daily traffic distribution", Quantiles: true, Tech: true, Rows: fig2Rows},
 		},
 		{
-			ID:    "fig3",
-			Title: "Figure 3: average per-subscription daily traffic over 54 months",
-			Days:  spanDays,
-			Run:   runFig3,
-			Figure: &Figure{
-				Title: "average per-subscription daily traffic by month", Tiered: true, Rows: rowsOf(fig3Rows),
-			},
+			ID:      "fig3",
+			Title:   "Figure 3: average per-subscription daily traffic over 54 months",
+			Heading: "Figure 3: average per-subscription daily traffic (MB)",
+			Days:    spanDays,
+			Rows:    tableOf(fig3Rows),
+			Figure:  &Figure{Title: "average per-subscription daily traffic by month", Tiered: true},
 		},
 		{
-			ID:    "fig4",
-			Title: "Figure 4: download growth ratio Apr 2017 / Apr 2014 by time of day",
-			Days:  aprilDays,
-			Run:   runFig4,
-			Figure: &Figure{
-				Title:      "download growth ratio Apr 2017 / Apr 2014 by time of day",
-				FixedRange: true, Points: true, Rows: rowsOf(fig4Rows),
-			},
+			ID:      "fig4",
+			Title:   "Figure 4: download growth ratio Apr 2017 / Apr 2014 by time of day",
+			Heading: "Figure 4: download ratio Apr 2017 / Apr 2014 by hour (Bezier-smoothed)",
+			Days:    aprilDays,
+			Rows:    tableOf(fig4Rows),
+			Figure:  &Figure{Title: "download growth ratio Apr 2017 / Apr 2014 by time of day", FixedRange: true, Points: true},
 		},
 		{
-			ID:    "fig5",
-			Title: "Figure 5: service popularity and byte share over time",
-			Days:  spanDays,
-			Run:   runFig5,
-			Figure: &Figure{
-				Title: "service popularity and byte share per day", Services: true, Rows: rowsOf(fig5Rows),
-			},
+			ID:      "fig5",
+			Title:   "Figure 5: service popularity and byte share over time",
+			Heading: "Figure 5: yearly mean popularity (% of active ADSL users) and byte share",
+			Days:    spanDays,
+			Rows:    tableOf(fig5Rows),
+			Figure:  &Figure{Title: "service popularity and byte share per day", Services: true},
 		},
 		{
-			ID:    "fig6",
-			Title: "Figure 6: P2P, Netflix, YouTube popularity and volumes",
-			Days:  spanDays,
-			Run:   runFig6,
+			ID:      "fig6",
+			Title:   "Figure 6: P2P, Netflix, YouTube popularity and volumes",
+			Heading: "Figure 6: P2P, Netflix, YouTube (popularity %, exchanged MB per user-day)",
+			Days:    spanDays,
+			Rows:    tableOf(storyRows(analytics.P2PService, "Netflix", "YouTube")),
 		},
 		{
-			ID:    "fig7",
-			Title: "Figure 7: SnapChat, WhatsApp, Instagram popularity and volumes",
-			Days:  spanDays,
-			Run:   runFig7,
+			ID:      "fig7",
+			Title:   "Figure 7: SnapChat, WhatsApp, Instagram popularity and volumes",
+			Heading: "Figure 7: SnapChat, WhatsApp, Instagram (popularity %, exchanged MB per user-day)",
+			Days:    spanDays,
+			Rows:    tableOf(storyRows("SnapChat", "WhatsApp", "Instagram")),
 		},
 		{
-			ID:    "fig8",
-			Title: "Figure 8: web protocol breakdown over 5 years (events A-F)",
-			Days:  spanDays,
-			Run:   runFig8,
-			Figure: &Figure{
-				Title: "web protocol share of web bytes, monthly", Tiered: true, Rows: rowsOf(fig8Rows),
-			},
+			ID:      "fig8",
+			Title:   "Figure 8: web protocol breakdown over 5 years (events A-F)",
+			Heading: "Figure 8: web protocol share of web bytes, monthly",
+			Days:    spanDays,
+			Rows:    tableOf(fig8Rows),
+			Figure:  &Figure{Title: "web protocol share of web bytes, monthly", Tiered: true},
 		},
 		{
-			ID:    "fig9",
-			Title: "Figure 9: Facebook per-user daily traffic through 2014 (video auto-play)",
+			ID:      "fig9",
+			Title:   "Figure 9: Facebook per-user daily traffic through 2014 (video auto-play)",
+			Heading: "Figure 9: Facebook exchanged MB per user-day through 2014 (auto-play rollout)",
 			Days: func(stride int) []time.Time {
-				s := stride / 2
-				if s < 1 {
-					s = 1
-				}
-				return RangeDays(date(2014, 1, 1), date(2014, 11, 30), s)
+				return RangeDays(date(2014, 1, 1), date(2014, 11, 30), max(stride/2, 1))
 			},
-			Run: runFig9,
+			Rows: tableOf(fig9Rows),
 		},
 		{
-			ID:    "fig10",
-			Title: "Figure 10: RTT CDFs 2014 vs 2017 (Facebook, Instagram, YouTube, Google)",
-			Days:  aprilDays,
-			Run:   runFig10,
-			Figure: &Figure{
-				Title:     "per-flow minimum RTT quantiles by service",
-				Quantiles: true, Services: true, Rows: rowsOf(fig10Rows),
-			},
+			ID:      "fig10",
+			Title:   "Figure 10: RTT CDFs 2014 vs 2017 (Facebook, Instagram, YouTube, Google)",
+			Heading: "Figure 10: CDF of per-flow minimum RTT (ms)",
+			Days:    aprilDays,
+			Rows:    tableOf(fig10Text),
+			Figure:  &Figure{Title: "per-flow minimum RTT quantiles by service", Quantiles: true, Services: true, Rows: fig10Rows},
 		},
 		{
-			ID:    "fig11",
-			Title: "Figure 11: Facebook, Instagram, YouTube infrastructure evolution",
-			Days:  spanDays,
-			Run:   runFig11,
+			ID:      "fig11",
+			Title:   "Figure 11: Facebook, Instagram, YouTube infrastructure evolution",
+			Heading: "Figure 11: infrastructure evolution (per-day server addresses, half-year means)",
+			Days:    spanDays,
+			Rows:    tableOf(fig11Rows),
 		},
 	}
 }
@@ -157,6 +173,16 @@ func Lookup(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// Lookup0 is Lookup for known-good IDs (panics otherwise, programming
+// error only).
+func Lookup0(id string) Experiment {
+	e, ok := Lookup(id)
+	if !ok {
+		panic("core: unknown experiment " + id)
+	}
+	return e
 }
 
 func date(y int, m time.Month, d int) time.Time {
@@ -185,605 +211,442 @@ func splitAprils(aggs []*analytics.DayAgg) (a14, a17 []*analytics.DayAgg) {
 	return
 }
 
+// byPeriod groups day aggregates by calendar period — start maps a
+// day to the first day of its period — periods in time order, days in
+// their input order.
+func byPeriod(aggs []*analytics.DayAgg, start func(time.Time) time.Time) [][]*analytics.DayAgg {
+	index := make(map[time.Time]int)
+	var out [][]*analytics.DayAgg
+	for _, a := range aggs {
+		s := start(a.Day)
+		i, ok := index[s]
+		if !ok {
+			i = len(out)
+			index[s] = i
+			out = append(out, nil)
+		}
+		out[i] = append(out[i], a)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0].Day.Before(out[j][0].Day) })
+	return out
+}
+
+// halfYear is the first day of d's half-year (January or July).
+func halfYear(d time.Time) time.Time { return date(d.Year(), d.Month()-(d.Month()-1)%6, 1) }
+
+// runs splits rows into maximal runs of equal key, in order.
+func runs[R any](rows []R, key func(R) string) [][]R {
+	var out [][]R
+	for i, r := range rows {
+		if i == 0 || key(r) != key(rows[i-1]) {
+			out = append(out, nil)
+		}
+		out[len(out)-1] = append(out[len(out)-1], r)
+	}
+	return out
+}
+
 // --- Table 1 ---------------------------------------------------------------
 
-func runTable1(ctx context.Context, p *Pipeline, w io.Writer) error {
-	if err := report.Section(w, "Table 1: examples of domain-to-service associations"); err != nil {
-		return err
-	}
-	rows := [][]string{
-		{"facebook.com", string(p.Cls.Lookup("facebook.com"))},
-		{"fbcdn.com", string(p.Cls.Lookup("fbcdn.com"))},
-		{"fbstatic-a.akamaihd.net (regexp)", string(p.Cls.Lookup("fbstatic-a.akamaihd.net"))},
-		{"netflix.com", string(p.Cls.Lookup("netflix.com"))},
-		{"nflxvideo.net", string(p.Cls.Lookup("nflxvideo.net"))},
-		{"r3---sn-hpa7kn7s.googlevideo.com", string(p.Cls.Lookup("r3---sn-hpa7kn7s.googlevideo.com"))},
-		{"scontent.cdninstagram.com", string(p.Cls.Lookup("scontent.cdninstagram.com"))},
-		{"mmx-ds.cdn.whatsapp.net", string(p.Cls.Lookup("mmx-ds.cdn.whatsapp.net"))},
-		{"unclassified.example.org", orDash(string(p.Cls.Lookup("unclassified.example.org")))},
-	}
-	return report.Table(w, []string{"Domain", "Service"}, rows)
+// AssocRow is one example domain and the service the classifier
+// associates with it.
+type AssocRow struct {
+	Domain  string `json:"domain"`
+	Service string `json:"service"`
 }
 
-func orDash(s string) string {
-	if s == "" {
-		return "(unknown)"
-	}
-	return s
+// AssocRows are table1.
+type AssocRows []AssocRow
+
+// table1Domains are the paper's examples; a note after the domain
+// names the rule kind that matches it.
+var table1Domains = []string{
+	"facebook.com", "fbcdn.com", "fbstatic-a.akamaihd.net (regexp)", "netflix.com", "nflxvideo.net",
+	"r3---sn-hpa7kn7s.googlevideo.com", "scontent.cdninstagram.com", "mmx-ds.cdn.whatsapp.net",
+	"unclassified.example.org",
 }
 
-// --- Section 3: active share ------------------------------------------------
+func table1Rows(_ context.Context, p *Pipeline, _ FigureParams, _ []time.Time) (AssocRows, error) {
+	rows := make(AssocRows, 0, len(table1Domains))
+	for _, d := range table1Domains {
+		domain, _, _ := strings.Cut(d, " ")
+		svc := string(p.Cls.Lookup(domain))
+		if svc == "" {
+			svc = "(unknown)"
+		}
+		rows = append(rows, AssocRow{Domain: d, Service: svc})
+	}
+	return rows, nil
+}
 
-func runActive(ctx context.Context, p *Pipeline, w io.Writer) error {
-	rs, err := activeRows(ctx, p, FigureParams{}, Lookup0("active").Days(p.Stride()))
-	if err != nil {
-		return err
-	}
-	if err := report.Section(w, "Active subscribers (section 3 filter: ≥10 flows, >15 kB down, >5 kB up)"); err != nil {
-		return err
-	}
-	if len(rs) == 0 {
-		_, err := fmt.Fprintln(w, "(no data: the lake holds no day of April 2016)")
-		return err
-	}
-	var sum float64
+// CSV implements FigureRows.
+func (rs AssocRows) CSV() [][]string { return flatCSV(rs) }
+
+// Text implements Table.
+func (rs AssocRows) Text(b *bytes.Buffer) {
 	rows := make([][]string, 0, len(rs))
 	for _, r := range rs {
-		sum += r.ActivePct
-		rows = append(rows, []string{r.Day, fmt.Sprint(r.Active), fmt.Sprint(r.Observed), report.Pct(r.ActivePct)})
+		rows = append(rows, []string{r.Domain, r.Service})
 	}
-	if err := report.Table(w, []string{"day", "active", "observed", "active%"}, rows); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "\nmean active share: %s (paper: ~80%%)\n", report.Pct(sum/float64(len(rs))))
-	return err
-}
-
-// Lookup0 is Lookup for known-good IDs (panics otherwise, programming
-// error only).
-func Lookup0(id string) Experiment {
-	e, ok := Lookup(id)
-	if !ok {
-		panic("core: unknown experiment " + id)
-	}
-	return e
+	report.Table(b, []string{"Domain", "Service"}, rows)
 }
 
 // --- Figure 2 ----------------------------------------------------------------
 
-func runFig2(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.Aggregate(ctx, aprilDays(0))
+// CCDFRow is one point of a Figure 2 curve: the share of one
+// technology's active subscriber-days in one April whose traffic in
+// one direction exceeds XBytes, with the curve's median.
+type CCDFRow struct {
+	Dir         string  `json:"dir"`
+	Tech        string  `json:"tech"`
+	Year        int     `json:"year"`
+	MedianBytes float64 `json:"median_bytes"`
+	XBytes      float64 `json:"x_bytes"`
+	PAbove      float64 `json:"p_above"`
+}
+
+// CCDFRows are fig2's text table: direction, then curve, then
+// threshold.
+type CCDFRows []CCDFRow
+
+// ccdfThresholds are fig2's thresholds per direction, in bytes.
+var ccdfThresholds = map[analytics.Dir][]float64{
+	analytics.Down: {10 << 20, 100 << 20, 500 << 20, 1 << 30, 3 << 30},
+	analytics.Up:   {1 << 20, 10 << 20, 100 << 20, 500 << 20, 1 << 30},
+}
+
+func fig2Text(ctx context.Context, p *Pipeline, _ FigureParams, days []time.Time) (CCDFRows, error) {
+	aggs, err := p.Aggregate(ctx, days)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	a14, a17 := splitAprils(aggs)
-	if err := report.Section(w, "Figure 2: CCDF of daily traffic per active subscriber"); err != nil {
-		return err
-	}
-	xsDown := []float64{10 << 20, 100 << 20, 500 << 20, 1 << 30, 3 << 30}
-	xsUp := []float64{1 << 20, 10 << 20, 100 << 20, 500 << 20, 1 << 30}
+	var rows CCDFRows
 	for _, dir := range []analytics.Dir{analytics.Down, analytics.Up} {
-		xs := xsDown
-		if dir == analytics.Up {
-			xs = xsUp
-		}
-		headers := []string{"curve", "median(MB)"}
-		for _, x := range xs {
-			headers = append(headers, fmt.Sprintf("P(>%sMB)", report.F(x/(1<<20))))
-		}
-		var rows [][]string
 		for _, c := range []struct {
-			label string
-			aggs  []*analytics.DayAgg
-			tech  flowrec.AccessTech
+			aggs []*analytics.DayAgg
+			year int
+			tech flowrec.AccessTech
 		}{
-			{"ADSL 2014", a14, flowrec.TechADSL},
-			{"ADSL 2017", a17, flowrec.TechADSL},
-			{"FTTH 2014", a14, flowrec.TechFTTH},
-			{"FTTH 2017", a17, flowrec.TechFTTH},
+			{a14, 2014, flowrec.TechADSL},
+			{a17, 2017, flowrec.TechADSL},
+			{a14, 2014, flowrec.TechFTTH},
+			{a17, 2017, flowrec.TechFTTH},
 		} {
 			dist := analytics.DailyVolumeDist(c.aggs, c.tech, dir)
-			row := []string{c.label, report.MB(dist.Median())}
-			for _, x := range xs {
-				row = append(row, report.F(dist.CCDF(x)))
+			median := dist.Median()
+			for _, x := range ccdfThresholds[dir] {
+				rows = append(rows, CCDFRow{Dir: dir.String(), Tech: c.tech.String(), Year: c.year,
+					MedianBytes: median, XBytes: x, PAbove: dist.CCDF(x)})
+			}
+		}
+	}
+	return rows, nil
+}
+
+// CSV implements FigureRows.
+func (rs CCDFRows) CSV() [][]string { return flatCSV(rs) }
+
+// Text implements Table: one table per direction, one line per curve.
+func (rs CCDFRows) Text(b *bytes.Buffer) {
+	for _, dir := range runs(rs, func(r CCDFRow) string { return r.Dir }) {
+		curves := runs(dir, func(r CCDFRow) string { return fmt.Sprint(r.Tech, r.Year) })
+		headers := []string{"curve", "median(MB)"}
+		for _, r := range curves[0] {
+			headers = append(headers, fmt.Sprintf("P(>%sMB)", report.F(r.XBytes/(1<<20))))
+		}
+		var rows [][]string
+		for _, c := range curves {
+			row := []string{fmt.Sprintf("%s %d", c[0].Tech, c[0].Year), report.MB(c[0].MedianBytes)}
+			for _, r := range c {
+				row = append(row, report.F(r.PAbove))
 			}
 			rows = append(rows, row)
 		}
-		if _, err := fmt.Fprintf(w, "%s:\n", dir); err != nil {
-			return err
-		}
-		if err := report.Table(w, headers, rows); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "%s:\n", dir[0].Dir)
+		report.Table(b, headers, rows)
+		b.WriteByte('\n')
 	}
-	return nil
 }
 
-// --- Figure 3 ----------------------------------------------------------------
+// --- Figures 6, 7 --------------------------------------------------------------
 
-func runFig3(ctx context.Context, p *Pipeline, w io.Writer) error {
-	ms, err := fig3Rows(ctx, p, FigureParams{}, spanDays(p.Stride()))
-	if err != nil {
-		return err
-	}
-	if err := report.Section(w, "Figure 3: average per-subscription daily traffic (MB)"); err != nil {
-		return err
-	}
-	rows := make([][]string, 0, len(ms))
-	series := make([][]float64, 4)
-	for _, m := range ms {
-		vals := []float64{m.ADSLDownBytes, m.FTTHDownBytes, m.ADSLUpBytes, m.FTTHUpBytes}
-		row := []string{m.Month}
-		for i, v := range vals {
-			row = append(row, report.MB(v))
-			series[i] = append(series[i], v/(1<<20))
-		}
-		rows = append(rows, row)
-	}
-	if err := report.Table(w, []string{"month", "ADSL down", "FTTH down", "ADSL up", "FTTH up"}, rows); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "\ntrends (first ... last month):"); err != nil {
-		return err
-	}
-	for i, label := range []string{"ADSL down", "FTTH down", "ADSL up", "FTTH up"} {
-		if err := report.SparkRow(w, label, series[i], "MB"); err != nil {
-			return err
-		}
-	}
-	return nil
+// StoryRow is one half-year of a service's story (Figures 6 and 7):
+// mean daily popularity (% of active subscribers) and exchanged bytes
+// per visiting subscriber, by access technology.
+type StoryRow struct {
+	Service          string  `json:"service"`
+	HalfYear         string  `json:"half_year"`
+	ADSLPopPct       float64 `json:"adsl_pop_pct"`
+	ADSLBytesPerUser float64 `json:"adsl_bytes_per_user"`
+	FTTHPopPct       float64 `json:"ftth_pop_pct"`
+	FTTHBytesPerUser float64 `json:"ftth_bytes_per_user"`
 }
 
-// --- Figure 4 ----------------------------------------------------------------
+// StoryRows are fig6 and fig7, service by service.
+type StoryRows []StoryRow
 
-func runFig4(ctx context.Context, p *Pipeline, w io.Writer) error {
-	rs, err := fig4Rows(ctx, p, FigureParams{}, aprilDays(0))
-	if err != nil {
-		return err
-	}
-	if err := report.Section(w, "Figure 4: download ratio Apr 2017 / Apr 2014 by hour (Bezier-smoothed)"); err != nil {
-		return err
-	}
-	if len(rs) == 0 {
-		_, err := fmt.Fprintln(w, "(no data: both comparison periods are empty)")
-		return err
-	}
-	rows := make([][]string, 0, len(rs))
-	for _, r := range rs {
-		rows = append(rows, []string{fmt.Sprintf("%05.2f", r.Hour), report.F(r.ADSLRatio), report.F(r.FTTHRatio)})
-	}
-	return report.Table(w, []string{"hour", "ADSL ratio", "FTTH ratio"}, rows)
-}
-
-// --- Figure 5 ----------------------------------------------------------------
-
-func runFig5(ctx context.Context, p *Pipeline, w io.Writer) error {
-	rs, err := fig5Rows(ctx, p, FigureParams{}, spanDays(p.Stride()))
-	if err != nil {
-		return err
-	}
-	if err := report.Section(w, "Figure 5: yearly mean popularity (% of active ADSL users) and byte share"); err != nil {
-		return err
-	}
-	years := []int{2013, 2014, 2015, 2016, 2017}
-	headers := []string{"service"}
-	for _, y := range years {
-		headers = append(headers, fmt.Sprintf("pop%%%d", y))
-	}
-	for _, y := range years {
-		headers = append(headers, fmt.Sprintf("byte%%%d", y))
-	}
-	var rows [][]string
-	labels := make([]string, 0, len(classify.FigureServices))
-	popRows := make([][]float64, 0, len(classify.FigureServices))
-	shareRows := make([][]float64, 0, len(classify.FigureServices))
-	for _, svc := range classify.FigureServices {
-		var pop, share daySeries
-		for _, r := range rs.Popularity {
-			if r.Service == string(svc) {
-				pop.add(r.Day, r.ADSLPopPct)
+// storyRows builds the half-year stories of svcs.
+func storyRows(svcs ...classify.Service) func(context.Context, *Pipeline, FigureParams, []time.Time) (StoryRows, error) {
+	return func(ctx context.Context, p *Pipeline, _ FigureParams, days []time.Time) (StoryRows, error) {
+		aggs, err := p.Aggregate(ctx, days)
+		if err != nil {
+			return nil, err
+		}
+		periods := byPeriod(aggs, halfYear)
+		var rows StoryRows
+		for _, svc := range svcs {
+			for _, g := range periods {
+				var sum [2][2]float64 // [tech][pop, vol]
+				for _, pt := range analytics.ServiceSeries(g, svc) {
+					for ti := 0; ti < 2; ti++ {
+						sum[ti][0] += pt.PopPct[ti]
+						sum[ti][1] += pt.VolPerUser[ti]
+					}
+				}
+				n := float64(len(g))
+				rows = append(rows, StoryRow{
+					Service: string(svc), HalfYear: report.Month(halfYear(g[0].Day)),
+					ADSLPopPct: sum[0][0] / n, ADSLBytesPerUser: sum[0][1] / n,
+					FTTHPopPct: sum[1][0] / n, FTTHBytesPerUser: sum[1][1] / n,
+				})
 			}
 		}
-		for _, r := range rs.ByteShare {
-			if r.Service == string(svc) {
-				share.add(r.Day, r.SharePct)
-			}
-		}
-		row := []string{string(svc)}
-		for _, y := range years {
-			row = append(row, report.F(pop.yearMean(y)))
-		}
-		for _, y := range years {
-			row = append(row, report.F(share.yearMean(y)))
-		}
-		rows = append(rows, row)
-		labels = append(labels, string(svc))
-		popRows = append(popRows, pop.vals)
-		shareRows = append(shareRows, share.vals)
+		return rows, nil
 	}
-	if err := report.Table(w, headers, rows); err != nil {
-		return err
-	}
-	// The heatmaps of Figure 5, one column per sampled day. The byte
-	// share palette caps at 10% exactly as the paper's does ("the
-	// multi-color palette is set to 10% to improve the visualization").
-	if _, err := fmt.Fprintln(w, "\npopularity over time (Fig 5a, palette capped at 50%):"); err != nil {
-		return err
-	}
-	if err := report.Heatmap(w, labels, popRows, 50, "% of active users"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "\ndownloaded byte share over time (Fig 5b):"); err != nil {
-		return err
-	}
-	return report.Heatmap(w, labels, shareRows, 10, "% of bytes")
 }
 
-// daySeries is one service's column of the fig5 rows, in day order.
-type daySeries struct {
-	days []string
-	vals []float64
-}
+// CSV implements FigureRows.
+func (rs StoryRows) CSV() [][]string { return flatCSV(rs) }
 
-func (s *daySeries) add(day string, v float64) {
-	s.days = append(s.days, day)
-	s.vals = append(s.vals, v)
-}
-
-// yearMean averages the values of one year's days (0 when it has none).
-func (s daySeries) yearMean(year int) float64 {
-	prefix := strconv.Itoa(year) + "-"
-	var sum float64
-	var n int
-	for i, day := range s.days {
-		if strings.HasPrefix(day, prefix) {
-			sum += s.vals[i]
-			n++
+// Text implements Table: one table per service.
+func (rs StoryRows) Text(b *bytes.Buffer) {
+	for _, svc := range runs(rs, func(r StoryRow) string { return r.Service }) {
+		rows := make([][]string, 0, len(svc))
+		for _, r := range svc {
+			rows = append(rows, []string{r.HalfYear,
+				report.F(r.ADSLPopPct), report.MB(r.ADSLBytesPerUser),
+				report.F(r.FTTHPopPct), report.MB(r.FTTHBytesPerUser)})
 		}
+		fmt.Fprintf(b, "%s:\n", svc[0].Service)
+		report.Table(b, []string{"half-year", "ADSL pop%", "ADSL MB/user", "FTTH pop%", "FTTH MB/user"}, rows)
+		b.WriteByte('\n')
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
-// --- Figures 6, 7, 9 ----------------------------------------------------------
+// --- Figure 9 ------------------------------------------------------------------
 
-// serviceStory renders one service's popularity/volume series at
-// half-year resolution.
-func serviceStory(w io.Writer, aggs []*analytics.DayAgg, svc classify.Service, volDir string) error {
-	series := analytics.ServiceSeries(aggs, svc)
-	type bucket struct {
-		pop [2]float64
-		vol [2]float64
-		n   [2]float64
-	}
-	buckets := make(map[time.Time]*bucket)
-	for _, pt := range series {
-		h := halfYear(pt.Day)
-		b := buckets[h]
-		if b == nil {
-			b = &bucket{}
-			buckets[h] = b
-		}
-		for ti := 0; ti < 2; ti++ {
-			b.pop[ti] += pt.PopPct[ti]
-			v := pt.VolPerUser[ti]
-			if volDir == "down" {
-				v = pt.DownPerUser[ti]
-			}
-			b.vol[ti] += v
-			b.n[ti]++
-		}
-	}
-	var keys []time.Time
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Before(keys[j]) })
-	rows := make([][]string, 0, len(keys))
-	for _, k := range keys {
-		b := buckets[k]
-		row := []string{report.Month(k)}
-		for ti := 0; ti < 2; ti++ {
-			pop, vol := 0.0, 0.0
-			if b.n[ti] > 0 {
-				pop = b.pop[ti] / b.n[ti]
-				vol = b.vol[ti] / b.n[ti]
-			}
-			row = append(row, report.F(pop), report.MB(vol))
-		}
-		rows = append(rows, row)
-	}
-	if _, err := fmt.Fprintf(w, "%s:\n", svc); err != nil {
-		return err
-	}
-	if err := report.Table(w, []string{"half-year", "ADSL pop%", "ADSL MB/user", "FTTH pop%", "FTTH MB/user"}, rows); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(w)
-	return err
+// VolumeRow is one month of Figure 9: Facebook's mean exchanged bytes
+// per visiting subscriber-day, ADSL and FTTH weighted equally.
+type VolumeRow struct {
+	Month        string  `json:"month"`
+	BytesPerUser float64 `json:"bytes_per_user"`
 }
 
-func halfYear(d time.Time) time.Time {
-	m := time.January
-	if d.Month() >= time.July {
-		m = time.July
-	}
-	return time.Date(d.Year(), m, 1, 0, 0, 0, 0, time.UTC)
-}
+// VolumeRows are fig9.
+type VolumeRows []VolumeRow
 
-func runFig6(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.Aggregate(ctx, spanDays(p.Stride()))
-	if err != nil {
-		return err
-	}
-	if err := report.Section(w, "Figure 6: P2P, Netflix, YouTube (popularity %, exchanged MB per user-day)"); err != nil {
-		return err
-	}
-	for _, svc := range []classify.Service{analytics.P2PService, "Netflix", "YouTube"} {
-		if err := serviceStory(w, aggs, svc, "total"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func runFig7(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.Aggregate(ctx, spanDays(p.Stride()))
-	if err != nil {
-		return err
-	}
-	if err := report.Section(w, "Figure 7: SnapChat, WhatsApp, Instagram (popularity %, exchanged MB per user-day)"); err != nil {
-		return err
-	}
-	for _, svc := range []classify.Service{"SnapChat", "WhatsApp", "Instagram"} {
-		if err := serviceStory(w, aggs, svc, "total"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func runFig9(ctx context.Context, p *Pipeline, w io.Writer) error {
-	days := Lookup0("fig9").Days(p.Stride())
+func fig9Rows(ctx context.Context, p *Pipeline, _ FigureParams, days []time.Time) (VolumeRows, error) {
 	aggs, err := p.Aggregate(ctx, days)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	series := analytics.ServiceSeries(aggs, "Facebook")
-	if err := report.Section(w, "Figure 9: Facebook exchanged MB per user-day through 2014 (auto-play rollout)"); err != nil {
-		return err
-	}
-	type acc struct {
-		vol, n float64
-	}
-	byMonth := make(map[time.Time]*acc)
-	for _, pt := range series {
-		m := asn.MonthStart(pt.Day)
-		a := byMonth[m]
-		if a == nil {
-			a = &acc{}
-			byMonth[m] = a
+	var rows VolumeRows
+	for _, g := range byPeriod(aggs, asn.MonthStart) {
+		var vol float64
+		for _, pt := range analytics.ServiceSeries(g, "Facebook") {
+			vol += (pt.VolPerUser[0] + pt.VolPerUser[1]) / 2
 		}
-		// ADSL and FTTH jointly, weighted equally by day.
-		a.vol += (pt.VolPerUser[0] + pt.VolPerUser[1]) / 2
-		a.n++
+		rows = append(rows, VolumeRow{Month: report.Month(g[0].Day), BytesPerUser: vol / float64(len(g))})
 	}
-	var months []time.Time
-	for m := range byMonth {
-		months = append(months, m)
-	}
-	sort.Slice(months, func(i, j int) bool { return months[i].Before(months[j]) })
-	rows := make([][]string, 0, len(months))
-	for _, m := range months {
-		a := byMonth[m]
-		rows = append(rows, []string{report.Month(m), report.MB(a.vol / a.n)})
-	}
-	return report.Table(w, []string{"month", "MB/user/day"}, rows)
+	return rows, nil
 }
 
-// --- Figure 8 ----------------------------------------------------------------
+// CSV implements FigureRows.
+func (rs VolumeRows) CSV() [][]string { return flatCSV(rs) }
 
-func runFig8(ctx context.Context, p *Pipeline, w io.Writer) error {
-	shares, err := fig8Rows(ctx, p, FigureParams{}, spanDays(p.Stride()))
-	if err != nil {
-		return err
+// Text implements Table.
+func (rs VolumeRows) Text(b *bytes.Buffer) {
+	rows := make([][]string, 0, len(rs))
+	for _, r := range rs {
+		rows = append(rows, []string{r.Month, report.MB(r.BytesPerUser)})
 	}
-	if err := report.Section(w, "Figure 8: web protocol share of web bytes, monthly"); err != nil {
-		return err
-	}
-	protos := analytics.WebProtos()
-	headers := []string{"month"}
-	for _, proto := range protos {
-		headers = append(headers, proto.String())
-	}
-	rows := make([][]string, 0, len(shares))
-	for _, s := range shares {
-		row := []string{s.Month}
-		for _, proto := range protos {
-			row = append(row, report.F(s.SharePct[proto.String()]))
-		}
-		rows = append(rows, row)
-	}
-	if err := report.Table(w, headers, rows); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "\nshares over time:"); err != nil {
-		return err
-	}
-	for _, proto := range protos {
-		var vals []float64
-		for _, s := range shares {
-			vals = append(vals, s.SharePct[proto.String()])
-		}
-		if err := report.SparkRow(w, proto.String(), vals, "%"); err != nil {
-			return err
-		}
-	}
-	_, err = fmt.Fprintln(w, "\nevents: A=2014-01 YouTube->HTTPS  B=2014-10 QUIC on  C=2015-06 SPDY visible\n"+
-		"        D=2015-12 QUIC off ~1mo  E=2016-02 SPDY->HTTP/2  F=2016-11 FB-Zero")
-	return err
+	report.Table(b, []string{"month", "MB/user/day"}, rows)
 }
 
 // --- Figure 10 -----------------------------------------------------------------
 
-func runFig10(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.Aggregate(ctx, aprilDays(0))
+// RTTCDFRow is one point of a Figure 10 curve: the share of a
+// service's flows in one April whose minimum RTT is at most XMs, with
+// the curve's flow count.
+type RTTCDFRow struct {
+	Service string  `json:"service"`
+	Year    int     `json:"year"`
+	N       int     `json:"n"`
+	XMs     float64 `json:"x_ms"`
+	PAtMost float64 `json:"p_at_most"`
+}
+
+// RTTCDFRows are fig10's text table: curve, then threshold.
+type RTTCDFRows []RTTCDFRow
+
+func fig10Text(ctx context.Context, p *Pipeline, _ FigureParams, days []time.Time) (RTTCDFRows, error) {
+	aggs, err := p.Aggregate(ctx, days)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	a14, a17 := splitAprils(aggs)
-	if err := report.Section(w, "Figure 10: CDF of per-flow minimum RTT (ms)"); err != nil {
-		return err
-	}
-	xs := []float64{1, 3.5, 11, 22, 33, 100}
-	headers := []string{"curve", "N"}
-	for _, x := range xs {
-		headers = append(headers, fmt.Sprintf("P(<=%sms)", report.F(x)))
-	}
-	var rows [][]string
+	var rows RTTCDFRows
 	for _, c := range []struct {
-		label string
-		aggs  []*analytics.DayAgg
-		svc   classify.Service
+		aggs []*analytics.DayAgg
+		year int
+		svc  classify.Service
 	}{
-		{"Facebook 2014", a14, "Facebook"},
-		{"Facebook 2017", a17, "Facebook"},
-		{"Instagram 2014", a14, "Instagram"},
-		{"Instagram 2017", a17, "Instagram"},
-		{"YouTube 2014", a14, "YouTube"},
-		{"YouTube 2017", a17, "YouTube"},
-		{"Google 2014", a14, "Google"},
-		{"Google 2017", a17, "Google"},
-		{"WhatsApp 2017", a17, "WhatsApp"},
+		{a14, 2014, "Facebook"},
+		{a17, 2017, "Facebook"},
+		{a14, 2014, "Instagram"},
+		{a17, 2017, "Instagram"},
+		{a14, 2014, "YouTube"},
+		{a17, 2017, "YouTube"},
+		{a14, 2014, "Google"},
+		{a17, 2017, "Google"},
+		{a17, 2017, "WhatsApp"},
 	} {
 		dist := analytics.RTTDist(c.aggs, c.svc)
-		row := []string{c.label, fmt.Sprint(dist.N())}
-		for _, x := range xs {
-			row = append(row, report.F(dist.P(x)))
+		for _, x := range []float64{1, 3.5, 11, 22, 33, 100} {
+			rows = append(rows, RTTCDFRow{Service: string(c.svc), Year: c.year, N: dist.N(), XMs: x, PAtMost: dist.P(x)})
+		}
+	}
+	return rows, nil
+}
+
+// CSV implements FigureRows.
+func (rs RTTCDFRows) CSV() [][]string { return flatCSV(rs) }
+
+// Text implements Table: one line per curve.
+func (rs RTTCDFRows) Text(b *bytes.Buffer) {
+	curves := runs(rs, func(r RTTCDFRow) string { return fmt.Sprint(r.Service, r.Year) })
+	headers := []string{"curve", "N"}
+	var rows [][]string
+	for i, c := range curves {
+		row := []string{fmt.Sprintf("%s %d", c[0].Service, c[0].Year), fmt.Sprint(c[0].N)}
+		for _, r := range c {
+			if i == 0 {
+				headers = append(headers, fmt.Sprintf("P(<=%sms)", report.F(r.XMs)))
+			}
+			row = append(row, report.F(r.PAtMost))
 		}
 		rows = append(rows, row)
 	}
-	return report.Table(w, headers, rows)
+	report.Table(b, headers, rows)
 }
 
 // --- Figure 11 -----------------------------------------------------------------
 
-func runFig11(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.Aggregate(ctx, spanDays(p.Stride()))
-	if err != nil {
-		return err
-	}
-	if err := report.Section(w, "Figure 11: infrastructure evolution (per-day server addresses, half-year means)"); err != nil {
-		return err
-	}
-	for _, svc := range []classify.Service{"Facebook", "Instagram", "YouTube"} {
-		if err := fig11Service(p, w, aggs, svc); err != nil {
-			return err
-		}
-	}
-	return nil
+// Fig11Row is one value of Figure 11. In table "servers" it is a
+// service's half-year mean of per-day server addresses: dedicated,
+// shared, or owned by the organisation Column. In table "domain
+// shares" it is the service's byte share (%) of second-level domain
+// Column in one January or July month.
+type Fig11Row struct {
+	Table   string  `json:"table"`
+	Service string  `json:"service"`
+	Period  string  `json:"period"`
+	Column  string  `json:"column"`
+	Value   float64 `json:"value"`
 }
 
-func fig11Service(p *Pipeline, w io.Writer, aggs []*analytics.DayAgg, svc classify.Service) error {
-	foot := analytics.ServerFootprint(aggs, svc)
-	asnPts := analytics.ASNBreakdown(aggs, svc, p.RIBs)
-	domains := analytics.DomainShares(aggs, svc)
+// Fig11Rows are fig11: service, then table, then period, then column.
+type Fig11Rows []Fig11Row
 
-	type acc struct {
-		ded, sh float64
-		byOrg   map[asn.Org]float64
-		n       float64
-	}
-	buckets := make(map[time.Time]*acc)
-	for i := range foot {
-		h := halfYear(foot[i].Day)
-		b := buckets[h]
-		if b == nil {
-			b = &acc{byOrg: make(map[asn.Org]float64)}
-			buckets[h] = b
-		}
-		b.ded += float64(foot[i].Dedicated)
-		b.sh += float64(foot[i].Shared)
-		for org, n := range asnPts[i].ByOrg {
-			b.byOrg[org] += float64(n)
-		}
-		b.n++
-	}
-	var keys []time.Time
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Before(keys[j]) })
+// fig11Orgs are the server table's organisation columns.
+var fig11Orgs = []asn.Org{asn.OrgFacebook, asn.OrgAkamai, asn.OrgGoogle, asn.OrgTeliaNet, asn.OrgGTT, asn.OrgISP, asn.OrgOther}
 
-	orgs := []asn.Org{asn.OrgFacebook, asn.OrgAkamai, asn.OrgGoogle, asn.OrgTeliaNet, asn.OrgGTT, asn.OrgISP, asn.OrgOther}
-	headers := []string{"half-year", "dedicated/day", "shared/day"}
-	for _, o := range orgs {
-		headers = append(headers, string(o))
+func fig11Rows(ctx context.Context, p *Pipeline, _ FigureParams, days []time.Time) (Fig11Rows, error) {
+	aggs, err := p.Aggregate(ctx, days)
+	if err != nil {
+		return nil, err
 	}
-	rows := make([][]string, 0, len(keys))
-	for _, k := range keys {
-		b := buckets[k]
-		row := []string{report.Month(k), report.F(b.ded / b.n), report.F(b.sh / b.n)}
-		for _, o := range orgs {
-			row = append(row, report.F(b.byOrg[o]/b.n))
+	periods := byPeriod(aggs, halfYear)
+	var rows Fig11Rows
+	for _, svc := range []classify.Service{"Facebook", "Instagram", "YouTube"} {
+		add := func(table, period, column string, v float64) {
+			rows = append(rows, Fig11Row{Table: table, Service: string(svc), Period: period, Column: column, Value: v})
 		}
-		rows = append(rows, row)
-	}
-	if _, err := fmt.Fprintf(w, "%s servers:\n", svc); err != nil {
-		return err
-	}
-	if err := report.Table(w, headers, rows); err != nil {
-		return err
-	}
+		for _, g := range periods {
+			var ded, sh float64
+			byOrg := make(map[asn.Org]float64)
+			for _, pt := range analytics.ServerFootprint(g, svc) {
+				ded += float64(pt.Dedicated)
+				sh += float64(pt.Shared)
+			}
+			for _, pt := range analytics.ASNBreakdown(g, svc, p.RIBs) {
+				for org, n := range pt.ByOrg {
+					byOrg[org] += float64(n)
+				}
+			}
+			n, half := float64(len(g)), report.Month(halfYear(g[0].Day))
+			add("servers", half, "dedicated/day", ded/n)
+			add("servers", half, "shared/day", sh/n)
+			for _, o := range fig11Orgs {
+				add("servers", half, string(o), byOrg[o]/n)
+			}
+		}
 
-	// Domain shares: top domains by latest-year share.
-	if len(domains) > 0 {
-		last := domains[len(domains)-1]
-		type ds struct {
-			dom   string
-			share float64
-		}
-		var list []ds
+		// Every domain the service used in the window, by name.
+		domains := analytics.DomainShares(aggs, svc)
 		seen := make(map[string]bool)
 		for _, dp := range domains {
 			for dom := range dp.SharePct {
-				if !seen[dom] {
-					seen[dom] = true
-					list = append(list, ds{dom: dom})
+				seen[dom] = true
+			}
+		}
+		for _, dp := range domains {
+			if dp.Month.Month() == time.January || dp.Month.Month() == time.July {
+				for _, dom := range sortedKeys(seen) {
+					add("domain shares", report.Month(dp.Month), dom, dp.SharePct[dom])
 				}
 			}
 		}
-		for i := range list {
-			list[i].share = last.SharePct[list[i].dom]
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i].dom < list[j].dom })
-		hdr := []string{"month"}
-		for _, d := range list {
-			hdr = append(hdr, d.dom)
-		}
-		var drows [][]string
-		for _, dp := range domains {
-			if dp.Month.Month() != time.January && dp.Month.Month() != time.July {
-				continue
-			}
-			row := []string{report.Month(dp.Month)}
-			for _, d := range list {
-				row = append(row, report.F(dp.SharePct[d.dom]))
-			}
-			drows = append(drows, row)
-		}
-		if _, err := fmt.Fprintf(w, "%s domain byte shares (%%):\n", svc); err != nil {
-			return err
-		}
-		if err := report.Table(w, hdr, drows); err != nil {
-			return err
-		}
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	return rows, nil
+}
+
+// CSV implements FigureRows.
+func (rs Fig11Rows) CSV() [][]string { return flatCSV(rs) }
+
+// Text implements Table: per service, the server table, then its
+// domain shares, one line per period.
+func (rs Fig11Rows) Text(b *bytes.Buffer) {
+	for _, svc := range runs(rs, func(r Fig11Row) string { return r.Service }) {
+		for _, table := range runs(svc, func(r Fig11Row) string { return r.Table }) {
+			title, headers := "%s servers:\n", []string{"half-year"}
+			if table[0].Table == "domain shares" {
+				title, headers = "%s domain byte shares (%%):\n", []string{"month"}
+			}
+			var rows [][]string
+			for i, period := range runs(table, func(r Fig11Row) string { return r.Period }) {
+				row := []string{period[0].Period}
+				for _, r := range period {
+					if i == 0 {
+						headers = append(headers, r.Column)
+					}
+					row = append(row, report.F(r.Value))
+				}
+				rows = append(rows, row)
+			}
+			fmt.Fprintf(b, title, svc[0].Service)
+			report.Table(b, headers, rows)
+		}
+		b.WriteByte('\n')
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

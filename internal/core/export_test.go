@@ -12,8 +12,14 @@ import (
 	"repro/internal/simnet"
 )
 
-// exportFiles are the tables ExportData writes: one per served figure.
-var exportFiles = []string{"active.csv", "fig2.csv", "fig3.csv", "fig4.csv", "fig5.csv", "fig8.csv", "fig10.csv"}
+// exportFiles are the tables ExportData writes: one per experiment.
+func exportFiles() []string {
+	var names []string
+	for _, e := range AllExperiments() {
+		names = append(names, e.ID+".csv")
+	}
+	return names
+}
 
 func TestExportData(t *testing.T) {
 	dir := t.TempDir()
@@ -25,10 +31,11 @@ func TestExportData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(exportFiles) {
-		t.Errorf("export wrote %d files, want %d (%v)", len(entries), len(exportFiles), exportFiles)
+	files := exportFiles()
+	if len(entries) != len(files) {
+		t.Errorf("export wrote %d files, want %d (%v)", len(entries), len(files), files)
 	}
-	for _, name := range exportFiles {
+	for _, name := range files {
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -82,7 +89,7 @@ func TestExportByteIdentical(t *testing.T) {
 	if err := New(cfg).ExportData(context.Background(), dirB); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range exportFiles {
+	for _, name := range exportFiles() {
 		a, err := os.ReadFile(filepath.Join(dirA, name))
 		if err != nil {
 			t.Fatal(err)

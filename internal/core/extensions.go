@@ -1,10 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"io"
-	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/analytics"
@@ -21,105 +21,52 @@ import (
 func extensionExperiments() []Experiment {
 	return []Experiment{
 		{
-			ID:    "weekly",
-			Title: "Section 4.3 extension: daily vs weekly service reach (Netflix gap)",
+			ID:      "weekly",
+			Title:   "Section 4.3 extension: daily vs weekly service reach (Netflix gap)",
+			Heading: "Daily vs weekly reach, four weeks of October 2017",
 			Days: func(int) []time.Time {
 				return RangeDays(date(2017, 10, 2), date(2017, 10, 29), 1)
 			},
-			Run: runWeekly,
+			Rows: tableOf(weeklyRows),
 		},
 		{
-			ID:    "quicver",
-			Title: "Per-protocol drill-down: gQUIC version mix by year",
-			Days:  spanDays,
-			Run:   runQUICVersions,
+			ID:      "quicver",
+			Title:   "Per-protocol drill-down: gQUIC version mix by year",
+			Heading: "gQUIC version mix per year (flows)",
+			Days:    spanDays,
+			Rows:    tableOf(quicRows),
 		},
 		{
-			ID:    "whatif",
-			Title: "Counterfactuals: the 2016-12 protocol mix without event D / event F",
-			Days:  func(int) []time.Time { return nil }, // builds its own worlds
-			Run:   runWhatIf,
+			ID:      "whatif",
+			Title:   "Counterfactuals: the 2016-12 protocol mix without event D / event F",
+			Heading: "Counterfactual protocol mixes, December 2016 (monthly mean, % of web bytes)",
+			Days:    func(int) []time.Time { return nil }, // builds its own worlds
+			Rows:    tableOf(whatIfRows),
 		},
 	}
 }
 
-// runWhatIf contrasts the measured protocol mix of December 2016
-// against two counterfactual worlds: one where Google never disabled
-// QUIC (event D undone does not matter by then — it shows the same
-// mix, a control) and one where Facebook never shipped Zero (event F
-// undone: Zero's ~8%% returns to the TLS family). It quantifies, per
-// episode, how much of the traffic mix one company's unilateral
-// deployment moved — the section 5 argument in numbers.
-func runWhatIf(ctx context.Context, p *Pipeline, w io.Writer) error {
-	if err := report.Section(w, "Counterfactual protocol mixes, December 2016 (monthly mean, % of web bytes)"); err != nil {
-		return err
-	}
-	days := RangeDays(date(2016, 12, 1), date(2016, 12, 28), 3)
+// --- weekly ------------------------------------------------------------------
 
-	mix := func(ev simnet.Events) (map[flowrec.WebProto]float64, error) {
-		world := simnet.NewWorldWithEvents(41, simnet.Scale{ADSL: 60, FTTH: 30}, ev)
-		src := analytics.FuncSource(func(day time.Time, fn func(*flowrec.Record)) error {
-			world.EmitDay(day, fn)
-			return nil
-		})
-		aggs, err := p.runStage1(ctx, src, days)
-		if err != nil {
-			return nil, err
-		}
-		shares := analytics.ProtocolShares(aggs)
-		if len(shares) != 1 {
-			return nil, fmt.Errorf("core: whatif: %d months", len(shares))
-		}
-		return shares[0].SharePct, nil
-	}
-
-	noZero := simnet.DefaultEvents()
-	noZero.FBZero = false
-	noOutage := simnet.DefaultEvents()
-	noOutage.QUICOutage = false
-
-	worlds := []struct {
-		label string
-		ev    simnet.Events
-	}{
-		{"as measured", simnet.DefaultEvents()},
-		{"no FB-Zero (event F undone)", noZero},
-		{"no QUIC outage (event D undone)", noOutage},
-	}
-	protos := analytics.WebProtos()
-	headers := []string{"world"}
-	for _, proto := range protos {
-		headers = append(headers, proto.String())
-	}
-	var rows [][]string
-	for _, c := range worlds {
-		m, err := mix(c.ev)
-		if err != nil {
-			return err
-		}
-		row := []string{c.label}
-		for _, proto := range protos {
-			row = append(row, report.F(m[proto]))
-		}
-		rows = append(rows, row)
-	}
-	if err := report.Table(w, headers, rows); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(w, "\nreading: undoing event F folds Zero's share back into TLS/H2;\n"+
-		"event D left no trace by December 2016 (the control row matches).")
-	return err
+// ReachRow is one service's mean daily and weekly reach over the
+// window, in % of each technology's active subscribers.
+type ReachRow struct {
+	Service       string  `json:"service"`
+	ADSLDailyPct  float64 `json:"adsl_daily_pct"`
+	ADSLWeeklyPct float64 `json:"adsl_weekly_pct"`
+	FTTHDailyPct  float64 `json:"ftth_daily_pct"`
+	FTTHWeeklyPct float64 `json:"ftth_weekly_pct"`
 }
 
-func runWeekly(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.Aggregate(ctx, Lookup0("weekly").Days(p.Stride()))
+// ReachRows are weekly.
+type ReachRows []ReachRow
+
+func weeklyRows(ctx context.Context, p *Pipeline, _ FigureParams, days []time.Time) (ReachRows, error) {
+	aggs, err := p.Aggregate(ctx, days)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := report.Section(w, "Daily vs weekly reach, four weeks of October 2017"); err != nil {
-		return err
-	}
-	var rows [][]string
+	var rows ReachRows
 	for _, svc := range []classify.Service{"Netflix", "YouTube", "WhatsApp", "SnapChat"} {
 		pts := analytics.WeeklyPopularity(aggs, svc)
 		var daily, weekly [2]float64
@@ -133,61 +80,162 @@ func runWeekly(ctx context.Context, p *Pipeline, w io.Writer) error {
 		if n == 0 {
 			continue
 		}
-		rows = append(rows, []string{
-			string(svc),
-			report.Pct(daily[0] / n), report.Pct(weekly[0] / n),
-			report.Pct(daily[1] / n), report.Pct(weekly[1] / n),
+		rows = append(rows, ReachRow{
+			Service:      string(svc),
+			ADSLDailyPct: daily[0] / n, ADSLWeeklyPct: weekly[0] / n,
+			FTTHDailyPct: daily[1] / n, FTTHWeeklyPct: weekly[1] / n,
 		})
 	}
-	if err := report.Table(w, []string{"service", "ADSL daily", "ADSL weekly", "FTTH daily", "FTTH weekly"}, rows); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, "\npaper (section 4.3): Netflix ~10% daily vs 18% (FTTH) / 12% (ADSL) weekly in 2017")
-	return err
+	return rows, nil
 }
 
-func runQUICVersions(ctx context.Context, p *Pipeline, w io.Writer) error {
-	aggs, err := p.Aggregate(ctx, spanDays(p.Stride()))
+// CSV implements FigureRows.
+func (rs ReachRows) CSV() [][]string { return flatCSV(rs) }
+
+// Text implements Table.
+func (rs ReachRows) Text(b *bytes.Buffer) {
+	rows := make([][]string, 0, len(rs))
+	for _, r := range rs {
+		rows = append(rows, []string{r.Service,
+			report.Pct(r.ADSLDailyPct), report.Pct(r.ADSLWeeklyPct),
+			report.Pct(r.FTTHDailyPct), report.Pct(r.FTTHWeeklyPct)})
+	}
+	report.Table(b, []string{"service", "ADSL daily", "ADSL weekly", "FTTH daily", "FTTH weekly"}, rows)
+	b.WriteString("\npaper (section 4.3): Netflix ~10% daily vs 18% (FTTH) / 12% (ADSL) weekly in 2017\n")
+}
+
+// --- quicver -----------------------------------------------------------------
+
+// QUICRow is one year's flow count of one gQUIC version.
+type QUICRow struct {
+	Year    int    `json:"year"`
+	Version string `json:"version"`
+	Flows   uint64 `json:"flows"`
+}
+
+// QUICRows are quicver: year by year, each year listing every version
+// seen in the window, by name.
+type QUICRows []QUICRow
+
+func quicRows(ctx context.Context, p *Pipeline, _ FigureParams, days []time.Time) (QUICRows, error) {
+	aggs, err := p.Aggregate(ctx, days)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := report.Section(w, "gQUIC version mix per year (flows)"); err != nil {
-		return err
-	}
-	byYear := make(map[int]map[string]uint64)
-	for _, agg := range aggs {
-		y := agg.Day.Year()
-		m := byYear[y]
-		if m == nil {
-			m = make(map[string]uint64)
-			byYear[y] = m
-		}
-		for v, n := range analytics.QUICVersionShare([]*analytics.DayAgg{agg}) {
-			m[v] += n
-		}
-	}
-	versions := map[string]bool{}
-	var years []int
-	for y, m := range byYear {
-		years = append(years, y)
-		for v := range m {
+	years := byPeriod(aggs, func(d time.Time) time.Time { return date(d.Year(), time.January, 1) })
+	flows := make([]map[string]uint64, len(years))
+	versions := make(map[string]bool)
+	for i, g := range years {
+		flows[i] = analytics.QUICVersionShare(g)
+		for v := range flows[i] {
 			versions[v] = true
 		}
 	}
-	sort.Ints(years)
-	var vlist []string
-	for v := range versions {
-		vlist = append(vlist, v)
-	}
-	sort.Strings(vlist)
-	headers := append([]string{"year"}, vlist...)
-	var rows [][]string
-	for _, y := range years {
-		row := []string{fmt.Sprint(y)}
+	vlist := sortedKeys(versions)
+	var rows QUICRows
+	for i, g := range years {
 		for _, v := range vlist {
-			row = append(row, fmt.Sprint(byYear[y][v]))
+			rows = append(rows, QUICRow{Year: g[0].Day.Year(), Version: v, Flows: flows[i][v]})
+		}
+	}
+	return rows, nil
+}
+
+// CSV implements FigureRows.
+func (rs QUICRows) CSV() [][]string { return flatCSV(rs) }
+
+// Text implements Table: one line per year, one column per version.
+func (rs QUICRows) Text(b *bytes.Buffer) {
+	years := runs(rs, func(r QUICRow) string { return strconv.Itoa(r.Year) })
+	headers := []string{"year"}
+	rows := make([][]string, 0, len(years))
+	for i, y := range years {
+		row := []string{fmt.Sprint(y[0].Year)}
+		for _, r := range y {
+			if i == 0 {
+				headers = append(headers, r.Version)
+			}
+			row = append(row, fmt.Sprint(r.Flows))
 		}
 		rows = append(rows, row)
 	}
-	return report.Table(w, headers, rows)
+	report.Table(b, headers, rows)
+}
+
+// --- whatif ------------------------------------------------------------------
+
+// MixRow is one protocol's share of web bytes in one world.
+type MixRow struct {
+	World    string  `json:"world"`
+	Protocol string  `json:"protocol"`
+	SharePct float64 `json:"share_pct"`
+}
+
+// MixRows are whatif: world by world, each listing every web protocol.
+type MixRows []MixRow
+
+// whatIfRows contrasts the measured protocol mix of December 2016
+// against two counterfactual worlds: one where Google never disabled
+// QUIC (event D undone does not matter by then — it shows the same
+// mix, a control) and one where Facebook never shipped Zero (event F
+// undone: Zero's ~8%% returns to the TLS family). It quantifies, per
+// episode, how much of the traffic mix one company's unilateral
+// deployment moved — the section 5 argument in numbers.
+func whatIfRows(ctx context.Context, p *Pipeline, _ FigureParams, _ []time.Time) (MixRows, error) {
+	days := RangeDays(date(2016, 12, 1), date(2016, 12, 28), 3)
+	noZero := simnet.DefaultEvents()
+	noZero.FBZero = false
+	noOutage := simnet.DefaultEvents()
+	noOutage.QUICOutage = false
+
+	var rows MixRows
+	for _, c := range []struct {
+		label string
+		ev    simnet.Events
+	}{
+		{"as measured", simnet.DefaultEvents()},
+		{"no FB-Zero (event F undone)", noZero},
+		{"no QUIC outage (event D undone)", noOutage},
+	} {
+		world := simnet.NewWorldWithEvents(41, simnet.Scale{ADSL: 60, FTTH: 30}, c.ev)
+		src := analytics.FuncSource(func(day time.Time, fn func(*flowrec.Record)) error {
+			world.EmitDay(day, fn)
+			return nil
+		})
+		aggs, err := p.runStage1(ctx, src, days)
+		if err != nil {
+			return nil, err
+		}
+		shares := analytics.ProtocolShares(aggs)
+		if len(shares) != 1 {
+			return nil, fmt.Errorf("core: whatif: %d months", len(shares))
+		}
+		for _, proto := range analytics.WebProtos() {
+			rows = append(rows, MixRow{World: c.label, Protocol: proto.String(), SharePct: shares[0].SharePct[proto]})
+		}
+	}
+	return rows, nil
+}
+
+// CSV implements FigureRows.
+func (rs MixRows) CSV() [][]string { return flatCSV(rs) }
+
+// Text implements Table: one line per world, one column per protocol.
+func (rs MixRows) Text(b *bytes.Buffer) {
+	worlds := runs(rs, func(r MixRow) string { return r.World })
+	headers := []string{"world"}
+	rows := make([][]string, 0, len(worlds))
+	for i, world := range worlds {
+		row := []string{world[0].World}
+		for _, r := range world {
+			if i == 0 {
+				headers = append(headers, r.Protocol)
+			}
+			row = append(row, report.F(r.SharePct))
+		}
+		rows = append(rows, row)
+	}
+	report.Table(b, headers, rows)
+	b.WriteString("\nreading: undoing event F folds Zero's share back into TLS/H2;\n" +
+		"event D left no trace by December 2016 (the control row matches).\n")
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"fmt"
+	"reflect"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/analytics"
@@ -13,8 +16,8 @@ import (
 	"repro/internal/report"
 )
 
-// Figure is an experiment's data table: the typed rows it serves on
-// /v1/figures/{id} and exports as {id}.csv.
+// Figure is what serving an experiment on /v1/figures/{id} adds to
+// it: the served title and the parameters the endpoint takes.
 type Figure struct {
 	// Title is the served title.
 	Title string
@@ -26,7 +29,9 @@ type Figure struct {
 	FixedRange bool
 	// The parameters the figure consumes; any other is a client error.
 	Quantiles, Tech, Services, Points bool
-	// Rows derives the figure over days.
+	// Rows, when set, derives the served rows in place of the
+	// experiment's: fig2 and fig10 serve quantiles pooled over the
+	// window, while their text compares the two Aprils.
 	Rows func(ctx context.Context, p *Pipeline, fp FigureParams, days []time.Time) (FigureRows, error)
 }
 
@@ -41,12 +46,20 @@ type FigureParams struct {
 	Points int
 }
 
-// FigureRows are one figure's typed rows. They marshal to JSON as they
-// are; CSV renders them as a header record followed by the data
+// FigureRows are one data table's typed rows. They marshal to JSON as
+// they are; CSV renders them as a header record followed by the data
 // records, floats at full round-trip precision.
 type FigureRows interface{ CSV() [][]string }
 
-// EncodeCSV renders rows as the figure's CSV body — the served
+// Table is an experiment's typed rows: its data table, and the text
+// edgereport prints under the experiment's heading.
+type Table interface {
+	FigureRows
+	// Text appends the rows' text rendering to b.
+	Text(b *bytes.Buffer)
+}
+
+// EncodeCSV renders rows as the table's CSV body — the served
 // ?format=csv answer and the exported file alike.
 func EncodeCSV(rows FigureRows) ([]byte, error) {
 	var buf bytes.Buffer
@@ -54,11 +67,43 @@ func EncodeCSV(rows FigureRows) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// rowsOf adapts a typed rows builder to Figure.Rows.
-func rowsOf[R FigureRows](build func(context.Context, *Pipeline, FigureParams, []time.Time) (R, error)) func(context.Context, *Pipeline, FigureParams, []time.Time) (FigureRows, error) {
-	return func(ctx context.Context, p *Pipeline, fp FigureParams, days []time.Time) (FigureRows, error) {
+// tableOf adapts a typed rows builder to Experiment.Rows.
+func tableOf[R Table](build func(context.Context, *Pipeline, FigureParams, []time.Time) (R, error)) func(context.Context, *Pipeline, FigureParams, []time.Time) (Table, error) {
+	return func(ctx context.Context, p *Pipeline, fp FigureParams, days []time.Time) (Table, error) {
 		return build(ctx, p, fp, days)
 	}
+}
+
+// flatCSV is the CSV of a flat row type: a header of the fields' json
+// names, then one record per row — strings as they are, integers in
+// decimal, floats at full round-trip precision.
+func flatCSV[R any](rows []R) [][]string {
+	t := reflect.TypeFor[R]()
+	header := make([]string, t.NumField())
+	for i := range header {
+		header[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+	}
+	out := [][]string{header}
+	for _, r := range rows {
+		v := reflect.ValueOf(r)
+		rec := make([]string, len(header))
+		for i := range rec {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.String:
+				rec[i] = f.String()
+			case reflect.Int:
+				rec[i] = strconv.FormatInt(f.Int(), 10)
+			case reflect.Uint64:
+				rec[i] = strconv.FormatUint(f.Uint(), 10)
+			case reflect.Float64:
+				rec[i] = fmtFloat(f.Float())
+			default:
+				panic("core: flatCSV: field " + t.Field(i).Name + " is not flat")
+			}
+		}
+		out = append(out, rec)
+	}
+	return out
 }
 
 // fmtFloat renders a CSV float with full round-trip precision, so the
@@ -97,12 +142,22 @@ func activeRows(ctx context.Context, p *Pipeline, _ FigureParams, days []time.Ti
 }
 
 // CSV implements FigureRows.
-func (rs ActiveRows) CSV() [][]string {
-	out := [][]string{{"day", "active", "observed", "active_pct"}}
-	for _, r := range rs {
-		out = append(out, []string{r.Day, strconv.Itoa(r.Active), strconv.Itoa(r.Observed), fmtFloat(r.ActivePct)})
+func (rs ActiveRows) CSV() [][]string { return flatCSV(rs) }
+
+// Text implements Table.
+func (rs ActiveRows) Text(b *bytes.Buffer) {
+	if len(rs) == 0 {
+		b.WriteString("(no data: the lake holds no day of April 2016)\n")
+		return
 	}
-	return out
+	var sum float64
+	rows := make([][]string, 0, len(rs))
+	for _, r := range rs {
+		sum += r.ActivePct
+		rows = append(rows, []string{r.Day, fmt.Sprint(r.Active), fmt.Sprint(r.Observed), report.Pct(r.ActivePct)})
+	}
+	report.Table(b, []string{"day", "active", "observed", "active%"}, rows)
+	fmt.Fprintf(b, "\nmean active share: %s (paper: ~80%%)\n", report.Pct(sum/float64(len(rs))))
 }
 
 // --- fig2 --------------------------------------------------------------------
@@ -122,7 +177,7 @@ type DistRows []DistRow
 // defaultVolumeQuantiles parameterise fig2 when quantiles= is absent.
 var defaultVolumeQuantiles = []float64{0.5, 0.9, 0.99}
 
-func fig2Rows(ctx context.Context, p *Pipeline, fp FigureParams, days []time.Time) (DistRows, error) {
+func fig2Rows(ctx context.Context, p *Pipeline, fp FigureParams, days []time.Time) (FigureRows, error) {
 	aggs, err := p.Aggregate(ctx, days)
 	if err != nil {
 		return nil, err
@@ -195,12 +250,28 @@ func fig3Rows(ctx context.Context, p *Pipeline, _ FigureParams, days []time.Time
 }
 
 // CSV implements FigureRows.
-func (rs MonthlyRows) CSV() [][]string {
-	out := [][]string{{"month", "adsl_down_bytes", "ftth_down_bytes", "adsl_up_bytes", "ftth_up_bytes"}}
-	for _, r := range rs {
-		out = append(out, []string{r.Month, fmtFloat(r.ADSLDownBytes), fmtFloat(r.FTTHDownBytes), fmtFloat(r.ADSLUpBytes), fmtFloat(r.FTTHUpBytes)})
+func (rs MonthlyRows) CSV() [][]string { return flatCSV(rs) }
+
+// Text implements Table: the monthly table, then one trend line per
+// column.
+func (rs MonthlyRows) Text(b *bytes.Buffer) {
+	rows := make([][]string, 0, len(rs))
+	series := make([][]float64, 4)
+	for _, m := range rs {
+		vals := []float64{m.ADSLDownBytes, m.FTTHDownBytes, m.ADSLUpBytes, m.FTTHUpBytes}
+		row := []string{m.Month}
+		for i, v := range vals {
+			row = append(row, report.MB(v))
+			series[i] = append(series[i], v/(1<<20))
+		}
+		rows = append(rows, row)
 	}
-	return out
+	labels := []string{"ADSL down", "FTTH down", "ADSL up", "FTTH up"}
+	report.Table(b, append([]string{"month"}, labels...), rows)
+	b.WriteString("\ntrends (first ... last month):\n")
+	for i, label := range labels {
+		report.SparkRow(b, label, series[i], "MB")
+	}
 }
 
 // --- fig4 --------------------------------------------------------------------
@@ -241,12 +312,19 @@ func fig4Rows(ctx context.Context, p *Pipeline, fp FigureParams, days []time.Tim
 }
 
 // CSV implements FigureRows.
-func (rs RatioRows) CSV() [][]string {
-	out := [][]string{{"hour", "adsl_ratio", "ftth_ratio"}}
-	for _, r := range rs {
-		out = append(out, []string{fmtFloat(r.Hour), fmtFloat(r.ADSLRatio), fmtFloat(r.FTTHRatio)})
+func (rs RatioRows) CSV() [][]string { return flatCSV(rs) }
+
+// Text implements Table.
+func (rs RatioRows) Text(b *bytes.Buffer) {
+	if len(rs) == 0 {
+		b.WriteString("(no data: both comparison periods are empty)\n")
+		return
 	}
-	return out
+	rows := make([][]string, 0, len(rs))
+	for _, r := range rs {
+		rows = append(rows, []string{fmt.Sprintf("%05.2f", r.Hour), report.F(r.ADSLRatio), report.F(r.FTTHRatio)})
+	}
+	report.Table(b, []string{"hour", "ADSL ratio", "FTTH ratio"}, rows)
 }
 
 // --- fig5 --------------------------------------------------------------------
@@ -312,6 +390,68 @@ func (rs Fig5Rows) CSV() [][]string {
 	return out
 }
 
+// Text implements Table: yearly means per service, then the two
+// heatmaps of Figure 5, one column per sampled day.
+func (rs Fig5Rows) Text(b *bytes.Buffer) {
+	years := []string{"2013", "2014", "2015", "2016", "2017"}
+	headers := []string{"service"}
+	for _, kind := range []string{"pop%", "byte%"} {
+		for _, y := range years {
+			headers = append(headers, kind+y)
+		}
+	}
+	var rows [][]string
+	var labels []string
+	var popRows, shareRows [][]float64
+	for _, svc := range classify.FigureServices {
+		var days [2][]string // popularity, byte share
+		var vals [2][]float64
+		for _, r := range rs.Popularity {
+			if r.Service == string(svc) {
+				days[0], vals[0] = append(days[0], r.Day), append(vals[0], r.ADSLPopPct)
+			}
+		}
+		for _, r := range rs.ByteShare {
+			if r.Service == string(svc) {
+				days[1], vals[1] = append(days[1], r.Day), append(vals[1], r.SharePct)
+			}
+		}
+		row := []string{string(svc)}
+		for k := range days {
+			for _, y := range years {
+				row = append(row, report.F(yearMean(days[k], vals[k], y)))
+			}
+		}
+		rows = append(rows, row)
+		labels = append(labels, string(svc))
+		popRows = append(popRows, vals[0])
+		shareRows = append(shareRows, vals[1])
+	}
+	report.Table(b, headers, rows)
+	// The byte share palette caps at 10% exactly as the paper's does
+	// ("the multi-color palette is set to 10% to improve the
+	// visualization").
+	b.WriteString("\npopularity over time (Fig 5a, palette capped at 50%):\n")
+	report.Heatmap(b, labels, popRows, 50, "% of active users")
+	b.WriteString("\ndownloaded byte share over time (Fig 5b):\n")
+	report.Heatmap(b, labels, shareRows, 10, "% of bytes")
+}
+
+// yearMean averages the values of one year's days (0 when it has none).
+func yearMean(days []string, vals []float64, year string) float64 {
+	var sum, n float64
+	for i, day := range days {
+		if strings.HasPrefix(day, year+"-") {
+			sum += vals[i]
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / n
+}
+
 // --- fig8 --------------------------------------------------------------------
 
 // ProtoRow is one month's web-protocol byte shares.
@@ -351,6 +491,35 @@ func (rs ProtoRows) CSV() [][]string {
 	return out
 }
 
+// Text implements Table: the monthly table, one trend line per
+// protocol, and the paper's event key.
+func (rs ProtoRows) Text(b *bytes.Buffer) {
+	protos := analytics.WebProtos()
+	headers := []string{"month"}
+	for _, proto := range protos {
+		headers = append(headers, proto.String())
+	}
+	rows := make([][]string, 0, len(rs))
+	for _, s := range rs {
+		row := []string{s.Month}
+		for _, proto := range protos {
+			row = append(row, report.F(s.SharePct[proto.String()]))
+		}
+		rows = append(rows, row)
+	}
+	report.Table(b, headers, rows)
+	b.WriteString("\nshares over time:\n")
+	for _, proto := range protos {
+		var vals []float64
+		for _, s := range rs {
+			vals = append(vals, s.SharePct[proto.String()])
+		}
+		report.SparkRow(b, proto.String(), vals, "%")
+	}
+	b.WriteString("\nevents: A=2014-01 YouTube->HTTPS  B=2014-10 QUIC on  C=2015-06 SPDY visible\n" +
+		"        D=2015-12 QUIC off ~1mo  E=2016-02 SPDY->HTTP/2  F=2016-11 FB-Zero\n")
+}
+
 // --- fig10 -------------------------------------------------------------------
 
 // RTTRow is one service's minimum-RTT distribution over the window.
@@ -369,7 +538,7 @@ var defaultRTTServices = []classify.Service{"Facebook", "Instagram", "YouTube", 
 // defaultRTTQuantiles parameterise fig10 when quantiles= is absent.
 var defaultRTTQuantiles = []float64{0.25, 0.5, 0.75, 0.9, 0.99}
 
-func fig10Rows(ctx context.Context, p *Pipeline, fp FigureParams, days []time.Time) (RTTRows, error) {
+func fig10Rows(ctx context.Context, p *Pipeline, fp FigureParams, days []time.Time) (FigureRows, error) {
 	aggs, err := p.Aggregate(ctx, days)
 	if err != nil {
 		return nil, err

@@ -38,7 +38,9 @@ func TestGoldenFigures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	registered := make(map[string]bool)
 	for _, e := range AllExperiments() {
+		registered[e.ID+".txt"] = true
 		var buf bytes.Buffer
 		if err := e.Run(context.Background(), p, &buf); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
@@ -56,6 +58,17 @@ func TestGoldenFigures(t *testing.T) {
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Errorf("%s: output diverges from %s (regenerate with `make golden` if intentional)", e.ID, path)
+		}
+	}
+	// A renamed or removed experiment must not leave its golden file
+	// behind.
+	files, err := filepath.Glob(filepath.Join(dir, "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !registered[filepath.Base(f)] {
+			t.Errorf("%s: no registered experiment renders it (delete it)", f)
 		}
 	}
 }

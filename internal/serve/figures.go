@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 )
 
-// The figure endpoints. The rows are the experiment's core.Figure rows,
+// The figure endpoints. The rows are the experiment's data rows,
 // so tier selection, the shared agg cache and hot-day checkpoint
 // serving apply unchanged; the serve-equivalence test tier holds the
 // served, text and exported views equal on a golden lake.
@@ -60,8 +60,14 @@ func (s *Server) queryFigure(ctx context.Context, r *http.Request) (*result, err
 		stride = max(q.Stride, 1)
 		days = core.RangeDays(q.From, q.To, stride)
 	}
+	// The envelope reports the step the window was built at: a default
+	// window can be daily whatever the pipeline stride (active's month,
+	// the Aprils of fig2, fig4 and fig10).
+	if len(days) > 1 {
+		stride = int(days[1].Sub(days[0]).Hours() / 24)
+	}
 	reads := s.readDays(days)
-	rows, err := fig.Rows(ctx, s.p, core.FigureParams{
+	rows, err := e.DataRows(ctx, s.p, core.FigureParams{
 		Quantiles: q.Quantiles, Tech: q.Tech, Services: q.Services, Points: q.Points,
 	}, days)
 	if err != nil {

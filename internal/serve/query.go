@@ -1,8 +1,8 @@
 // Package serve is the query service over the lake: a long-running
 // HTTP daemon (cmd/edgeserve) exposing the experiment registry, the
 // paper's figures and ad-hoc scans as JSON/CSV endpoints. A figure
-// endpoint serves the rows of the experiment's core.Figure — the one
-// derivation edgereport's text and -export render too — so this
+// endpoint serves the experiment's data rows (core.Experiment.DataRows)
+// — the one derivation edgereport's text and -export render too — so this
 // package adds only the HTTP side: parse, check, window, envelope.
 // Queries
 // execute concurrently over one shared core.Pipeline — the same

@@ -304,8 +304,8 @@ func TestServedFiguresAppearInBatchText(t *testing.T) {
 }
 
 // TestServedFiguresEqualExport holds edgereport -export to the served
-// CSV: every exported file equals its figure's ?format=csv body byte
-// for byte, and the export holds exactly the served figures.
+// CSV: every served figure's exported file equals its ?format=csv body
+// byte for byte, and the export holds one file per experiment.
 func TestServedFiguresEqualExport(t *testing.T) {
 	_, ts := newEquivServer(t, servequivConfig(), Options{})
 	dir := t.TempDir()
@@ -316,12 +316,11 @@ func TestServedFiguresEqualExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := 0
-	for _, e := range core.AllExperiments() {
+	exps := core.AllExperiments()
+	for _, e := range exps {
 		if e.Figure == nil {
 			continue
 		}
-		served++
 		status, body := fetch(t, ts.URL+"/v1/figures/"+e.ID+"?format=csv")
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", e.ID, status, body)
@@ -334,7 +333,35 @@ func TestServedFiguresEqualExport(t *testing.T) {
 			t.Errorf("%s.csv diverges from the served CSV\nexport:\n%s\nserved:\n%s", e.ID, file, body)
 		}
 	}
-	if served != 7 || len(entries) != served {
-		t.Errorf("export wrote %d files for %d served figures, want 7", len(entries), served)
+	if len(entries) != len(exps) {
+		t.Errorf("export wrote %d files for %d experiments", len(entries), len(exps))
+	}
+}
+
+// TestServedFiguresEnvelopeStride: the envelope reports the step its
+// window was built at — 1 for the daily default windows, whatever the
+// pipeline stride, and the pipeline stride for the span figures.
+func TestServedFiguresEnvelopeStride(t *testing.T) {
+	_, ts := newEquivServer(t, servequivConfig(), Options{})
+	for path, want := range map[string]int{
+		"active":                              1,
+		"fig2":                                1,
+		"fig4":                                1,
+		"fig10":                               1,
+		"fig10?quantiles=0.5&service=YouTube": 1,
+		"fig3":                                servequivConfig().Stride,
+		"fig3?from=2016-01-01&to=2016-03-31&stride=7": 7,
+	} {
+		status, body := fetch(t, ts.URL+"/v1/figures/"+path)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, status, body)
+		}
+		var resp FigureResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if resp.Stride != want {
+			t.Errorf("%s: stride %d, want %d", path, resp.Stride, want)
+		}
 	}
 }

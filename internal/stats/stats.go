@@ -1,9 +1,8 @@
 // Package stats provides the statistical primitives the analytics
 // stage uses to turn per-day aggregates into the paper's figures:
-// empirical CDFs/CCDFs, quantiles, fixed-width time binning, Bézier
-// smoothing (Figure 4 of the paper smooths its hourly ratio curves
-// with a Bézier interpolation), and the deterministic samplers the
-// traffic model draws from.
+// empirical CDFs/CCDFs, quantiles, Bézier smoothing (Figure 4 of the
+// paper smooths its hourly ratio curves with a Bézier interpolation),
+// and the deterministic samplers the traffic model draws from.
 package stats
 
 import (
@@ -15,8 +14,8 @@ import (
 
 // ECDF is an empirical cumulative distribution over float64 samples.
 // The zero value is ready to use; Add samples, then query. Queries
-// (P, CCDF, Quantile, Median, Mean, the curve renderers) finalise the
-// distribution lazily under a mutex, so concurrent readers are safe —
+// (P, CCDF, Quantile, Median, Mean) finalise the distribution lazily
+// under a mutex, so concurrent readers are safe —
 // stage two fans figure rendering out over goroutines that may share
 // one distribution. Add/AddAll are writer-side and must not race with
 // queries; call Finalize first to hand a filled ECDF to readers.
@@ -114,25 +113,6 @@ func (e *ECDF) Mean() float64 {
 // Point is one (X, Y) coordinate of a rendered curve.
 type Point struct{ X, Y float64 }
 
-// CCDFCurve evaluates the CCDF at each x in xs, producing a plottable
-// curve like the ones in Figure 2.
-func (e *ECDF) CCDFCurve(xs []float64) []Point {
-	out := make([]Point, len(xs))
-	for i, x := range xs {
-		out[i] = Point{X: x, Y: e.CCDF(x)}
-	}
-	return out
-}
-
-// CDFCurve evaluates the CDF at each x in xs (Figure 10 style).
-func (e *ECDF) CDFCurve(xs []float64) []Point {
-	out := make([]Point, len(xs))
-	for i, x := range xs {
-		out[i] = Point{X: x, Y: e.P(x)}
-	}
-	return out
-}
-
 // LogSpace returns n points from lo to hi spaced evenly in log10, for
 // the log-scaled x axes of Figures 2 and 10.
 func LogSpace(lo, hi float64, n int) []float64 {
@@ -183,73 +163,6 @@ func Bezier(curve []Point, n int) []Point {
 			}
 		}
 		out[i] = tmp[0]
-	}
-	return out
-}
-
-// Histogram counts values in fixed-width bins over [lo, hi); values
-// outside are clamped into the edge bins so totals are preserved.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []uint64
-	total  uint64
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if hi <= lo || n < 1 {
-		panic(fmt.Sprintf("stats: NewHistogram(%v, %v, %d)", lo, hi, n))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, n)}
-}
-
-// Add counts one value.
-func (h *Histogram) Add(v float64) { h.AddN(v, 1) }
-
-// AddN counts a value n times.
-func (h *Histogram) AddN(v float64, n uint64) {
-	i := int(float64(len(h.Counts)) * (v - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i] += n
-	h.total += n
-}
-
-// Total returns the number of counted values.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Merge adds other's counts into h. The histograms must be congruent.
-func (h *Histogram) Merge(other *Histogram) error {
-	if h.Lo != other.Lo || h.Hi != other.Hi || len(h.Counts) != len(other.Counts) {
-		return fmt.Errorf("stats: merging incongruent histograms [%v,%v)x%d and [%v,%v)x%d",
-			h.Lo, h.Hi, len(h.Counts), other.Lo, other.Hi, len(other.Counts))
-	}
-	for i, c := range other.Counts {
-		h.Counts[i] += c
-	}
-	h.total += other.total
-	return nil
-}
-
-// CDF returns P(X <= bin upper edge) per bin.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.Counts))
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if h.total > 0 {
-			out[i] = float64(cum) / float64(h.total)
-		}
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -85,25 +84,6 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestCurves(t *testing.T) {
-	var e ECDF
-	e.AddAll([]float64{1, 10, 100})
-	xs := LogSpace(0.1, 1000, 5)
-	cdf := e.CDFCurve(xs)
-	ccdf := e.CCDFCurve(xs)
-	if len(cdf) != 5 || len(ccdf) != 5 {
-		t.Fatal("curve lengths wrong")
-	}
-	for i := range cdf {
-		if sum := cdf[i].Y + ccdf[i].Y; math.Abs(sum-1) > 1e-12 {
-			t.Errorf("CDF+CCDF = %v at x=%v", sum, cdf[i].X)
-		}
-	}
-	if cdf[0].Y != 0 || cdf[4].Y != 1 {
-		t.Errorf("CDF endpoints: %v .. %v", cdf[0].Y, cdf[4].Y)
-	}
-}
-
 func TestLogSpace(t *testing.T) {
 	xs := LogSpace(1, 1000, 4)
 	want := []float64{1, 10, 100, 1000}
@@ -166,48 +146,6 @@ func TestBezierSmoothsLine(t *testing.T) {
 		if math.Abs(p.Y-p.X) > 1e-9 {
 			t.Errorf("point %v off the line", p)
 		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(0.5)
-	h.Add(5.5)
-	h.AddN(9.5, 3)
-	h.Add(-4)  // clamps to first bin
-	h.Add(400) // clamps to last bin
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[5] != 1 || h.Counts[9] != 4 {
-		t.Errorf("Counts = %v", h.Counts)
-	}
-	if got := h.BinCenter(0); got != 0.5 {
-		t.Errorf("BinCenter(0) = %v", got)
-	}
-	cdf := h.CDF()
-	if cdf[9] != 1 {
-		t.Errorf("CDF tail = %v", cdf[9])
-	}
-	if !sort.Float64sAreSorted(cdf) {
-		t.Errorf("CDF not monotone: %v", cdf)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(0, 10, 5), NewHistogram(0, 10, 5)
-	a.Add(1)
-	b.Add(1)
-	b.Add(9)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != 3 || a.Counts[0] != 2 || a.Counts[4] != 1 {
-		t.Errorf("merged = %v total %d", a.Counts, a.Total())
-	}
-	c := NewHistogram(0, 5, 5)
-	if err := a.Merge(c); err == nil {
-		t.Error("incongruent merge accepted")
 	}
 }
 
