@@ -59,9 +59,10 @@ allocbudget:
 		echo "allocbudget: Fig3 allocs/op $$got exceeds budget $$budget by >10%"; exit 1; fi; \
 	echo "allocbudget ok: Fig3 $$got allocs/op (budget $$budget)"
 
-## chaos: every figure under every fault class (fault-injection suite).
+## chaos: every figure under every fault class (fault-injection suite),
+## plus the fault plan seen through core's storage wrapper.
 chaos:
-	$(GO) test -run '^TestChaos|^TestDegradedTotals' ./internal/core
+	$(GO) test -run '^TestChaos|^TestDegradedTotals|^TestWrapper|^TestTransientReadConvergesUnderRetry' ./internal/core ./internal/faultinject
 
 ## streamequiv: the streamed≡batch gate — every experiment over a lake
 ## built by the live ingest loop (chaos faults + crash/restart on the

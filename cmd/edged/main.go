@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/flowrec"
 	"repro/internal/ingest"
 	"repro/internal/retry"
@@ -83,12 +82,8 @@ func main() {
 	if err != nil {
 		sf.Fatal(err)
 	}
-	var storage core.Storage = core.NewDiskStorage(store, *aggDir)
-	if shared.Faults != nil {
-		storage = faultinject.Wrap(storage, shared.Faults)
-	}
 	cfg := ingest.Config{
-		Storage:         storage,
+		Storage:         core.WithFaults(core.NewDiskStorage(store, *aggDir), shared.Faults),
 		Faults:          shared.Faults,
 		WALDir:          *walDir,
 		CheckpointEvery: *ckEvery,

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/flowrec"
 	"repro/internal/scan"
 	"repro/internal/simnet"
@@ -91,10 +90,7 @@ func main() {
 	// drops its stale aggregate and the stale rollup windows covering it
 	// — the prewarm below would otherwise accept them (a cached agg has
 	// no freshness signal, and a stale rollup's manifest still matches).
-	var dst core.Storage = core.NewDiskStorage(store, *aggDir).WithRollupDir(warm.RollupDir)
-	if warm.Faults != nil {
-		dst = faultinject.Wrap(dst, warm.Faults)
-	}
+	dst := core.WithFaults(core.NewDiskStorage(store, *aggDir).WithRollupDir(warm.RollupDir), warm.Faults)
 	// The generation pipeline carries the world and the emission-side
 	// faults (outage, drop) and no store wiring.
 	p := core.New(core.Config{Seed: warm.Seed, Scale: warm.Scale, Faults: warm.Faults})

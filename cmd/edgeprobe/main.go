@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/flowrec"
 	"repro/internal/pcap"
 	"repro/internal/probe"
@@ -82,10 +81,7 @@ func main() {
 	// rewrite truncates the partial file).
 	// Carrying the rollup directory on the write side drops stale
 	// windows covering any day this capture rewrites.
-	var dst core.Storage = core.NewDiskStorage(store, "").WithRollupDir(sf.Rollup)
-	if plan != nil {
-		dst = faultinject.Wrap(dst, plan)
-	}
+	dst := core.WithFaults(core.NewDiskStorage(store, "").WithRollupDir(sf.Rollup), plan)
 	pol := retry.Policy{Attempts: 3, Base: 25 * time.Millisecond, Max: 500 * time.Millisecond, Seed: sf.Seed}
 
 	if *pcapIn != "" {

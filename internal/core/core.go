@@ -190,8 +190,8 @@ func New(cfg Config) *Pipeline {
 	if storage == nil && (cfg.Store != nil || cfg.AggCacheDir != "" || cfg.RollupDir != "") {
 		storage = NewDiskStorage(cfg.Store, cfg.AggCacheDir).WithRollupDir(cfg.RollupDir)
 	}
-	if cfg.Faults != nil && storage != nil {
-		storage = faultinject.Wrap(storage, cfg.Faults)
+	if storage != nil {
+		storage = WithFaults(storage, cfg.Faults)
 	}
 
 	pol := cfg.Retry
@@ -524,14 +524,11 @@ func (p *Pipeline) computeDays(ctx context.Context, owned []time.Time, entryOf m
 				mDegradedDays.Inc()
 				// Corrupt days — damage at the codec level or below it,
 				// flowrec marks both — are quarantined so the next run reads
-				// an outage instead of tripping over the same bytes; the
-				// quarantine failing must not break the degrade path.
-				// Rollups that folded the now-gone day are dropped too —
-				// once the day is repaired and rewritten, the covering
-				// windows must recompute rather than serve stale merges.
+				// an outage instead of tripping over the same bytes (and the
+				// rollups that folded it recompute); the quarantine failing
+				// must not break the degrade path.
 				if p.storage != nil && errors.Is(de.Err, flowrec.ErrCorrupt) {
 					_ = p.storage.QuarantineDay(de.Day)
-					_ = p.storage.InvalidateRollups(de.Day)
 				}
 			}
 		}

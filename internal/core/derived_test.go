@@ -16,6 +16,10 @@ import (
 	"repro/internal/simnet"
 )
 
+// The ingest daemon writes through its own slice of the storage
+// surface; every core.Storage, fault wrapper included, must be one.
+var _ ingest.Storage = Storage(nil)
+
 // TestDerivedFilesRejectDamage: every kind of derived file — day
 // aggregate, shard partials, rollup, ingest cursor — with one bit
 // flipped or its tail cut off loads as a value its writer saved or as

@@ -89,14 +89,19 @@ func brokenStore(t *testing.T) *flowrec.Store {
 func readFile(path string) ([]byte, error)  { return os.ReadFile(path) }
 func writeFile(path string, b []byte) error { return os.WriteFile(path, b, 0o644) }
 
-// cancelStorage is an in-memory Storage whose reads can be switched
-// between failing (transiently) and succeeding — the shim that lets
-// the tests drive Aggregate's error and cancellation paths exactly.
+// cancelStorage is a Storage whose reads can be switched between
+// failing (transiently) and succeeding — the shim that lets the tests
+// drive Aggregate's error and cancellation paths exactly. Everything
+// but the reads is a DiskStorage with no lake and no caches.
 type cancelStorage struct {
+	Storage
 	mu    sync.Mutex
 	fail  bool
 	reads int
-	gen   uint64
+}
+
+func newCancelStorage(fail bool) *cancelStorage {
+	return &cancelStorage{Storage: NewDiskStorage(nil, ""), fail: fail}
 }
 
 func (f *cancelStorage) setFail(v bool) {
@@ -129,44 +134,10 @@ func (f *cancelStorage) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*
 	return nil
 }
 
-func (f *cancelStorage) WriteDay(time.Time, func(write func(*flowrec.Record) error) error) (uint64, error) {
-	return 0, errors.New("not writable")
-}
-func (f *cancelStorage) HasDay(time.Time) bool                                { return true }
-func (f *cancelStorage) Days() ([]time.Time, error)                           { return nil, nil }
-func (f *cancelStorage) QuarantineDay(time.Time) error                        { return nil }
-func (f *cancelStorage) LoadAgg(time.Time) (*analytics.DayAgg, error)         { return nil, nil }
-func (f *cancelStorage) SaveAgg(*analytics.DayAgg) error                      { return nil }
-func (f *cancelStorage) LoadPartials(time.Time) ([]*analytics.Partial, error) { return nil, nil }
-func (f *cancelStorage) SavePartials(time.Time, []*analytics.Partial) error   { return nil }
-func (f *cancelStorage) AppendPartial(time.Time, *analytics.Partial) error    { return nil }
-func (f *cancelStorage) PartialsSize(time.Time) (int64, int64)                { return 0, 0 }
-func (f *cancelStorage) SweepTemps(time.Time) error                           { return nil }
-func (f *cancelStorage) LoadRollup(analytics.Grain, time.Time) (*analytics.Rollup, error) {
-	return nil, nil
-}
-func (f *cancelStorage) SaveRollup(*analytics.Rollup) error { return nil }
-func (f *cancelStorage) InvalidateRollups(time.Time) error  { return nil }
-func (f *cancelStorage) Generation() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.gen
-}
-func (f *cancelStorage) BumpDays(...time.Time) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.gen++
-	return f.gen
-}
-
-// DayStamp is the generation for every day: a bump of any day moves
-// them all, which satisfies the strict-increase contract bluntly.
-func (f *cancelStorage) DayStamp(time.Time) uint64 { return f.Generation() }
-
 // TestAggregatePreCancelled: a context cancelled before the call must
 // fail fast without reserving (and thus without poisoning) any day.
 func TestAggregatePreCancelled(t *testing.T) {
-	st := &cancelStorage{}
+	st := newCancelStorage(false)
 	p := New(Config{Seed: 1, Workers: 1, Storage: st})
 	day := time.Date(2016, 4, 9, 0, 0, 0, 0, time.UTC)
 
@@ -189,7 +160,7 @@ func TestAggregatePreCancelled(t *testing.T) {
 // recomputes those days instead of inheriting nil aggregates. This is
 // the regression test for the poisoned-cache failure mode.
 func TestAggregateCancelReleasesReservations(t *testing.T) {
-	st := &cancelStorage{fail: true}
+	st := newCancelStorage(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	p := New(Config{Seed: 1, Workers: 1, Storage: st,
 		// The Sleep hook fires on the first backoff wait: cancel there,
@@ -225,7 +196,7 @@ func TestAggregateCancelReleasesReservations(t *testing.T) {
 // TestAggregateCancelDuringBackoff: a cancel arriving while the retry
 // helper sleeps must abort promptly, not after the full backoff.
 func TestAggregateCancelDuringBackoff(t *testing.T) {
-	st := &cancelStorage{fail: true}
+	st := newCancelStorage(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	p := New(Config{Seed: 1, Workers: 1, Storage: st,
 		Retry: retry.Policy{Attempts: 4, Base: time.Hour, Max: time.Hour, Seed: 1}})

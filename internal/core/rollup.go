@@ -14,8 +14,8 @@ package core
 //     manifest (Rollup.Requested) names the exact source-day grid; a
 //     query with a different stride or span misses and rebuilds.
 //   - A rewritten or quarantined day invalidates the rollups covering
-//     it (DiskStorage.InvalidateRollups), so repaired days recompute
-//     instead of serving stale rows.
+//     it (DiskStorage.WriteDay and QuarantineDay), so repaired days
+//     recompute instead of serving stale rows.
 //   - A window with a hot source day — answered from ingester partials
 //     because its day file is not sealed yet — is never persisted: the
 //     next checkpoint moves the day without touching the rollup
@@ -311,54 +311,29 @@ func (p *Pipeline) Rollups(ctx context.Context, days []time.Time) ([]*analytics.
 	return out, nil
 }
 
-// MonthlySeriesTier is Figure 3's fold served from the rollup tier
-// when enabled — byte-identical to MonthlySeries over the flat day
-// fold — and the plain exact path otherwise.
+// MonthlySeriesTier is Figure 3's fold over DayStats — from the rollup
+// tier when enabled, byte-identical to MonthlySeries over the flat day
+// fold either way.
 func (p *Pipeline) MonthlySeriesTier(ctx context.Context, days []time.Time) ([]analytics.MonthlyMean, error) {
-	if !p.RollupsEnabled() {
-		aggs, err := p.Aggregate(ctx, days)
-		if err != nil {
-			return nil, err
-		}
-		return analytics.MonthlySeries(aggs), nil
-	}
-	rows, err := p.DayStats(ctx, days)
-	if err != nil {
-		return nil, err
-	}
-	return analytics.MonthlyFromStats(rows), nil
+	return fromStats(ctx, p, days, analytics.MonthlyFromStats)
 }
 
-// ActiveSeriesTier is the section-3 active-share series through the
-// rollup tier.
+// ActiveSeriesTier is the section-3 active-share series over DayStats.
 func (p *Pipeline) ActiveSeriesTier(ctx context.Context, days []time.Time) ([]analytics.ActivePoint, error) {
-	if !p.RollupsEnabled() {
-		aggs, err := p.Aggregate(ctx, days)
-		if err != nil {
-			return nil, err
-		}
-		return analytics.ActiveSeries(aggs), nil
-	}
-	rows, err := p.DayStats(ctx, days)
-	if err != nil {
-		return nil, err
-	}
-	return analytics.ActiveFromStats(rows), nil
+	return fromStats(ctx, p, days, analytics.ActiveFromStats)
 }
 
-// ProtoSharesTier is Figure 8's monthly protocol mix through the
-// rollup tier.
+// ProtoSharesTier is Figure 8's monthly protocol mix over DayStats.
 func (p *Pipeline) ProtoSharesTier(ctx context.Context, days []time.Time) ([]analytics.ProtoSharePoint, error) {
-	if !p.RollupsEnabled() {
-		aggs, err := p.Aggregate(ctx, days)
-		if err != nil {
-			return nil, err
-		}
-		return analytics.ProtocolShares(aggs), nil
-	}
+	return fromStats(ctx, p, days, analytics.ProtoSharesFromStats)
+}
+
+// fromStats folds days' DayStat rows into one series.
+func fromStats[T any](ctx context.Context, p *Pipeline, days []time.Time, fold func([]analytics.DayStat) T) (T, error) {
 	rows, err := p.DayStats(ctx, days)
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
-	return analytics.ProtoSharesFromStats(rows), nil
+	return fold(rows), nil
 }

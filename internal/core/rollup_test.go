@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -166,7 +167,7 @@ func buildRollupStore(t *testing.T, dir string) *flowrec.Store {
 // TestRollupInvalidationOnWriteDay: rewriting a day through DiskStorage
 // must drop its aggregate cache, shard partials and every covering
 // rollup file, and the next query must rebuild and reflect the new
-// bytes.
+// bytes; quarantining the day drops the covering rollups as well.
 func TestRollupInvalidationOnWriteDay(t *testing.T) {
 	storeDir, aggDir, rollDir := t.TempDir(), t.TempDir(), t.TempDir()
 	store := buildRollupStore(t, storeDir)
@@ -243,6 +244,28 @@ func TestRollupInvalidationOnWriteDay(t *testing.T) {
 	}
 	if _, err := os.Stat(weekFile); err != nil {
 		t.Errorf("week rollup not rebuilt: %v", err)
+	}
+
+	// Quarantine alone drops every covering window too. The span holds
+	// no whole month or year, so those windows' files are planted.
+	covering := []string{weekFile}
+	for _, g := range []analytics.Grain{analytics.GrainMonth, analytics.GrainYear} {
+		path := rollupCachePath(rollDir, g, analytics.WindowStart(g, mid))
+		if err := os.WriteFile(path, []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		covering = append(covering, path)
+	}
+	if err := ds.QuarantineDay(mid); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range covering {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("covering rollup %s survived the quarantine (err=%v)", filepath.Base(path), err)
+		}
+	}
+	if _, err := os.Stat(otherWeekFile); err != nil {
+		t.Errorf("non-covering week rollup was dropped by the quarantine: %v", err)
 	}
 }
 

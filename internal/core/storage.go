@@ -13,17 +13,18 @@ import (
 	"time"
 
 	"repro/internal/analytics"
+	"repro/internal/faultinject"
 	"repro/internal/flowrec"
 	"repro/internal/framefile"
 )
 
 // Storage is the single surface the pipeline reads and writes through:
-// the flow lake (day logs) and the per-day aggregate cache behind one
-// interface, so a fault injector — or any alternative backend — can
-// sit in front of everything at once. It is method-for-method
-// identical to faultinject.Storage; a fault-wrapped Storage satisfies
-// this interface structurally, which is what lets faultinject avoid
-// importing core.
+// the flow lake (day logs) and the derived caches behind one
+// interface, so a fault injector (WithFaults) — or any alternative
+// backend — can sit in front of everything at once. It is the only
+// declaration of the surface: wrappers and test doubles embed it and
+// state just the methods they change; ingest declares the subset its
+// daemon writes through.
 type Storage interface {
 	// ReadDayCols streams one day's flow records through a column
 	// projection and predicate pushdown: a v3 day decodes only the
@@ -44,7 +45,9 @@ type Storage interface {
 	// Days lists stored days ascending, quarantined days excluded.
 	Days() ([]time.Time, error)
 	// QuarantineDay moves a damaged day's log out of the read path so
-	// later reads see an outage instead of the same corruption.
+	// later reads see an outage instead of the same corruption, and
+	// drops the persisted rollups whose windows cover the day, so no
+	// rollup keeps serving a merge that folded it.
 	QuarantineDay(day time.Time) error
 	// LoadAgg returns a cached per-day aggregate, (nil, nil) on a
 	// cache miss (including "no cache configured").
@@ -81,10 +84,6 @@ type Storage interface {
 	// SaveRollup persists one window's rollup; a no-op without a
 	// rollup tier.
 	SaveRollup(r *analytics.Rollup) error
-	// InvalidateRollups removes the persisted rollups whose windows
-	// cover day — called when the day's data changes (rewrite,
-	// quarantine), so no rollup keeps serving a stale merge.
-	InvalidateRollups(day time.Time) error
 	// Generation returns the lake generation: a monotonic counter that
 	// advances on every mutation (WriteDay, quarantine, compaction,
 	// live-ingest checkpoints). It is the clock day stamps are drawn
@@ -104,6 +103,145 @@ type Storage interface {
 	// value no earlier or later read returns, so damage is always a
 	// miss.
 	DayStamp(day time.Time) uint64
+}
+
+// faultyStorage puts a fault plan in front of a Storage. It faults the
+// lake and cache I/O and passes everything else through the embedded
+// Storage: quarantine (which also drops the covering rollups) and
+// SweepTemps are the recovery path and must stay reliable for the
+// degradation story to hold — faulting them would turn every injected
+// corruption into a permanent stale-rollup hazard; the generation and
+// the day stamps are bookkeeping, not lake I/O, and faulting them
+// would only decouple caches from the days they mirror; HasDay, Days
+// and PartialsSize are stats.
+type faultyStorage struct {
+	Storage
+	plan *faultinject.Plan
+}
+
+// WithFaults injects plan's faults in front of s. A nil plan returns s
+// itself.
+func WithFaults(s Storage, plan *faultinject.Plan) Storage {
+	if plan == nil {
+		return s
+	}
+	return &faultyStorage{Storage: s, plan: plan}
+}
+
+// ReadDayCols injects read faults (the OpReadDay schedule):
+// transient/permanent I/O errors fail the call upfront; bitflip and
+// truncate deliver a deterministic prefix of the day's records and then
+// fail like a damaged file (wrapping flowrec.ErrCorrupt).
+func (s *faultyStorage) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error {
+	f := s.plan.NextFault(faultinject.OpReadDay, day)
+	if f == nil {
+		return s.Storage.ReadDayCols(day, sc, fn)
+	}
+	if !f.IsCorruption() {
+		return f
+	}
+	// Corruption: the stream decodes up to the damage point, then the
+	// decoder surfaces the fault — exactly how a flipped bit or a
+	// truncated tail reads back.
+	limit := s.plan.TruncPoint(day)
+	n := 0
+	err := s.Storage.ReadDayCols(day, sc, func(r *flowrec.Record) error {
+		if n >= limit {
+			return f
+		}
+		n++
+		return fn(r)
+	})
+	if err == nil {
+		// Fewer records than the damage point: the fault lands on the
+		// trailer instead.
+		return f
+	}
+	return err
+}
+
+// WriteDay injects write faults: transient/permanent errors fail the
+// call before any byte lands; torn writes cut the stream after a
+// deterministic number of records, leaving a short day behind.
+func (s *faultyStorage) WriteDay(day time.Time, emit func(write func(*flowrec.Record) error) error) (uint64, error) {
+	f := s.plan.NextFault(faultinject.OpWriteDay, day)
+	if f == nil {
+		return s.Storage.WriteDay(day, emit)
+	}
+	if f.Kind != "torn write" {
+		return 0, f
+	}
+	limit := s.plan.TruncPoint(day)
+	return s.Storage.WriteDay(day, func(write func(*flowrec.Record) error) error {
+		n := 0
+		return emit(func(r *flowrec.Record) error {
+			if n >= limit {
+				return f
+			}
+			n++
+			return write(r)
+		})
+	})
+}
+
+// LoadAgg injects cache-load faults. The derived caches — aggregates,
+// partials, rollups — are one failure domain: every load faults under
+// the loadagg rules and every save under the saveagg rules.
+func (s *faultyStorage) LoadAgg(day time.Time) (*analytics.DayAgg, error) {
+	if f := s.plan.NextFault(faultinject.OpLoadAgg, day); f != nil {
+		return nil, f
+	}
+	return s.Storage.LoadAgg(day)
+}
+
+// SaveAgg injects cache-save faults.
+func (s *faultyStorage) SaveAgg(agg *analytics.DayAgg) error {
+	if f := s.plan.NextFault(faultinject.OpSaveAgg, agg.Day); f != nil {
+		return f
+	}
+	return s.Storage.SaveAgg(agg)
+}
+
+// LoadPartials injects cache-load faults.
+func (s *faultyStorage) LoadPartials(day time.Time) ([]*analytics.Partial, error) {
+	if f := s.plan.NextFault(faultinject.OpLoadAgg, day); f != nil {
+		return nil, f
+	}
+	return s.Storage.LoadPartials(day)
+}
+
+// SavePartials injects cache-save faults.
+func (s *faultyStorage) SavePartials(day time.Time, parts []*analytics.Partial) error {
+	if f := s.plan.NextFault(faultinject.OpSaveAgg, day); f != nil {
+		return f
+	}
+	return s.Storage.SavePartials(day, parts)
+}
+
+// AppendPartial injects cache-save faults, like the SavePartials it
+// extends. The fault fails the call before a byte lands; a torn append
+// is the crash suite's to stage.
+func (s *faultyStorage) AppendPartial(day time.Time, p *analytics.Partial) error {
+	if f := s.plan.NextFault(faultinject.OpSaveAgg, day); f != nil {
+		return f
+	}
+	return s.Storage.AppendPartial(day, p)
+}
+
+// LoadRollup injects cache-load faults keyed by the window start.
+func (s *faultyStorage) LoadRollup(g analytics.Grain, start time.Time) (*analytics.Rollup, error) {
+	if f := s.plan.NextFault(faultinject.OpLoadAgg, start); f != nil {
+		return nil, f
+	}
+	return s.Storage.LoadRollup(g, start)
+}
+
+// SaveRollup injects cache-save faults keyed by the window start.
+func (s *faultyStorage) SaveRollup(r *analytics.Rollup) error {
+	if f := s.plan.NextFault(faultinject.OpSaveAgg, r.Start); f != nil {
+		return f
+	}
+	return s.Storage.SaveRollup(r)
 }
 
 // DiskStorage is the production Storage: a flowrec day-partitioned
@@ -198,7 +336,7 @@ func (d *DiskStorage) invalidateDerived(day time.Time) error {
 			firstErr = err
 		}
 	}
-	if err := d.InvalidateRollups(day); err != nil && firstErr == nil {
+	if err := d.invalidateRollups(day); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
@@ -217,7 +355,9 @@ func (d *DiskStorage) Days() ([]time.Time, error) {
 	return d.store.Days()
 }
 
-// QuarantineDay implements Storage.
+// QuarantineDay implements Storage. The covering rollups go even
+// when the move fails: whatever state the day is left in, a window
+// that folded it must recompute.
 func (d *DiskStorage) QuarantineDay(day time.Time) error {
 	if d.store == nil {
 		return nil
@@ -225,6 +365,9 @@ func (d *DiskStorage) QuarantineDay(day time.Time) error {
 	err := d.store.QuarantineDay(day)
 	if err == nil {
 		d.BumpDays(day)
+	}
+	if rerr := d.invalidateRollups(day); err == nil {
+		err = rerr
 	}
 	return err
 }
@@ -443,8 +586,10 @@ func (d *DiskStorage) writeGenFile(g uint64) {
 	_ = framefile.Replace(d.genPath, []byte(strconv.FormatUint(g, 10)+"\n"))
 }
 
-// InvalidateRollups implements Storage: one covering window per grain.
-func (d *DiskStorage) InvalidateRollups(day time.Time) error {
+// invalidateRollups removes the persisted rollups whose windows cover
+// day, one per grain — called when the day's data changes (rewrite,
+// quarantine), so no rollup keeps serving a stale merge.
+func (d *DiskStorage) invalidateRollups(day time.Time) error {
 	if d.rollupDir == "" {
 		return nil
 	}

@@ -40,14 +40,11 @@ func buildStreamedStore(t *testing.T, days []time.Time, planSpec, storageSpec st
 	}
 	disk := NewDiskStorage(store, filepath.Join(dir, "agg"))
 
-	var storage ingest.Storage = disk
-	if storageSpec != "" {
-		plan, err := faultinject.Parse(storageSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		storage = faultinject.Wrap(disk, plan)
+	plan, err := faultinject.Parse(storageSpec)
+	if err != nil {
+		t.Fatal(err)
 	}
+	storage := WithFaults(disk, plan)
 	cfg := ingest.Config{
 		Storage:         storage,
 		WALDir:          filepath.Join(dir, "lake", flowrec.WALDirName),

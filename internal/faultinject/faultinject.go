@@ -2,10 +2,12 @@
 // suite: it parses a compact fault-spec string into a Plan and decides
 // — reproducibly, from a seed — where I/O errors, bit flips, gzip
 // truncations, torn writes, injected latency and probe outages strike.
-// The Plan drives two consumers: the Storage wrapper (storage.go),
-// which corrupts the read/write path of the flow store and the
-// aggregate cache, and simnet's EmitDayFaults, which suppresses whole
-// days (outages) or drops individual records at emission time.
+// The Plan drives three consumers: core's storage wrapper
+// (core.WithFaults), which corrupts the read/write path of the flow
+// store and the derived caches through NextFault and TruncPoint; the
+// ingest daemon's checkpoints and seals, through OpFault; and simnet's
+// EmitDayFaults, which suppresses whole days (outages) or drops
+// individual records at emission time.
 //
 // Spec grammar (see the README for the full table):
 //
@@ -235,9 +237,9 @@ func (p *Plan) String() string {
 	return strings.Join(parts, ";")
 }
 
-// next returns the 1-based attempt number for (op, day); the storage
-// wrapper calls it once per operation so fails=N and per-attempt
-// transient rolls see retries.
+// next returns the 1-based attempt number for (op, day); every fault
+// site calls it once per operation (through NextFault) so fails=N and
+// per-attempt transient rolls see retries.
 func (p *Plan) next(op Op, day time.Time) int {
 	if p == nil {
 		return 1
@@ -309,9 +311,10 @@ func (p *Plan) fault(op Op, day time.Time, attempt int) *Fault {
 	return nil
 }
 
-// truncPoint returns how many records a corrupted read delivers before
-// failing — deterministic per day, small enough to matter.
-func (p *Plan) truncPoint(day time.Time) int {
+// TruncPoint returns how many records a corrupted read delivers, or a
+// torn write lands, before failing — deterministic per day, small
+// enough to matter.
+func (p *Plan) TruncPoint(day time.Time) int {
 	return 1 + int(mix(p.Seed^uint64(day.Unix())^0x7472756e63)%255)
 }
 
@@ -350,16 +353,19 @@ func (p *Plan) HasOp(op Op) bool {
 	return p != nil && len(p.rules[op]) > 0
 }
 
-// OpFault rolls the plan for one attempt of (op, day) and returns the
-// injected fault, or nil. It is the hook for fault sites that live
-// outside the storage wrapper — the ingest daemon consults it on
-// every checkpoint and seal, with the same (seed, op, day, attempt)
-// determinism as the wrapped I/O path. Nil-safe.
+// NextFault rolls the plan for the next attempt of (op, day) and
+// returns the injected fault, or nil. Every call is one attempt: the
+// storage wrapper calls it once per operation. Nil-safe.
+func (p *Plan) NextFault(op Op, day time.Time) *Fault {
+	return p.fault(op, day, p.next(op, day))
+}
+
+// OpFault is NextFault as an error, nil when nothing strikes — the
+// hook for fault sites outside the storage wrapper: the ingest daemon
+// consults it on every checkpoint and seal, with the same (seed, op,
+// day, attempt) determinism as the wrapped I/O path. Nil-safe.
 func (p *Plan) OpFault(op Op, day time.Time) error {
-	if p == nil {
-		return nil
-	}
-	if f := p.fault(op, day, p.next(op, day)); f != nil {
+	if f := p.NextFault(op, day); f != nil {
 		return f
 	}
 	return nil
@@ -388,6 +394,12 @@ func (f *Fault) Transient() bool { return f.IsTransient }
 // Unwrap exposes the wrapped sentinel (flowrec.ErrCorrupt for
 // corruption faults), or nil.
 func (f *Fault) Unwrap() error { return f.wrapped }
+
+// IsCorruption reports whether the fault damages data (bitflip or
+// truncation) rather than failing the operation outright.
+func (f *Fault) IsCorruption() bool {
+	return f.Kind == "bitflip" || f.Kind == "truncate"
+}
 
 // mix is SplitMix64's output scramble.
 func mix(x uint64) uint64 {

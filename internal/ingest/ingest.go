@@ -74,9 +74,10 @@ var (
 
 // Storage is the slice of the pipeline storage surface the daemon
 // writes through: sealed days into the lake, checkpoint partials into
-// the aggregate cache. It is structurally satisfied by core's
-// DiskStorage and by faultinject's wrapper — declared here so the
-// dependency arrow keeps pointing from core to the leaves.
+// the aggregate cache, and the day stamps. core.Storage, and so
+// core's DiskStorage and its fault wrapper, satisfies it (core checks
+// that at compile time) — declared here so the dependency arrow keeps
+// pointing from core to the leaves.
 type Storage interface {
 	WriteDay(day time.Time, emit func(write func(*flowrec.Record) error) error) (uint64, error)
 	HasDay(day time.Time) bool
@@ -85,30 +86,18 @@ type Storage interface {
 	PartialsSize(day time.Time) (base, total int64)
 	LoadPartials(day time.Time) ([]*analytics.Partial, error)
 	SweepTemps(day time.Time) error
+	// BumpDays advances the stamps of days (see core.Storage.BumpDays).
+	// The daemon bumps the day it changed after a checkpoint, each
+	// recovered day after recovery and the compacted day after a
+	// compaction, so caches over the shared lake drop what read that
+	// day and keep the rest. Seals bump inside WriteDay.
+	BumpDays(days ...time.Time) uint64
 }
 
 // Compactor rewrites a sealed day into another format in place;
 // *flowrec.Store satisfies it.
 type Compactor interface {
 	CompactDay(day time.Time, format flowrec.Format) (uint64, error)
-}
-
-// dayBumper is the optional day-stamp surface (see
-// core.Storage.BumpDays). The Storage interface above stays the
-// minimal write slice; when the wired backend also keeps day stamps
-// (DiskStorage does), the daemon bumps the day it changed after a
-// checkpoint, each recovered day after recovery and the compacted day
-// after a compaction, so caches over the shared lake drop what read
-// that day and keep the rest. Seals bump implicitly through WriteDay.
-type dayBumper interface {
-	BumpDays(days ...time.Time) uint64
-}
-
-// bumpDays advances the stamps of days when the backend keeps them.
-func (in *Ingester) bumpDays(days ...time.Time) {
-	if b, ok := in.cfg.Storage.(dayBumper); ok {
-		b.BumpDays(days...)
-	}
 }
 
 // Config wires an Ingester.
@@ -310,7 +299,7 @@ func Open(cfg Config) (*Ingester, error) {
 		// Recovery may have replayed WAL tails into fresh partials;
 		// anything cached against a recovered day's pre-crash state must
 		// revalidate.
-		in.bumpDays(in.OpenDays()...)
+		in.cfg.Storage.BumpDays(in.OpenDays()...)
 	}
 	mOpenDays.Set(int64(len(in.days)))
 	in.recomputeDue()
@@ -683,7 +672,7 @@ func (in *Ingester) checkpointDay(ctx context.Context, st *dayState, fold bool) 
 	// New partials are now visible to a hot-day reader sharing the agg
 	// cache: move the day's stamp so what it cached from the day
 	// refetches.
-	in.bumpDays(day)
+	in.cfg.Storage.BumpDays(day)
 	if err := in.writeCursor(); err != nil {
 		in.cfg.Logf("ingest: cursor: %v", err)
 	}
@@ -787,7 +776,7 @@ func (in *Ingester) compactDay(day time.Time) {
 	mCompactions.Inc()
 	// The day's physical bytes changed format; what readers derived
 	// from the day must revalidate.
-	in.bumpDays(day)
+	in.cfg.Storage.BumpDays(day)
 }
 
 func (in *Ingester) compactWorker() {

@@ -28,7 +28,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/flowrec"
 	"repro/internal/ingest"
@@ -87,16 +86,18 @@ func lakeConfig(store *flowrec.Store) core.Config {
 // memLake is an in-memory core.Storage whose days can be damaged at a
 // chosen record: reads deliver failAfter records, then fail like a
 // torn gzip (wrapping flowrec.ErrCorrupt). daysCalls counts Days()
-// listings for the healthz caching test.
+// listings for the healthz caching test. Everything else is the
+// embedded core.DiskStorage with no lake and no caches.
 type memLake struct {
+	core.Storage
 	recs      map[int64][]flowrec.Record
 	failAfter map[int64]int
-	gen       atomic.Uint64
 	daysCalls atomic.Int64
 }
 
 func newMemLake() *memLake {
-	return &memLake{recs: make(map[int64][]flowrec.Record), failAfter: make(map[int64]int)}
+	return &memLake{Storage: core.NewDiskStorage(nil, ""),
+		recs: make(map[int64][]flowrec.Record), failAfter: make(map[int64]int)}
 }
 
 func (m *memLake) addDay(day time.Time, n int, bytesDown, bytesUp uint64) {
@@ -128,19 +129,6 @@ func (m *memLake) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowre
 	return nil
 }
 
-func (m *memLake) WriteDay(day time.Time, emit func(write func(*flowrec.Record) error) error) (uint64, error) {
-	var recs []flowrec.Record
-	err := emit(func(r *flowrec.Record) error { recs = append(recs, *r); return nil })
-	if err != nil {
-		return uint64(len(recs)), err
-	}
-	m.recs[day.Unix()] = recs
-	m.BumpDays(day)
-	return uint64(len(recs)), nil
-}
-
-func (m *memLake) HasDay(day time.Time) bool { _, ok := m.recs[day.Unix()]; return ok }
-
 func (m *memLake) Days() ([]time.Time, error) {
 	m.daysCalls.Add(1)
 	var out []time.Time
@@ -151,28 +139,6 @@ func (m *memLake) Days() ([]time.Time, error) {
 	return out, nil
 }
 
-func (m *memLake) QuarantineDay(day time.Time) error {
-	delete(m.recs, day.Unix())
-	m.BumpDays(day)
-	return nil
-}
-
-func (m *memLake) LoadAgg(time.Time) (*analytics.DayAgg, error)         { return nil, nil }
-func (m *memLake) SaveAgg(*analytics.DayAgg) error                      { return nil }
-func (m *memLake) LoadPartials(time.Time) ([]*analytics.Partial, error) { return nil, nil }
-func (m *memLake) SavePartials(time.Time, []*analytics.Partial) error   { return nil }
-func (m *memLake) AppendPartial(time.Time, *analytics.Partial) error    { return nil }
-func (m *memLake) PartialsSize(time.Time) (int64, int64)                { return 0, 0 }
-func (m *memLake) SweepTemps(time.Time) error                           { return nil }
-func (m *memLake) LoadRollup(analytics.Grain, time.Time) (*analytics.Rollup, error) {
-	return nil, nil
-}
-func (m *memLake) SaveRollup(*analytics.Rollup) error { return nil }
-func (m *memLake) InvalidateRollups(time.Time) error  { return nil }
-func (m *memLake) Generation() uint64                 { return m.gen.Load() }
-func (m *memLake) BumpDays(...time.Time) uint64       { return m.gen.Add(1) }
-func (m *memLake) DayStamp(time.Time) uint64          { return m.gen.Load() }
-
 // --- satellite regressions --------------------------------------------------
 
 // TestDeadlineIncludesQueueWait: QueryTimeout is documented as the
@@ -180,7 +146,7 @@ func (m *memLake) DayStamp(time.Time) uint64          { return m.gen.Load() }
 // queued behind a slow slot-holder past the deadline must answer 504
 // promptly — not run (and answer 200) whenever the queue drains.
 func TestDeadlineIncludesQueueWait(t *testing.T) {
-	fake := &fakeStorage{day: fakeDay, entered: make(chan struct{}, 8), release: make(chan struct{})}
+	fake := &fakeStorage{Storage: core.NewDiskStorage(nil, ""), day: fakeDay, entered: make(chan struct{}, 8), release: make(chan struct{})}
 	_, ts := newEquivServer(t, core.Config{Storage: fake, Workers: 1},
 		Options{Workers: 1, Queue: 4, QueryTimeout: 250 * time.Millisecond})
 	url := ts.URL + "/v1/scan?from=2016-04-01"
@@ -220,7 +186,7 @@ func TestDeadlineIncludesQueueWait(t *testing.T) {
 // TestMetricsFormatStrict: /v1/metrics now enforces the same strict
 // unknown-value contract as every admitted endpoint.
 func TestMetricsFormatStrict(t *testing.T) {
-	fake := &fakeStorage{day: fakeDay}
+	fake := &fakeStorage{Storage: core.NewDiskStorage(nil, ""), day: fakeDay}
 	_, ts := newEquivServer(t, core.Config{Storage: fake, Workers: 1}, Options{})
 	for _, c := range []struct {
 		query string

@@ -16,11 +16,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/flowrec"
 	"repro/internal/ingest"
@@ -53,13 +51,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // fakeStorage is a minimal core.Storage for admission and deadline
 // tests: one day whose scan either blocks until released or emits
-// records endlessly until the callback aborts it.
+// records endlessly until the callback aborts it. Everything else is
+// the embedded core.DiskStorage with no lake and no caches.
 type fakeStorage struct {
+	core.Storage
 	day     time.Time
 	entered chan struct{} // receives one token per scan started
 	release chan struct{} // when non-nil, a scan blocks here first
 	endless bool          // emit records until fn returns an error
-	gen     atomic.Uint64
 }
 
 func (f *fakeStorage) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*flowrec.Record) error) error {
@@ -87,31 +86,6 @@ func (f *fakeStorage) ReadDayCols(day time.Time, sc flowrec.ColScan, fn func(*fl
 	}
 	return nil
 }
-
-func (f *fakeStorage) WriteDay(day time.Time, _ func(func(*flowrec.Record) error) error) (uint64, error) {
-	f.BumpDays(day)
-	return 0, nil
-}
-func (f *fakeStorage) HasDay(day time.Time) bool                    { return day.Equal(f.day) }
-func (f *fakeStorage) Days() ([]time.Time, error)                   { return []time.Time{f.day}, nil }
-func (f *fakeStorage) QuarantineDay(time.Time) error                { return nil }
-func (f *fakeStorage) LoadAgg(time.Time) (*analytics.DayAgg, error) { return nil, nil }
-func (f *fakeStorage) SaveAgg(*analytics.DayAgg) error              { return nil }
-func (f *fakeStorage) LoadPartials(time.Time) ([]*analytics.Partial, error) {
-	return nil, nil
-}
-func (f *fakeStorage) SavePartials(time.Time, []*analytics.Partial) error { return nil }
-func (f *fakeStorage) AppendPartial(time.Time, *analytics.Partial) error  { return nil }
-func (f *fakeStorage) PartialsSize(time.Time) (int64, int64)              { return 0, 0 }
-func (f *fakeStorage) SweepTemps(time.Time) error                         { return nil }
-func (f *fakeStorage) LoadRollup(analytics.Grain, time.Time) (*analytics.Rollup, error) {
-	return nil, nil
-}
-func (f *fakeStorage) SaveRollup(*analytics.Rollup) error { return nil }
-func (f *fakeStorage) InvalidateRollups(time.Time) error  { return nil }
-func (f *fakeStorage) Generation() uint64                 { return f.gen.Load() }
-func (f *fakeStorage) BumpDays(...time.Time) uint64       { return f.gen.Add(1) }
-func (f *fakeStorage) DayStamp(time.Time) uint64          { return f.gen.Load() }
 
 var fakeDay = time.Date(2016, 4, 1, 0, 0, 0, 0, time.UTC)
 
@@ -261,7 +235,7 @@ func TestServeHotDayDuringIngest(t *testing.T) {
 // with 429 + Retry-After and counted in serve.shed. Releasing the
 // slot drains the queue — both held queries answer 200.
 func TestAdmissionShedsWith429(t *testing.T) {
-	fake := &fakeStorage{day: fakeDay, entered: make(chan struct{}, 8), release: make(chan struct{})}
+	fake := &fakeStorage{Storage: core.NewDiskStorage(nil, ""), day: fakeDay, entered: make(chan struct{}, 8), release: make(chan struct{})}
 	_, ts := newEquivServer(t, core.Config{Storage: fake, Workers: 1}, Options{Workers: 1, Queue: 1})
 	url := ts.URL + "/v1/scan?from=2016-04-01"
 	shed0, queued0 := mShed.Load(), mQueuedG.Load()
@@ -305,7 +279,7 @@ func TestAdmissionShedsWith429(t *testing.T) {
 // count serve.deadline_expired, and leak nothing — the goroutine
 // count settles back to its pre-query baseline.
 func TestDeadlineExpiresCleanly(t *testing.T) {
-	fake := &fakeStorage{day: fakeDay, endless: true}
+	fake := &fakeStorage{Storage: core.NewDiskStorage(nil, ""), day: fakeDay, endless: true}
 	_, ts := newEquivServer(t, core.Config{Storage: fake, Workers: 1},
 		Options{QueryTimeout: 100 * time.Millisecond})
 	client := &http.Client{}

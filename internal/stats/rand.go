@@ -112,29 +112,6 @@ func (r *Rand) Poisson(mean float64) int {
 	}
 }
 
-// Zipf returns a sample in [0, n) with probability proportional to
-// 1/(i+1)^s — service and content popularity are classically zipfian.
-func (r *Rand) Zipf(n int, s float64) int {
-	if n <= 1 {
-		return 0
-	}
-	// Inverse-CDF on the harmonic partial sums; n is small (tens) in
-	// every caller, so linear search beats precomputation.
-	var total float64
-	for i := 0; i < n; i++ {
-		total += 1 / math.Pow(float64(i+1), s)
-	}
-	u := r.Float64() * total
-	var cum float64
-	for i := 0; i < n; i++ {
-		cum += 1 / math.Pow(float64(i+1), s)
-		if u < cum {
-			return i
-		}
-	}
-	return n - 1
-}
-
 // Logistic evaluates the logistic curve with midpoint x0 and steepness
 // k at x, scaled to [0, max]. Service adoption over years follows
 // logistic growth in the model.

@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -112,32 +111,6 @@ func (e *ECDF) Mean() float64 {
 
 // Point is one (X, Y) coordinate of a rendered curve.
 type Point struct{ X, Y float64 }
-
-// LogSpace returns n points from lo to hi spaced evenly in log10, for
-// the log-scaled x axes of Figures 2 and 10.
-func LogSpace(lo, hi float64, n int) []float64 {
-	if lo <= 0 || hi <= lo || n < 2 {
-		panic(fmt.Sprintf("stats: LogSpace(%v, %v, %d)", lo, hi, n))
-	}
-	out := make([]float64, n)
-	l0, l1 := math.Log10(lo), math.Log10(hi)
-	for i := range out {
-		out[i] = math.Pow(10, l0+(l1-l0)*float64(i)/float64(n-1))
-	}
-	return out
-}
-
-// LinSpace returns n points from lo to hi spaced evenly.
-func LinSpace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("stats: LinSpace needs n >= 2")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + (hi-lo)*float64(i)/float64(n-1)
-	}
-	return out
-}
 
 // Bezier resamples curve with a Bézier interpolation using the input
 // points as control polygon, evaluated at n parameter values — the

@@ -84,29 +84,6 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestLogSpace(t *testing.T) {
-	xs := LogSpace(1, 1000, 4)
-	want := []float64{1, 10, 100, 1000}
-	for i := range want {
-		if math.Abs(xs[i]-want[i])/want[i] > 1e-9 {
-			t.Errorf("xs[%d] = %v, want %v", i, xs[i], want[i])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("LogSpace(0,...) did not panic")
-		}
-	}()
-	LogSpace(0, 10, 3)
-}
-
-func TestLinSpace(t *testing.T) {
-	xs := LinSpace(0, 10, 11)
-	if len(xs) != 11 || xs[0] != 0 || xs[10] != 10 || xs[5] != 5 {
-		t.Errorf("LinSpace = %v", xs)
-	}
-}
-
 func TestBezierEndpoints(t *testing.T) {
 	in := []Point{{0, 1}, {1, 5}, {2, 2}, {3, 8}}
 	out := Bezier(in, 50)
@@ -238,20 +215,6 @@ func TestExpMean(t *testing.T) {
 	}
 	if got := sum / n; math.Abs(got-42) > 1.5 {
 		t.Errorf("Exp mean = %v, want ~42", got)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := NewRand(3)
-	counts := make([]int, 10)
-	for i := 0; i < 100000; i++ {
-		counts[r.Zipf(10, 1.0)]++
-	}
-	if counts[0] <= counts[1] || counts[1] <= counts[5] {
-		t.Errorf("Zipf counts not decreasing: %v", counts)
-	}
-	if r.Zipf(1, 1) != 0 || r.Zipf(0, 1) != 0 {
-		t.Error("degenerate Zipf should return 0")
 	}
 }
 
