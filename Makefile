@@ -152,6 +152,8 @@ examples:
 FUZZTIME ?= 10s
 FUZZ_TARGETS := \
 	internal/flowrec:FuzzDecodeRecord \
+	internal/flowrec:FuzzInflate \
+	internal/flowrec:FuzzReadDayV3 \
 	internal/framefile:FuzzLoadDerivedFiles \
 	internal/wire:FuzzParsePacket \
 	internal/dpi:FuzzTLSClientHello \

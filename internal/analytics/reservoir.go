@@ -1,7 +1,7 @@
 package analytics
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/flowrec"
 )
@@ -30,6 +30,17 @@ func (a rttSample) less(b rttSample) bool {
 		return a.hash < b.hash
 	}
 	return a.ms < b.ms
+}
+
+// cmp is less as a three-way comparison, for slices.SortFunc.
+func (a rttSample) cmp(b rttSample) int {
+	switch {
+	case a.less(b):
+		return -1
+	case b.less(a):
+		return 1
+	}
+	return 0
 }
 
 // rttReservoir is a bottom-k reservoir: a max-heap of the cap smallest
@@ -94,7 +105,7 @@ func (r *rttReservoir) down(i int) {
 // The heap is consumed: the reservoir must not be offered samples
 // afterwards.
 func (r *rttReservoir) values() []float64 {
-	sort.Slice(r.heap, func(i, j int) bool { return r.heap[i].less(r.heap[j]) })
+	slices.SortFunc(r.heap, rttSample.cmp)
 	out := make([]float64, len(r.heap))
 	for i, s := range r.heap {
 		out[i] = s.ms
@@ -106,7 +117,7 @@ func (r *rttReservoir) values() []float64 {
 // (hash, ms) arrays in canonical (hash, ms) order, plus cap and the
 // offered-sample count. The heap is consumed, like values.
 func (r *rttReservoir) partial() *RTTPartial {
-	sort.Slice(r.heap, func(i, j int) bool { return r.heap[i].less(r.heap[j]) })
+	slices.SortFunc(r.heap, rttSample.cmp)
 	p := &RTTPartial{
 		Cap:  r.cap,
 		Seen: r.seen,

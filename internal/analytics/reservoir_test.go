@@ -2,10 +2,13 @@ package analytics
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/flowrec"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -144,6 +147,44 @@ func TestAggregatorRTTSampleDeterministicAcrossOrder(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("order-dependent aggregate: sample[%d] %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestReservoirMatchesSortOracle pins the reservoir to its
+// definition: the kept set is the first cap samples of all offered
+// ones sorted by (hash, ms). The sizes straddle the heap's fill
+// (cap) and run well past it, and the narrow hash and ms ranges force
+// duplicate hashes and identical (hash, ms) pairs.
+func TestReservoirMatchesSortOracle(t *testing.T) {
+	const cap = 16
+	rng := stats.NewRand(42)
+	for _, n := range []int{cap - 5, cap, 2*cap - 1, 2 * cap, 2*cap + 1, 10 * cap} {
+		for _, hashes := range []int{3 * cap, 1 << 30} {
+			all := make([]rttSample, n)
+			for i := range all {
+				all[i] = rttSample{hash: uint64(rng.Intn(hashes)), ms: float64(rng.Intn(4))}
+			}
+			res := newRTTReservoir(cap)
+			for _, s := range all {
+				res.add(s)
+			}
+			want := slices.Clone(all)
+			sort.Slice(want, func(i, j int) bool { return want[i].less(want[j]) })
+			want = want[:min(n, cap)]
+			got := res.partial()
+			if got.Seen != uint64(n) {
+				t.Errorf("n=%d hashes=%d: Seen = %d, want %d", n, hashes, got.Seen, n)
+			}
+			if len(got.Hash) != len(want) {
+				t.Fatalf("n=%d hashes=%d: kept %d, want %d", n, hashes, len(got.Hash), len(want))
+			}
+			for i, w := range want {
+				if got.Hash[i] != w.hash || got.Ms[i] != w.ms {
+					t.Fatalf("n=%d hashes=%d: kept[%d] = (%d, %v), want (%d, %v)",
+						n, hashes, i, got.Hash[i], got.Ms[i], w.hash, w.ms)
+				}
+			}
 		}
 	}
 }

@@ -76,10 +76,20 @@ func TestRunAllExperimentsSmoke(t *testing.T) {
 	}
 }
 
+// mustLookup is Lookup for an ID the test knows is registered.
+func mustLookup(t testing.TB, id string) Experiment {
+	t.Helper()
+	e, ok := Lookup(id)
+	if !ok {
+		t.Fatalf("unknown experiment %q", id)
+	}
+	return e
+}
+
 func TestTable1Output(t *testing.T) {
 	p := testPipeline()
 	var buf bytes.Buffer
-	if err := Lookup0("table1").Run(context.Background(), p, &buf); err != nil {
+	if err := mustLookup(t, "table1").Run(context.Background(), p, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -173,7 +183,7 @@ func TestEmptyStoreNotes(t *testing.T) {
 	p := New(Config{Seed: 99, Store: store, Workers: 2})
 	for _, id := range []string{"active", "fig4"} {
 		var buf bytes.Buffer
-		if err := Lookup0(id).Run(context.Background(), p, &buf); err != nil {
+		if err := mustLookup(t, id).Run(context.Background(), p, &buf); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		if out := buf.String(); strings.Contains(out, "NaN") || !strings.Contains(out, "(no data") {

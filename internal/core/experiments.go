@@ -175,16 +175,6 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Lookup0 is Lookup for known-good IDs (panics otherwise, programming
-// error only).
-func Lookup0(id string) Experiment {
-	e, ok := Lookup(id)
-	if !ok {
-		panic("core: unknown experiment " + id)
-	}
-	return e
-}
-
 func date(y int, m time.Month, d int) time.Time {
 	return time.Date(y, m, d, 0, 0, 0, 0, time.UTC)
 }

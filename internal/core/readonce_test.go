@@ -64,7 +64,7 @@ func runAllExperiments(t *testing.T, storage Storage, aggDir, rollupDir string, 
 	if len(ids) > 0 {
 		exps = exps[:0]
 		for _, id := range ids {
-			exps = append(exps, Lookup0(id))
+			exps = append(exps, mustLookup(t, id))
 		}
 	}
 	for _, e := range exps {

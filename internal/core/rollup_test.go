@@ -111,7 +111,7 @@ func TestRollupTierGoldenIdentity(t *testing.T) {
 
 	mHits, mBuilds := metrics.GetCounter("rollup.hits"), metrics.GetCounter("rollup.builds")
 	for _, id := range []string{"active", "fig3", "fig8"} {
-		e := Lookup0(id)
+		e := mustLookup(t, id)
 		var exact, tiered, rerun bytes.Buffer
 		if err := e.Run(context.Background(), New(goldenConfig()), &exact); err != nil {
 			t.Fatalf("%s exact: %v", id, err)
@@ -437,11 +437,11 @@ func TestChaosRollupRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := New(Config{Seed: chaosSeed, Scale: chaosScale, Workers: 4})
 	var lost []time.Time
 	for _, de := range errs {
 		lost = append(lost, de.Day)
 	}
+	gen := New(Config{Seed: chaosSeed, Scale: chaosScale, Workers: 4})
 	if _, err := gen.GenerateStore(context.Background(),
 		NewDiskStorage(repairStore, "").WithRollupDir(rollDir), lost); err != nil {
 		t.Fatal(err)
@@ -469,6 +469,20 @@ func TestChaosRollupRefresh(t *testing.T) {
 		t.Errorf("refresh reported day errors: %v", pFresh.DayErrors())
 	}
 	if _, err := os.Stat(monthFile); err != nil {
-		t.Errorf("refreshed month rollup not persisted: %v", err)
+		t.Fatalf("refreshed month rollup not persisted: %v", err)
+	}
+
+	// A quarantine on its own drops the windows covering the day: with
+	// the refreshed month window on disk, moving a healthy day of it out
+	// of the read path must leave no week, month or year rollup that
+	// covers the day.
+	if err := NewDiskStorage(freshStore, "").WithRollupDir(rollDir).QuarantineDay(days[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range analytics.Grains() {
+		path := rollupCachePath(rollDir, g, analytics.WindowStart(g, days[0]))
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("quarantining %s left the covering %s rollup (stat err=%v)", days[0].Format("2006-01-02"), g, err)
+		}
 	}
 }

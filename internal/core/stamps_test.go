@@ -39,7 +39,7 @@ func TestRollupMemoryTier(t *testing.T) {
 		t.Helper()
 		for i := 0; i < 2; i++ {
 			for _, id := range tiered {
-				if err := Lookup0(id).Run(ctx, p, io.Discard); err != nil {
+				if err := mustLookup(t, id).Run(ctx, p, io.Discard); err != nil {
 					t.Fatalf("%s: %v", id, err)
 				}
 			}
@@ -56,7 +56,7 @@ func TestRollupMemoryTier(t *testing.T) {
 	}
 
 	// Rewrite one day inside a planned window with half its records.
-	span := Lookup0("fig3").Days(colsEqStride)
+	span := mustLookup(t, "fig3").Days(colsEqStride)
 	var win tierWindow
 	for _, w := range planTiers(span) {
 		if w.Grain != "" {

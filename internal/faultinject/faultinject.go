@@ -348,11 +348,6 @@ func (p *Plan) DropRecord(day time.Time, idx uint64) bool {
 	return false
 }
 
-// HasOp reports whether the plan has any rule for op.
-func (p *Plan) HasOp(op Op) bool {
-	return p != nil && len(p.rules[op]) > 0
-}
-
 // NextFault rolls the plan for the next attempt of (op, day) and
 // returns the injected fault, or nil. Every call is one attempt: the
 // storage wrapper calls it once per operation. Nil-safe.

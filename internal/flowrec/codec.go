@@ -137,7 +137,7 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 // Decode reads the next record into r. It returns io.EOF cleanly at
 // end of stream.
 func (d *Decoder) Decode(r *Record) error {
-	size, err := binary.ReadUvarint(d.r)
+	size, err := readUvarint(d.r)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return io.EOF

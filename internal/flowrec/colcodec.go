@@ -2,7 +2,6 @@ package flowrec
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -137,13 +136,13 @@ func (st *blockStats) read(br *bufio.Reader) error {
 		if err != nil {
 			return
 		}
-		*dst, err = binary.ReadUvarint(br)
+		*dst, err = readUvarint(br)
 	}
 	readS := func(dst *int64) {
 		if err != nil {
 			return
 		}
-		*dst, err = binary.ReadVarint(br)
+		*dst, err = readVarint(br)
 	}
 	readS(&st.startMin)
 	readS(&st.startMax)
@@ -439,6 +438,40 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("flowrec: "+format+": %w", append(args, ErrCorrupt)...)
 }
 
+// readUvarint is binary.ReadUvarint with an overlong varint reported
+// as damage (ErrCorrupt) rather than as an unclassified error: on disk,
+// a varint past 64 bits can only be a damaged byte.
+func readUvarint(br io.ByteReader) (uint64, error) {
+	var x uint64
+	for i, s := 0, uint(0); i < binary.MaxVarintLen64; i, s = i+1, s+7 {
+		b, err := br.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return x, err
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break
+			}
+			return x | uint64(b)<<s, nil
+		}
+		x |= uint64(b&0x7f) << s
+	}
+	return x, corruptf("varint overflows 64 bits")
+}
+
+// readVarint is readUvarint for a zigzag-encoded signed varint.
+func readVarint(br io.ByteReader) (int64, error) {
+	ux, err := readUvarint(br)
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
+}
+
 // blockEOF maps an EOF inside a block to ErrUnexpectedEOF so a
 // truncated file classifies as stream damage, like the v1 decoder.
 func blockEOF(err error) error {
@@ -454,7 +487,7 @@ func blockEOF(err error) error {
 // clean end of stream returns (nil, io.EOF).
 func (cr *colReader) next() (*colBlock, error) {
 	for {
-		rows, err := binary.ReadUvarint(cr.br)
+		rows, err := readUvarint(cr.br)
 		if err != nil {
 			if err == io.EOF {
 				// The stream must end with its terminator; a bare EOF at
@@ -474,7 +507,7 @@ func (cr *colReader) next() (*colBlock, error) {
 			b.release()
 			return nil, blockEOF(err)
 		}
-		ncols, err := binary.ReadUvarint(cr.br)
+		ncols, err := readUvarint(cr.br)
 		if err != nil {
 			b.release()
 			return nil, blockEOF(err)
@@ -485,7 +518,7 @@ func (cr *colReader) next() (*colBlock, error) {
 		}
 		skipAll := cr.pred != nil && !cr.pred.matchStats(&b.stats)
 		for c := 0; c < NumColumns; c++ {
-			n, err := binary.ReadUvarint(cr.br)
+			n, err := readUvarint(cr.br)
 			if err != nil {
 				b.release()
 				return nil, blockEOF(err)
@@ -512,7 +545,7 @@ func (cr *colReader) next() (*colBlock, error) {
 			b.bufs[c] = bp
 			// decoded_bytes counts what this column will materialise
 			// (dict part + inflated payload), not its compressed size.
-			dn, derr := v3DecodedSize(Column(c), *bp)
+			dn, derr := v3DecodedSize(Column(c), *bp, rows)
 			if derr != nil {
 				b.release()
 				return nil, derr
@@ -534,11 +567,11 @@ func (cr *colReader) next() (*colBlock, error) {
 // the scan actually consumed, then requires a hard EOF. It returns
 // io.EOF on a clean end.
 func (cr *colReader) readTerminator() error {
-	blocks, err := binary.ReadUvarint(cr.br)
+	blocks, err := readUvarint(cr.br)
 	if err != nil {
 		return blockEOF(err)
 	}
-	rows, err := binary.ReadUvarint(cr.br)
+	rows, err := readUvarint(cr.br)
 	if err != nil {
 		return blockEOF(err)
 	}
@@ -558,7 +591,12 @@ func (cr *colReader) readTerminator() error {
 
 // v3DecodedSize reports how many bytes a v3 column body materialises
 // when decoded: the plain dictionary part plus the inflated payload.
-func v3DecodedSize(col Column, body []byte) (uint64, error) {
+// Every column spends at least one payload byte per row, and a payload
+// holds no more than its bytes can carry: a stored one exactly its
+// length, a deflated one at most 1032 bytes a byte (a 258-byte match
+// in two bits). A row count the payload cannot reach is damage, caught
+// here before the scan sizes the block's records by that count.
+func v3DecodedSize(col Column, body []byte, rows uint64) (uint64, error) {
 	if len(body) < 4 {
 		return 0, corruptf("column %d: short body", col)
 	}
@@ -576,15 +614,27 @@ func v3DecodedSize(col Column, body []byte) (uint64, error) {
 	if n <= 0 || rawLen > maxColumnBytes {
 		return 0, corruptf("column %d: bad raw length", col)
 	}
+	body = body[n:]
+	compLen, n := binary.Uvarint(body)
+	if n <= 0 {
+		return 0, corruptf("column %d: bad compressed length", col)
+	}
+	carried := uint64(len(body) - n)
+	if compLen > 0 {
+		carried = 1032 * compLen
+	}
+	if rawLen < rows || rawLen > carried {
+		return 0, corruptf("column %d: %d bytes for %d rows in a %d-byte payload", col, rawLen, rows, len(body)-n)
+	}
 	return total + rawLen, nil
 }
 
-// colInflater is one decode worker's reusable v3 state: a flate
-// source reader and the scratch the inflated column lands in. Each
-// column is fully consumed before the next, so one scratch per worker
-// suffices; everything materialised out of it is copied or interned.
+// colInflater is one decode worker's reusable v3 state: the DEFLATE
+// decoder and the scratch the inflated column lands in. Each column is
+// fully consumed before the next, so one scratch per worker suffices;
+// everything materialised out of it is copied or interned.
 type colInflater struct {
-	br  bytes.Reader
+	fl  inflater
 	out []byte
 }
 
@@ -643,17 +693,7 @@ func (inf *colInflater) column(col Column, body []byte) ([]byte, error) {
 	} else {
 		out = out[:head+int(rawLen)]
 	}
-	inf.br.Reset(body)
-	fr := zpool.FlateReader(&inf.br)
-	_, err := io.ReadFull(fr, out[head:])
-	if err == nil {
-		var one [1]byte
-		if n, _ := fr.Read(one[:]); n != 0 {
-			err = fmt.Errorf("stream longer than rawLen")
-		}
-	}
-	zpool.PutFlateReader(fr)
-	if err != nil {
+	if err := inf.fl.inflate(out[head:], body); err != nil {
 		return nil, corruptf("column %d: inflate: %v", c, err)
 	}
 	inf.out = out

@@ -1,10 +1,16 @@
 package flowrec
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -284,6 +290,133 @@ func TestCompactStore(t *testing.T) {
 	for day, recs := range want {
 		if got := readAll(t, s, day, ColScan{}); !reflect.DeepEqual(got, recs) {
 			t.Errorf("day %s changed across compaction", day.Format("2006-01-02"))
+		}
+	}
+}
+
+// TestV3StreamCutAfterLastByte: a column whose deflate stream stops
+// right after its last output byte — the block's end code and the
+// final block never arrive — is damage even with its crc recomputed to
+// match. Every rawLen byte inflates, so only a decoder that requires
+// the stream to reach its final block at exactly rawLen rejects it.
+func TestV3StreamCutAfterLastByte(t *testing.T) {
+	s, err := OpenStoreFormat(t.TempDir(), FormatV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeDayRecords(t, s, colTestDay, dayRecords(rand.New(rand.NewSource(36)), colTestDay, 2000))
+	path := s.dayPath(colTestDay)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Walk to the first block's Tech column: magic, row count, eight
+	// stats varints, column count, then (length, body) per column.
+	p := 4
+	uv := func() uint64 {
+		v, n := binary.Uvarint(data[p:])
+		if n <= 0 {
+			t.Fatal("bad v3 framing")
+		}
+		p += n
+		return v
+	}
+	for i := 0; i < 1+8+1; i++ {
+		uv()
+	}
+	for c := 0; c < int(ColTech); c++ {
+		p += int(uv())
+	}
+	lenAt := p
+	size := int(uv())
+	body, rest := data[p:p+size], data[p+size:]
+	q := 4 // crc
+	rawLen, n := binary.Uvarint(body[q:])
+	q += n
+	compLen, n := binary.Uvarint(body[q:])
+	q += n
+	if compLen == 0 {
+		t.Fatal("Tech column stored raw: nothing to cut")
+	}
+	payload := body[q:]
+
+	// The shortest prefix compress/flate still inflates to all rawLen
+	// bytes.
+	cut := -1
+	for k := 1; k <= len(payload) && cut < 0; k++ {
+		if _, err := io.ReadFull(flate.NewReader(bytes.NewReader(payload[:k])), make([]byte, rawLen)); err == nil {
+			cut = k
+		}
+	}
+	if cut < 0 || cut == len(payload) {
+		t.Fatalf("no cut short of the whole %d-byte stream (cut %d)", len(payload), cut)
+	}
+
+	nb := binary.AppendUvarint([]byte{0, 0, 0, 0}, rawLen)
+	nb = binary.AppendUvarint(nb, uint64(cut))
+	nb = append(nb, payload[:cut]...)
+	binary.LittleEndian.PutUint32(nb, crc32.Checksum(nb[4:], crcTab))
+	damaged := binary.AppendUvarint(bytes.Clone(data[:lenAt]), uint64(len(nb)))
+	damaged = append(append(damaged, nb...), rest...)
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = s.ReadDay(colTestDay, func(*Record) error { return nil })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("column cut after its last byte: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestV3RowCountPastColumns: a block header may claim up to
+// maxBlockRows rows, and the scan sizes the block's records by that
+// count. A small damaged day whose header claims the maximum over
+// crc-valid columns that cannot hold that many rows — empty stored
+// payloads, or one-byte deflated payloads claiming a row a byte — must
+// fail as ErrCorrupt before those records are allocated, not after
+// 176 B a claimed row.
+func TestV3RowCountPastColumns(t *testing.T) {
+	s, err := OpenStoreFormat(t.TempDir(), FormatV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeDayRecords(t, s, colTestDay, dayRecords(rand.New(rand.NewSource(37)), colTestDay, 10))
+	for _, tc := range []struct {
+		name    string
+		payload []byte // rawLen | compLen | bytes
+	}{
+		{"empty stored", []byte{0, 0}},
+		{"deflated past its ratio", append(binary.AppendUvarint(nil, maxBlockRows), 1, 0)},
+	} {
+		// Magic, row count, eight zero stats, column count, then one
+		// body per column: crc, [dict length], payload.
+		data := binary.AppendUvarint([]byte("efl3"), maxBlockRows)
+		data = append(data, make([]byte, 8)...)
+		data = binary.AppendUvarint(data, uint64(NumColumns))
+		for c := 0; c < NumColumns; c++ {
+			body := []byte{0, 0, 0, 0}
+			if dictSlot(Column(c)) >= 0 {
+				body = append(body, 0)
+			}
+			body = append(body, tc.payload...)
+			binary.LittleEndian.PutUint32(body, crc32.Checksum(body[4:], crcTab))
+			data = binary.AppendUvarint(data, uint64(len(body)))
+			data = append(data, body...)
+		}
+		if err := os.WriteFile(s.dayPath(colTestDay), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := s.ReadDayCols(colTestDay, ColScan{Workers: workers}, func(*Record) error { return nil })
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s, workers=%d: err = %v, want ErrCorrupt", tc.name, workers, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+				t.Errorf("%s, workers=%d: %d-byte day allocated %d bytes before failing", tc.name, workers, len(data), got)
+			}
 		}
 	}
 }

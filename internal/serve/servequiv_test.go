@@ -151,7 +151,7 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 	t.Run("active", func(t *testing.T) {
 		var rows []core.ActiveRow
 		getRows(t, ts.URL+"/v1/figures/active", &rows)
-		days := core.Lookup0("active").Days(batch.Stride())
+		days := mustLookup(t, "active").Days(batch.Stride())
 		pts, err := batch.ActiveSeriesTier(ctx, days)
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +171,7 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 	t.Run("fig3", func(t *testing.T) {
 		var rows []core.MonthlyRow
 		getRows(t, ts.URL+"/v1/figures/fig3", &rows)
-		days := core.Lookup0("fig3").Days(batch.Stride())
+		days := mustLookup(t, "fig3").Days(batch.Stride())
 		ms, err := batch.MonthlySeriesTier(ctx, days)
 		if err != nil {
 			t.Fatal(err)
@@ -194,7 +194,7 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 	t.Run("fig8", func(t *testing.T) {
 		var rows []core.ProtoRow
 		getRows(t, ts.URL+"/v1/figures/fig8", &rows)
-		days := core.Lookup0("fig8").Days(batch.Stride())
+		days := mustLookup(t, "fig8").Days(batch.Stride())
 		shares, err := batch.ProtoSharesTier(ctx, days)
 		if err != nil {
 			t.Fatal(err)
@@ -219,7 +219,7 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 	t.Run("fig2", func(t *testing.T) {
 		var rows []core.DistRow
 		getRows(t, ts.URL+"/v1/figures/fig2", &rows)
-		days := core.Lookup0("fig2").Days(batch.Stride())
+		days := mustLookup(t, "fig2").Days(batch.Stride())
 		aggs, err := batch.Aggregate(ctx, days)
 		if err != nil {
 			t.Fatal(err)
@@ -240,6 +240,16 @@ func TestServedFiguresMatchBatchNumbers(t *testing.T) {
 	})
 }
 
+// mustLookup is core.Lookup for an ID the test knows is registered.
+func mustLookup(t testing.TB, id string) core.Experiment {
+	t.Helper()
+	e, ok := core.Lookup(id)
+	if !ok {
+		t.Fatalf("unknown experiment %q", id)
+	}
+	return e
+}
+
 // TestServedFiguresAppearInBatchText ties the service to the rendered
 // batch figure itself: each served row, formatted through the same
 // report helpers the batch table uses, must appear on a line of the
@@ -249,7 +259,7 @@ func TestServedFiguresAppearInBatchText(t *testing.T) {
 	batch := core.New(servequivConfig())
 	render := func(id string) []string {
 		var buf bytes.Buffer
-		if err := core.Lookup0(id).Run(context.Background(), batch, &buf); err != nil {
+		if err := mustLookup(t, id).Run(context.Background(), batch, &buf); err != nil {
 			t.Fatalf("batch %s: %v", id, err)
 		}
 		return strings.Split(buf.String(), "\n")

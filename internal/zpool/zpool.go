@@ -24,7 +24,6 @@ var (
 	gzWriterDefault = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
 	gzReaders       sync.Pool // *gzip.Reader, nil-state tolerated via Reset
 	flateWriters    = sync.Pool{New: func() any { w, _ := flate.NewWriter(io.Discard, flate.BestSpeed); return w }}
-	flateReaders    = sync.Pool{New: func() any { return flate.NewReader(nil) }}
 )
 
 // GzipWriterSpeed returns a pooled gzip writer at BestSpeed, reset to
@@ -93,23 +92,6 @@ func FlateWriter(w io.Writer) *flate.Writer {
 func PutFlateWriter(fw *flate.Writer) {
 	if fw != nil {
 		flateWriters.Put(fw)
-	}
-}
-
-// FlateReader returns a pooled raw-deflate reader reset onto r. dict
-// is the preset dictionary (nil for none). Return it with
-// PutFlateReader.
-func FlateReader(r io.Reader) io.ReadCloser {
-	fr := flateReaders.Get().(io.ReadCloser)
-	// flate.NewReader's concrete type always implements Resetter.
-	fr.(flate.Resetter).Reset(r, nil)
-	return fr
-}
-
-// PutFlateReader returns a flate reader to the pool.
-func PutFlateReader(fr io.ReadCloser) {
-	if fr != nil {
-		flateReaders.Put(fr)
 	}
 }
 

@@ -2,6 +2,7 @@ package zpool
 
 import (
 	"bytes"
+	"compress/flate"
 	"compress/gzip"
 	"io"
 	"sync"
@@ -41,6 +42,8 @@ func TestGzipPoolRoundTrip(t *testing.T) {
 	}
 }
 
+// The flate writer pool has no reader twin (the v3 read path has its
+// own decoder), so its output is checked with a plain flate reader.
 func TestFlatePoolRoundTrip(t *testing.T) {
 	payload := bytes.Repeat([]byte{1, 2, 3, 4, 250, 251}, 500)
 	for pass := 0; pass < 2; pass++ {
@@ -54,12 +57,10 @@ func TestFlatePoolRoundTrip(t *testing.T) {
 		}
 		PutFlateWriter(fw)
 
-		fr := FlateReader(&buf)
-		got, err := io.ReadAll(fr)
+		got, err := io.ReadAll(flate.NewReader(&buf))
 		if err != nil {
 			t.Fatal(err)
 		}
-		PutFlateReader(fr)
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("pass %d: round-trip mismatch", pass)
 		}
