@@ -155,6 +155,7 @@ FUZZ_TARGETS := \
 	internal/flowrec:FuzzInflate \
 	internal/flowrec:FuzzReadDayV3 \
 	internal/framefile:FuzzLoadDerivedFiles \
+	internal/ingest:FuzzReplayWAL \
 	internal/wire:FuzzParsePacket \
 	internal/dpi:FuzzTLSClientHello \
 	internal/dpi:FuzzDNSDecode \

@@ -40,7 +40,7 @@ func loadAgg(dir string, day time.Time) *analytics.DayAgg {
 // saveAgg writes an aggregate to the cache. Failures are returned so
 // callers can surface them; a full disk should not pass silently.
 func saveAgg(dir string, agg *analytics.DayAgg) error {
-	if _, err := framefile.Save(aggCachePath(dir, agg.Day), agg); err != nil {
+	if _, err := framefile.Save(aggCachePath(dir, agg.Day), agg, false); err != nil {
 		return fmt.Errorf("core: aggregate cache: %w", err)
 	}
 	return nil
@@ -100,9 +100,11 @@ func loadPartials(dir string, day time.Time) []*analytics.Partial {
 }
 
 // savePartials replaces a day's partial file with one frame holding
-// parts.
+// parts, at BestSpeed like the deltas behind it: every base is
+// replaced by the next rewrite or dropped at seal, so its bytes are
+// never read often enough to pay for the default level.
 func savePartials(dir string, day time.Time, parts []*analytics.Partial) error {
-	if _, err := framefile.Save(partialCachePath(dir, day), cachedPartials{Day: day, Parts: parts}); err != nil {
+	if _, err := framefile.Save(partialCachePath(dir, day), cachedPartials{Day: day, Parts: parts}, true); err != nil {
 		return fmt.Errorf("core: partial cache: %w", err)
 	}
 	return nil

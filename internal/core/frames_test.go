@@ -219,3 +219,97 @@ func TestOrphanTempsAreSwept(t *testing.T) {
 		t.Errorf("SweepTemps over a cache dir not yet created: %v", err)
 	}
 }
+
+// gzipLevelByte returns the XFL byte of a frame payload's gzip header:
+// compress/gzip writes 4 at BestSpeed and 0 at the default level.
+func gzipLevelByte(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var xfl []byte
+	framefile.Scan(data, func(_ int, payload []byte) bool {
+		if len(payload) < 10 || payload[0] != 0x1f || payload[1] != 0x8b {
+			t.Fatalf("%s: a frame payload is not a gzip stream", path)
+		}
+		xfl = append(xfl, payload[8])
+		return true
+	})
+	return xfl
+}
+
+// TestCheckpointFramesAreFast: a checkpoint's base and deltas are
+// written at BestSpeed — their bytes die at the next rewrite or the
+// seal — while the files written once and read many times (day
+// aggregates, rollups) keep the default level.
+func TestCheckpointFramesAreFast(t *testing.T) {
+	const bestSpeed, defaultLevel = 4, 0
+	stor := NewDiskStorage(nil, t.TempDir()).WithRollupDir(t.TempDir())
+	framedFile(t, stor, chunkPartials(t, 3))
+	if got := gzipLevelByte(t, partialCachePath(stor.aggDir, framesDay)); !bytes.Equal(got, []byte{bestSpeed, bestSpeed, bestSpeed}) {
+		t.Errorf("checkpoint frames carry gzip XFL %v, want BestSpeed (%d) for the base and each delta", got, bestSpeed)
+	}
+
+	if err := stor.SaveAgg(analytics.NewPartial(framesDay).Finish()); err != nil {
+		t.Fatal(err)
+	}
+	week := analytics.WindowStart(analytics.GrainWeek, framesDay)
+	roll, err := analytics.BuildRollup(analytics.GrainWeek, week, []time.Time{framesDay}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stor.SaveRollup(roll); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{aggCachePath(stor.aggDir, framesDay), rollupCachePath(stor.rollupDir, analytics.GrainWeek, week)} {
+		if got := gzipLevelByte(t, path); !bytes.Equal(got, []byte{defaultLevel}) {
+			t.Errorf("%s carries gzip XFL %v, want one frame at the default level", filepath.Base(path), got)
+		}
+	}
+}
+
+// BenchmarkCheckpointRewrite prices one live-ingest checkpoint rewrite
+// on a late-day base: SavePartials of the base folded from a whole day
+// of the live stream at 2,500 ADSL + 1,250 FTTH lines, then
+// AppendPartial of one 4,096-record delta behind it. bytes/op is the
+// file it leaves. Building the base takes a few seconds before the
+// timer starts.
+//
+//	go test -run '^$' -bench '^BenchmarkCheckpointRewrite$' -benchtime 20x ./internal/core
+func BenchmarkCheckpointRewrite(b *testing.B) {
+	const deltaRecords = 4096
+	day := time.Date(2016, 4, 29, 0, 0, 0, 0, time.UTC)
+	src := simnet.NewWorld(1, simnet.Scale{ADSL: 2500, FTTH: 1250}).Stream([]time.Time{day})
+	baseAgg := analytics.NewAggregator(day, nil)
+	deltaAgg := analytics.NewAggregator(day, nil)
+	var sr simnet.StreamRecord
+	var n int
+	for src.Next(&sr) {
+		if !sr.Rec.Day().Equal(day) {
+			continue
+		}
+		sr.Rec.Quantize()
+		if n++; n <= deltaRecords {
+			deltaAgg.Add(&sr.Rec)
+		} else {
+			baseAgg.Add(&sr.Rec)
+		}
+	}
+	if n < 500_000 {
+		b.Fatalf("the live day holds %d records, want a late-day base of at least 500k", n)
+	}
+	base, delta := baseAgg.Partial(), deltaAgg.Partial()
+	stor := NewDiskStorage(nil, b.TempDir())
+	var total int64
+	for b.Loop() {
+		if err := stor.SavePartials(day, []*analytics.Partial{base}); err != nil {
+			b.Fatal(err)
+		}
+		if err := stor.AppendPartial(day, delta); err != nil {
+			b.Fatal(err)
+		}
+		_, total = stor.PartialsSize(day)
+	}
+	b.ReportMetric(float64(total), "bytes/op")
+}

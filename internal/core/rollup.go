@@ -78,7 +78,7 @@ func loadRollup(dir string, g analytics.Grain, start time.Time) *analytics.Rollu
 
 // saveRollup writes one window atomically.
 func saveRollup(dir string, r *analytics.Rollup) error {
-	if _, err := framefile.Save(rollupCachePath(dir, r.Grain, r.Start), r); err != nil {
+	if _, err := framefile.Save(rollupCachePath(dir, r.Grain, r.Start), r, false); err != nil {
 		return fmt.Errorf("core: rollup cache: %w", err)
 	}
 	return nil

@@ -115,7 +115,10 @@ func Load(path string, v any) error {
 }
 
 // encode appends one frame holding v to buf. fast compresses at
-// BestSpeed, for frames that are rewritten soon after.
+// BestSpeed, for frames whose bytes die soon after they are written:
+// a checkpoint's base and its deltas, which the next rewrite or the
+// day's seal replaces. Everything else is written once and read many
+// times, and takes the default level.
 func encode(buf *bytes.Buffer, v any, fast bool) error {
 	start := buf.Len()
 	var header [headerLen]byte // filled in once the payload's size and sum are known
@@ -147,12 +150,14 @@ func encode(buf *bytes.Buffer, v any, fast bool) error {
 func tempPrefix(path string) string { return filepath.Base(path) + ".tmp-" }
 
 // Save replaces the file at path with one frame holding v, creating
-// the directory if needed, and returns the bytes it wrote. The publish
-// is atomic: the frame goes to a unique temp sibling that is renamed
-// over path, so readers see the old file or the new one, never half.
-func Save(path string, v any) (int64, error) {
+// the directory if needed, and returns the bytes it wrote. fast
+// compresses at BestSpeed instead of the default level (see encode).
+// The publish is atomic: the frame goes to a unique temp sibling that
+// is renamed over path, so readers see the old file or the new one,
+// never half.
+func Save(path string, v any, fast bool) (int64, error) {
 	var buf bytes.Buffer
-	if err := encode(&buf, v, false); err != nil {
+	if err := encode(&buf, v, fast); err != nil {
 		return 0, err
 	}
 	if err := Replace(path, buf.Bytes()); err != nil {
@@ -190,9 +195,10 @@ func Replace(path string, data []byte) error {
 
 // Append adds one frame holding v behind the frames of the existing
 // file at path, compressed at BestSpeed: appended frames are deltas
-// their writer folds into a fresh Save before long. The file must
-// exist. A write that fails part-way is cut back off, so a retry does
-// not append behind a torn frame that would hide it from readers.
+// their writer folds into a fresh base, saved at BestSpeed too, before
+// long. The file must exist. A write that fails part-way is cut back
+// off, so a retry does not append behind a torn frame that would hide
+// it from readers.
 func Append(path string, v any) error {
 	var buf bytes.Buffer
 	if err := encode(&buf, v, true); err != nil {

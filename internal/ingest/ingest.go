@@ -63,6 +63,11 @@ var (
 	mCompactions   = metrics.GetCounter("ingest.compactions")
 	mCompactErrors = metrics.GetCounter("ingest.compaction_failures")
 
+	// Records absorbed into an open day that its seal could not replay
+	// out of the WAL: a segment damaged after absorption ends its
+	// replay at the damage, and the day seals without what lay behind.
+	mSealShort = metrics.GetCounter("ingest.seal_short_records")
+
 	// Write amplification and read fan-in of the checkpoint files:
 	// bytes written by checkpoints (delta frames and base rewrites
 	// alike), how many of them rewrote the base, and how many frames a
@@ -202,6 +207,7 @@ type Ingester struct {
 	watermark time.Time
 	wmDay     time.Time // watermark's UTC day (rollover edge detector)
 	nextDue   time.Time // earliest open-day seal deadline (zero: none)
+	firstDue  time.Time // earliest open day's grace deadline, backoff aside (zero: none)
 
 	compactCh chan time.Time
 	compactWG chan struct{} // closed when the worker drains
@@ -406,8 +412,12 @@ func (in *Ingester) state(day time.Time) *dayState {
 		st = &dayState{day: day, agg: analytics.NewAggregator(day, in.cls)}
 		in.days[k] = st
 		mOpenDays.Set(int64(len(in.days)))
-		if due := dueTime(day, in.cfg.Grace); in.nextDue.IsZero() || due.Before(in.nextDue) {
+		due := dueTime(day, in.cfg.Grace)
+		if in.nextDue.IsZero() || due.Before(in.nextDue) {
 			in.nextDue = due
+		}
+		if in.firstDue.IsZero() || due.Before(in.firstDue) {
+			in.firstDue = due
 		}
 	}
 	return st
@@ -418,11 +428,15 @@ func dueTime(day time.Time, grace time.Duration) time.Time {
 	return day.AddDate(0, 0, 1).Add(grace)
 }
 
-// recomputeDue refreshes the earliest seal deadline across open days.
+// recomputeDue refreshes the earliest seal deadline across open days,
+// with and without the backoff of failed seals.
 func (in *Ingester) recomputeDue() {
-	in.nextDue = time.Time{}
+	in.nextDue, in.firstDue = time.Time{}, time.Time{}
 	for _, st := range in.days {
 		due := dueTime(st.day, in.cfg.Grace)
+		if in.firstDue.IsZero() || due.Before(in.firstDue) {
+			in.firstDue = due
+		}
 		if st.retryAfter.After(due) {
 			due = st.retryAfter
 		}
@@ -527,14 +541,13 @@ func (in *Ingester) advance(ctx context.Context, at time.Time) error {
 	return err
 }
 
-// updateLag publishes how overdue the oldest open day's seal is.
+// updateLag publishes how overdue the oldest open day's seal is. It
+// runs on every record, so it reads firstDue, which state and
+// recomputeDue keep, instead of walking the open days.
 func (in *Ingester) updateLag() {
 	var lag time.Duration
-	for _, st := range in.days {
-		due := st.day.AddDate(0, 0, 1).Add(in.cfg.Grace)
-		if d := in.watermark.Sub(due); d > lag {
-			lag = d
-		}
+	if !in.firstDue.IsZero() && in.watermark.After(in.firstDue) {
+		lag = in.watermark.Sub(in.firstDue)
 	}
 	mLagSeconds.Set(int64(lag / time.Second))
 }
@@ -572,7 +585,9 @@ func (in *Ingester) rollover(ctx context.Context) error {
 // sealDay turns one open day into a sealed lake day: flush WAL →
 // WriteDay (atomic; its success drops the day's checkpoint partials
 // and covering rollups via the storage's own invalidation) → remove
-// WAL → compact in the background.
+// WAL → compact in the background. A WAL that replays fewer records
+// than the day absorbed still seals — the WAL is all that is durable
+// — but the shortfall is logged and counted.
 func (in *Ingester) sealDay(ctx context.Context, st *dayState) error {
 	if st.wal != nil {
 		if err := st.wal.close(); err != nil {
@@ -581,20 +596,25 @@ func (in *Ingester) sealDay(ctx context.Context, st *dayState) error {
 		st.wal = nil
 	}
 	day := st.day
+	var replayed uint64
 	op := func() error {
 		if err := in.cfg.Faults.OpFault(faultinject.OpSeal, day); err != nil {
 			return err
 		}
 		_, err := in.cfg.Storage.WriteDay(day, func(write func(*flowrec.Record) error) error {
-			_, rerr := replayDay(in.cfg.WALDir, day, func(r *flowrec.Record) error {
-				return write(r)
-			})
+			var rerr error
+			replayed, rerr = replayDay(in.cfg.WALDir, day, write)
 			return rerr
 		})
 		return err
 	}
 	if err := in.cfg.Retry.Do(ctx, uint64(day.Unix()), op); err != nil {
 		return err
+	}
+	if replayed < st.count {
+		mSealShort.Add(st.count - replayed)
+		in.cfg.Logf("ingest: sealed %s with %d of its %d records: the WAL replayed short",
+			day.Format("2006-01-02"), replayed, st.count)
 	}
 	if err := removeDayWAL(in.cfg.WALDir, day); err != nil {
 		return err
@@ -710,6 +730,7 @@ func (in *Ingester) SealAll(ctx context.Context) error {
 			}
 		}
 	}
+	in.recomputeDue()
 	in.updateLag()
 	return firstErr
 }
@@ -814,7 +835,7 @@ func (in *Ingester) writeCursor() error {
 	for k, st := range in.days {
 		cur.Days[k] = st.ordinal
 	}
-	if _, err := framefile.Save(cursorPath(in.cfg.WALDir), cur); err != nil {
+	if _, err := framefile.Save(cursorPath(in.cfg.WALDir), cur, false); err != nil {
 		return err
 	}
 	in.resume = cur.Seq

@@ -113,7 +113,9 @@ func listSegments(dir string) ([]string, error) {
 // order, to fn. A torn tail — the unflushed last frame of a killed
 // writer — ends that segment's replay silently and the next segment
 // continues: the lost suffix was never checkpointed (checkpoints
-// flush first), so the resumed stream re-delivers it. Returns the
+// flush first), so the resumed stream re-delivers it. A frame
+// damaged after it was absorbed ends its segment the same way, and
+// the frames behind it are lost; sealDay counts them. Returns the
 // number of intact frames.
 func replayDay(walDir string, day time.Time, fn func(*flowrec.Record) error) (uint64, error) {
 	segs, err := listSegments(walDayDir(walDir, day))
@@ -139,8 +141,9 @@ func replayDay(walDir string, day time.Time, fn func(*flowrec.Record) error) (ui
 				if errors.Is(err, io.EOF) {
 					break
 				}
-				// Damage mid-segment can only be a torn tail (segments
-				// are append-only); stop this segment, keep the rest.
+				// A torn tail, or damage after absorption: nothing past
+				// it can be trusted to be a frame; stop this segment,
+				// keep the rest.
 				break
 			}
 			if err := fn(&rec); err != nil {

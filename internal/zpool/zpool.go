@@ -17,8 +17,10 @@ import (
 )
 
 // Gzip writer pools, one per compression level actually used in the
-// tree: BestSpeed for day logs (write throughput bound), the default
-// level for the gob caches (small files, written once per day).
+// tree: BestSpeed for day logs and checkpoint frames (write throughput
+// bound; a checkpoint's bytes die at its next rewrite), the default
+// level for the agg, rollup and cursor files (small, written once and
+// read many times).
 var (
 	gzWriterSpeed   = sync.Pool{New: func() any { w, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed); return w }}
 	gzWriterDefault = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
